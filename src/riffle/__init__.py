@@ -41,7 +41,6 @@ from .permutations import (
     cycle_type,
     descent_set,
     inversions,
-    invert,
 )
 from .qpoly import QPolynomial, q_binomial, q_factorial, q_multinomial
 from .shuffles import (
@@ -88,7 +87,6 @@ __all__ = [
     "fixed_point_pgf",
     "inversion_pgf",
     "inversions",
-    "invert",
     "involutions_descent_subset",
     "is_primitive",
     "lalley_lower_steps",

@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
 from . import counting, genfuncs, necklaces, shuffles, verify
-from .permutations import Permutation, descent_set, is_n_cycle
+from .permutations import DEFAULT_MAX_N, Permutation, descent_set, is_n_cycle
 from .shuffles import ShuffleSpec, parse_bias
-
-DEFAULT_MAX_N = shuffles.DEFAULT_MAX_N
 
 
 def frac_str(value: Fraction) -> str:
@@ -257,6 +256,8 @@ def cmd_bijection(args) -> int:
 
 
 def cmd_report(args) -> int:
+    if args.k_max < 1:
+        raise ValueError("--k-max must be at least 1")
     max_n = args.n_max or DEFAULT_MAX_N
     bias = parse_bias(args.p)
     n = args.n
@@ -266,11 +267,9 @@ def cmd_report(args) -> int:
     lalley = None
     if len(bias) == 2 and 0 < bias[0] < 1 and n >= 2:
         lalley = shuffles.lalley_lower_steps(n, bias[0])
-    ssq = sum(p * p for p in bias)
+    ssq = ShuffleSpec(n, bias).sum_squares()
     suffices = None
     if ssq < 1 and n >= 2:
-        import math
-
         suffices = 2 * math.log(n) / math.log(1 / ssq)
     uniform = shuffles.uniform_distribution(n) if exact_ok else None
     rows = []
@@ -312,6 +311,10 @@ def cmd_report(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.samples < 1:
+        raise ValueError("--samples must be at least 1")
+    if args.n_max is not None and args.n_max < 1:
+        raise ValueError("--n-max must be at least 1")
     config = verify.VerifyConfig(samples=args.samples)
     if args.n_max is not None:
         config.n_max = args.n_max

@@ -14,12 +14,11 @@ from itertools import combinations
 
 from .necklaces import _mobius, primitive_count
 from .permutations import (
+    DEFAULT_MAX_N,
     Permutation,
     descent_composition,
     symmetric_group_list,
 )
-
-DEFAULT_MAX_N = 8
 
 
 def _comb0(m: int, k: int) -> int:
@@ -89,20 +88,39 @@ def count_descent_subset(parts: Iterable[int]) -> int:
     return multinomial(parts)
 
 
-def count_descent_exact(n: int, deset: Iterable[int]) -> int:
-    """Permutations of S_n with descent set exactly ``deset`` (which must
-    contain n), by inclusion-exclusion over subsets:
-
-        sum_{K subseteq J, n in K} (-1)^(|J|-|K|) multinomial(C(K))
-    """
+def _descent_inclusion_exclusion(
+    n: int, deset: Iterable[int], term: Callable[[tuple[int, ...]], int]
+) -> int:
+    """sum_{K subseteq J, n in K} (-1)^(|J|-|K|) term(C(K)), with C(K) the
+    gap composition of K: inverts a count over descent sets inside K into
+    a count over descent set exactly J."""
     js = _validate_descent_set(n, deset)
     inner = sorted(js - {n})
     total = 0
     for r in range(len(inner) + 1):
         for chosen in combinations(inner, r):
             k = set(chosen) | {n}
-            total += (-1) ** (len(js) - len(k)) * multinomial(descent_composition(k, n))
+            total += (-1) ** (len(js) - len(k)) * term(descent_composition(k, n))
     return total
+
+
+def _binomial_det(n: int, positions: list[int], d: int) -> int:
+    """det C((n - j_l)/d, (j_{m+1} - j_l)/d) over j_0 = 0 < positions < j_{k+1} = n."""
+    pts = [0] + positions + [n]
+    size = len(positions) + 1
+    return int_det([
+        [_comb0((n - pts[l]) // d, (pts[m + 1] - pts[l]) // d) for m in range(size)]
+        for l in range(size)
+    ])
+
+
+def count_descent_exact(n: int, deset: Iterable[int]) -> int:
+    """Permutations of S_n with descent set exactly ``deset`` (which must
+    contain n), by inclusion-exclusion over subsets:
+
+        sum_{K subseteq J, n in K} (-1)^(|J|-|K|) multinomial(C(K))
+    """
+    return _descent_inclusion_exclusion(n, deset, multinomial)
 
 
 def count_descent_det(n: int, j_positions: Iterable[int]) -> int:
@@ -114,28 +132,13 @@ def count_descent_det(n: int, j_positions: Iterable[int]) -> int:
     js = sorted(j_positions)
     if any(j < 1 or j > n - 1 for j in js):
         raise ValueError(f"positions must lie in 1..{n - 1}: {js}")
-    pts = [0] + js + [n]
-    size = len(js) + 1
-    matrix = [
-        [_comb0(n - pts[l], pts[m + 1] - pts[l]) for m in range(size)]
-        for l in range(size)
-    ]
-    return int_det(matrix)
+    return _binomial_det(n, js, 1)
 
 
 def ncycles_descent_ie(n: int, deset: Iterable[int]) -> int:
     """n-cycles with descent set exactly ``deset``, by inclusion-exclusion
     with the primitive-necklace count in place of the multinomial."""
-    js = _validate_descent_set(n, deset)
-    inner = sorted(js - {n})
-    total = 0
-    for r in range(len(inner) + 1):
-        for chosen in combinations(inner, r):
-            k = set(chosen) | {n}
-            total += (-1) ** (len(js) - len(k)) * primitive_count(
-                descent_composition(k, n)
-            )
-    return total
+    return _descent_inclusion_exclusion(n, deset, primitive_count)
 
 
 def ncycles_descent_det(n: int, deset: Iterable[int]) -> int:
@@ -157,13 +160,7 @@ def ncycles_descent_det(n: int, deset: Iterable[int]) -> int:
         if mu == 0:
             continue
         jd = [j for j in inner if j % d == 0]
-        pts = [0] + jd + [n]
-        size = len(jd) + 1
-        matrix = [
-            [_comb0((n - pts[l]) // d, (pts[m + 1] - pts[l]) // d) for m in range(size)]
-            for l in range(size)
-        ]
-        total += mu * (-1) ** (len(inner) - len(jd)) * int_det(matrix)
+        total += mu * (-1) ** (len(inner) - len(jd)) * _binomial_det(n, jd, d)
     if total % n:
         raise ArithmeticError(f"divisor sum {total} not divisible by n={n}")
     return total // n

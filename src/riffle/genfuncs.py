@@ -19,6 +19,7 @@ from fractions import Fraction
 
 from .necklaces import primitive_count
 from .permutations import (
+    DEFAULT_MAX_N,
     cycle_type,
     cycle_type_key,
     descent_set,
@@ -28,9 +29,7 @@ from .permutations import (
     weak_compositions,
 )
 from .qpoly import QPolynomial, q_binomial, q_multinomial
-from .shuffles import ExactDistribution, ShuffleSpec, validate_bias
-
-DEFAULT_MAX_N = 8
+from .shuffles import ExactDistribution, ShuffleSpec, _content_mass, validate_bias
 
 CycleTypeKey = tuple[tuple[int, int], ...]
 
@@ -105,10 +104,7 @@ def cycle_structure_pgf(n: int, bias, *, max_n: int = DEFAULT_MAX_N) -> CyclePol
     state: dict[tuple[int, CycleTypeKey], Fraction] = {(0, ()): Fraction(1)}
     for i in range(1, n + 1):
         for content in weak_compositions(i, a):
-            weight = Fraction(1)
-            for p, r in zip(bias, content):
-                if r:
-                    weight *= p ** r
+            weight = _content_mass(bias, content)
             if weight == 0:
                 continue
             mult = primitive_count(content)
@@ -171,44 +167,22 @@ def fixed_point_pgf(n: int, bias, *, max_n: int = DEFAULT_MAX_N) -> tuple[Fracti
     bias = validate_bias(bias)
     if n > max_n:
         raise ValueError(f"n={n} above series cap {max_n}")
-    # series[m] = coefficient of y^m, itself a dense list of x-coefficients
-    series: list[list[Fraction]] = [[Fraction(1)] for _ in range(n + 1)]
+    # series[m] = coefficient of y^m, a polynomial in x
+    series = [QPolynomial.one()] * (n + 1)
     for p in bias:
         # multiply by (1 - p y)
+        series = series[:1] + [series[m] - p * series[m - 1] for m in range(1, n + 1)]
+        # multiply by sum_m (p x)^m y^m
+        px = QPolynomial.q() * p
+        powers = [QPolynomial.one()]
+        for _ in range(n):
+            powers.append(powers[-1] * px)
         series = [
-            _poly_sub(series[m], _poly_scale(series[m - 1], p)) if m else series[m][:]
+            sum((powers[m1] * series[m - m1] for m1 in range(m + 1)), QPolynomial.zero())
             for m in range(n + 1)
         ]
-        # multiply by sum_m (p x)^m y^m
-        new_series: list[list[Fraction]] = []
-        for m in range(n + 1):
-            acc: list[Fraction] = []
-            power = Fraction(1)
-            for m1 in range(m + 1):
-                shifted = [Fraction(0)] * m1 + _poly_scale(series[m - m1], power)
-                acc = _poly_add(acc, shifted)
-                power *= p
-            new_series.append(acc)
-        series = new_series
-    coeffs = series[n] + [Fraction(0)] * (n + 1 - len(series[n]))
-    return tuple(coeffs[: n + 1])
-
-
-def _poly_add(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] += c
-    return out
-
-
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    return _poly_add(a, [-c for c in b])
-
-
-def _poly_scale(a: list[Fraction], s: Fraction) -> list[Fraction]:
-    return [c * s for c in a]
+    coeffs = series[n].coeffs
+    return coeffs + (Fraction(0),) * (n + 1 - len(coeffs))
 
 
 def fixed_point_pgf_from_distribution(dist: ExactDistribution) -> tuple[Fraction, ...]:
@@ -263,10 +237,7 @@ def inversion_pgf_from_compositions(
         raise ValueError(f"n={n} above series cap {max_n}")
     total = QPolynomial.zero()
     for parts in weak_compositions(n, len(bias)):
-        weight = Fraction(1)
-        for p, b in zip(bias, parts):
-            if b:
-                weight *= p ** b
+        weight = _content_mass(bias, parts)
         if weight == 0:
             continue
         total = total + weight * q_multinomial(n, parts)

@@ -15,12 +15,20 @@ is what makes the shuffle-measure cycle counting work.
 
 from __future__ import annotations
 
+import bisect
 import math
+import operator
 from collections import Counter
 from collections.abc import Iterable
 from functools import lru_cache
 
-from .permutations import Permutation, cycles, descent_set, partial_sums
+from .permutations import (
+    Permutation,
+    cycles,
+    descent_set,
+    partial_sums,
+    standard_permutation,
+)
 
 DEFAULT_MAX_N = 16
 
@@ -30,7 +38,8 @@ NecklaceMultiset = Counter  # Counter[Necklace]
 
 
 def standardize(word: Iterable[int]) -> Permutation:
-    """Standard permutation of a word: lexicographic ranks, ties to the left.
+    """Standard permutation of a nonempty word: lexicographic ranks, ties to
+    the left (``permutations.standard_permutation``).
 
     >>> standardize((2, 2, 1, 1, 2, 3, 3, 3, 2, 3, 2, 2)).images
     (3, 4, 1, 2, 5, 9, 10, 11, 6, 12, 7, 8)
@@ -38,11 +47,7 @@ def standardize(word: Iterable[int]) -> Permutation:
     word = tuple(word)
     if not word:
         raise ValueError("empty word")
-    order = sorted(range(len(word)), key=lambda j: (word[j], j))
-    ranks = [0] * len(word)
-    for rank, j in enumerate(order, start=1):
-        ranks[j] = rank
-    return Permutation(ranks)
+    return standard_permutation(word)
 
 
 def min_rotation(seq: Iterable[int]) -> Necklace:
@@ -228,6 +233,8 @@ def enumerate_primitive_multisets(parts: Iterable[int]) -> list[NecklaceMultiset
     exactly ``parts``.  Small-scale oracle for the bijection.
     """
     parts = tuple(parts)
+    # Sorted canonical necklaces start with their least letter, so the
+    # candidates come grouped by least letter.
     candidates = _necklaces_below(parts)
 
     def content_of(neck: Necklace) -> tuple[int, ...]:
@@ -240,24 +247,26 @@ def enumerate_primitive_multisets(parts: Iterable[int]) -> list[NecklaceMultiset
     results: list[NecklaceMultiset] = []
     chosen: NecklaceMultiset = Counter()
 
-    def pick(idx: int, remaining: tuple[int, ...]):
-        if not any(remaining):
+    def pick(start: int, remaining: tuple[int, ...]):
+        # Necklaces are chosen in candidate order, so each multiset is built
+        # once, and the least letter still unplaced can only go into a
+        # necklace from its own group.  Each call places at least one
+        # letter, so the recursion is at most sum(parts) deep.
+        least = next((i for i, r in enumerate(remaining, start=1) if r), None)
+        if least is None:
             results.append(chosen.copy())
             return
-        if idx == len(candidates):
-            return
-        neck_content = contents[idx]
-        mult = 0
-        rem = remaining
-        while True:
-            pick(idx + 1, rem)
-            if any(r < c for r, c in zip(rem, neck_content)):
-                break
-            rem = tuple(r - c for r, c in zip(rem, neck_content))
-            mult += 1
-            chosen[candidates[idx]] = mult
-        if mult:
-            del chosen[candidates[idx]]
+        lo = max(start, bisect.bisect_left(candidates, (least,)))
+        hi = bisect.bisect_left(candidates, (least + 1,))
+        for idx in range(lo, hi):
+            if not all(map(operator.le, contents[idx], remaining)):
+                continue
+            neck = candidates[idx]
+            chosen[neck] += 1
+            pick(idx, tuple(map(operator.sub, remaining, contents[idx])))
+            chosen[neck] -= 1
+            if not chosen[neck]:
+                del chosen[neck]
 
     pick(0, parts)
     return results

@@ -16,6 +16,11 @@ import itertools
 from collections.abc import Iterable, Iterator
 from functools import lru_cache
 
+# Default cap on n for commands that enumerate S_n or its n! masses.
+DEFAULT_MAX_N = 8
+# symmetric_group_list refuses to build S_n above this, whatever the caller's cap.
+MAX_CACHED_N = 9
+
 
 class Permutation:
     """An element of S_n, immutable and hashable.
@@ -89,18 +94,25 @@ class Permutation:
         raise AttributeError("Permutation is immutable")
 
 
-def identity(n: int) -> Permutation:
-    return Permutation.identity(n)
+def standard_permutation(word: Iterable) -> Permutation:
+    """Rank of each position of ``word`` in (letter, position) order.
 
+    Letters may be any mutually comparable values (0-based pile labels,
+    1-based alphabet letters).  Read as a shuffle, this is the inverse
+    description: dealing card j to pile word[j] and stacking the piles in
+    label order leaves card j at position ``pi(j)``.  The empty word gives
+    the empty permutation.
 
-def invert(p: Permutation) -> Permutation:
-    """Group inverse of ``p``."""
-    return p.inverse()
-
-
-def compose(p: Permutation, q: Permutation) -> Permutation:
-    """``p`` after ``q``: (p∘q)(i) = p(q(i))."""
-    return p * q
+    >>> standard_permutation((1, 0, 1, 0)).images
+    (3, 1, 4, 2)
+    """
+    word = tuple(word)
+    # a stable sort by letter alone breaks ties to the left
+    order = sorted(range(len(word)), key=word.__getitem__)
+    ranks = [0] * len(word)
+    for rank, j in enumerate(order, start=1):
+        ranks[j] = rank
+    return Permutation(ranks)
 
 
 def descent_set(p: Permutation) -> frozenset[int]:
@@ -218,7 +230,7 @@ def symmetric_group(n: int) -> Iterator[Permutation]:
 @lru_cache(maxsize=8)
 def symmetric_group_list(n: int) -> tuple[Permutation, ...]:
     """Cached tuple of S_n, for repeated brute-force passes."""
-    if n > 9:
+    if n > MAX_CACHED_N:
         raise ValueError(f"refusing to cache S_{n}")
     return tuple(symmetric_group(n))
 

@@ -26,15 +26,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator
 
+from .counting import multinomial
 from .permutations import (
+    DEFAULT_MAX_N,
     Permutation,
     descent_set,
     partial_sums,
+    standard_permutation,
     symmetric_group_list,
     weak_compositions,
 )
-
-DEFAULT_MAX_N = 8
 
 SAMPLE_METHODS = ("interleave", "drop", "geometric", "inverse")
 
@@ -200,16 +201,6 @@ def _words_with_content(counts: list[int]) -> Iterator[tuple[int, ...]]:
         counts[letter] += 1
 
 
-def _arrangement_from_pile_word(word, psums) -> Permutation:
-    """Deck reading when position j received the next card of pile word[j]."""
-    counters = [0] + list(psums[:-1])
-    arrangement = []
-    for pile in word:
-        counters[pile] += 1
-        arrangement.append(counters[pile])
-    return Permutation(arrangement)
-
-
 def exact_distribution(
     n: int, bias, *, max_n: int = DEFAULT_MAX_N
 ) -> ExactDistribution:
@@ -217,7 +208,9 @@ def exact_distribution(
 
     Each interleaving of a cut (b1..ba) carries mass p1^b1 * ... * pa^ba:
     the uniform choice among interleavings cancels the multinomial factor
-    of the cut law.
+    of the cut law.  An interleaving is a pile word: position j receives
+    the next card of pile word[j], so the deck reading is the word's
+    standard permutation.
     """
     bias = validate_bias(bias)
     _check_cap(n, max_n)
@@ -226,9 +219,8 @@ def exact_distribution(
         mass = _content_mass(bias, parts)
         if mass == 0:
             continue
-        psums = partial_sums(parts)
         for word in _words_with_content(list(parts)):
-            perm = _arrangement_from_pile_word(word, psums)
+            perm = standard_permutation(word)
             masses[perm] = masses.get(perm, Fraction(0)) + mass
     return ExactDistribution(n, masses)
 
@@ -265,9 +257,7 @@ def exact_distribution_drops(
             remaining[i] += 1
 
     for parts in weak_compositions(n, a):
-        cut_mass = _content_mass(bias, parts) * math.factorial(n)
-        for b in parts:
-            cut_mass /= math.factorial(b)
+        cut_mass = _content_mass(bias, parts) * multinomial(parts)
         if cut_mass == 0:
             continue
         starts = [0] + list(partial_sums(parts)[:-1])
@@ -284,20 +274,18 @@ def exact_distribution_pile_words(
     p_{w_c}; reassembling the piles left to right sorts the cards stably by
     pile label.  That sorted order is the *inverse* of the shuffle, so each
     label word w contributes its mass to the inverse of the sorted
-    arrangement.
+    arrangement, which is the standard permutation of w.
     """
     bias = validate_bias(bias)
     _check_cap(n, max_n)
     masses: dict[Permutation, Fraction] = {}
-    cards = range(1, n + 1)
     for word in itertools.product(range(len(bias)), repeat=n):
         mass = Fraction(1)
         for letter in word:
             mass *= bias[letter]
         if mass == 0:
             continue
-        order = sorted(cards, key=lambda c: (word[c - 1], c))
-        perm = Permutation(order).inverse()
+        perm = standard_permutation(word)
         masses[perm] = masses.get(perm, Fraction(0)) + mass
     return ExactDistribution(n, masses)
 
@@ -307,9 +295,11 @@ def mass_by_inverse_descents(n: int, bias) -> dict[frozenset[int], Fraction]:
 
     The mass of pi depends only on descent_set(pi^{-1}): it is the total
     bias-word mass of weakly increasing pile words with strict rises forced
-    at those positions.  Computed by one O(n*a) sweep per descent class,
-    which stays cheap even for the long tensored bias vectors of k-fold
-    shuffles.
+    at those positions.  Computed by one O(n*a) sweep of Fraction
+    arithmetic per descent class, over all 2^(n-1) classes.  That is not
+    cheap for the long tensored biases of k-fold shuffles (a^k letters):
+    at n = 6 with 3^8 = 6561 letters it is some two million Fraction
+    operations, the bulk of ``tv`` and ``report`` there.
     """
     bias = validate_bias(bias)
     if n == 0:
@@ -486,7 +476,7 @@ def _single_interleave(n, bias, cumulative, denom, rng) -> Permutation:
     counts = _draw_counts(n, cumulative, denom, len(bias), rng)
     word = [i for i, c in enumerate(counts) for _ in range(c)]
     rng.shuffle(word)  # uniform over distinct interleavings
-    return _arrangement_from_pile_word(word, partial_sums(counts))
+    return standard_permutation(word)
 
 
 def _single_drop(n, bias, cumulative, denom, rng) -> Permutation:
@@ -521,9 +511,7 @@ def _single_geometric(n, bias, cumulative, denom, rng) -> Permutation:
 
 
 def _single_inverse(n, bias, cumulative, denom, rng) -> Permutation:
-    word = [_draw_category(cumulative, denom, rng) for _ in range(n)]
-    order = sorted(range(1, n + 1), key=lambda c: (word[c - 1], c))
-    return Permutation(order).inverse()
+    return standard_permutation(_draw_category(cumulative, denom, rng) for _ in range(n))
 
 
 _SINGLE_SAMPLERS: dict[str, Callable] = {

@@ -149,3 +149,18 @@ def test_verify_unknown_suite(capsys):
     code, _, err = run_cli(capsys, "verify", "--only", "nonesuch")
     assert code == 2
     assert "no suite" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["report", "--n", "6", "--p", "1/2,1/2", "--k-max", "-3"],
+    ["report", "--n", "6", "--p", "1/2,1/2", "--k-max", "0"],
+    ["verify", "--only", "lalley", "--samples", "0"],
+    ["verify", "--only", "monte", "--samples", "-5"],
+    ["verify", "--only", "equivalence", "--n-max", "-2"],
+], ids=["report-k-max-negative", "report-k-max-zero", "verify-samples-zero",
+        "verify-samples-negative", "verify-n-max-negative"])
+def test_bad_counts_are_refused(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1

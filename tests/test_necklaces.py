@@ -174,6 +174,12 @@ def test_ubar_bijective_with_cycle_structure(n):
         assert seen == {multiset_key(m) for m in enumerate_primitive_multisets(parts)}
 
 
+def test_primitive_multisets_of_seven_distinct_letters():
+    # one multiset per permutation of S_7; the enumeration used to recurse
+    # once per candidate necklace (2,372 here) and overflow the stack
+    assert len(enumerate_primitive_multisets((1,) * 7)) == 5040
+
+
 def test_zero_parts_are_dropped_cleanly():
     # letters that never occur do not disturb content bookkeeping
     assert primitive_count((2, 0, 1)) == primitive_count((2, 1)) == 1
