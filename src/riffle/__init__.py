@@ -58,6 +58,7 @@ from .shuffles import (
     tensor_bias,
     tensor_power,
     tv_distance,
+    tv_to_uniform,
     uniform_distribution,
 )
 
@@ -107,6 +108,7 @@ __all__ = [
     "tensor_power",
     "translate_identity_check",
     "tv_distance",
+    "tv_to_uniform",
     "ubar_forward",
     "uniform_distribution",
     "word_from_permutation",

@@ -125,6 +125,15 @@ def cmd_sample(args) -> int:
     return 0
 
 
+def _n_max(args) -> int:
+    """The --n-max cap: the default when the flag is absent, refused below 1."""
+    if args.n_max is None:
+        return DEFAULT_MAX_N
+    if args.n_max < 1:
+        raise ValueError("--n-max must be at least 1")
+    return args.n_max
+
+
 def _kfold_distribution(n, bias, k, max_n):
     if k == 1:
         return shuffles.exact_distribution(n, bias, max_n=max_n)
@@ -132,8 +141,7 @@ def _kfold_distribution(n, bias, k, max_n):
 
 
 def cmd_dist(args) -> int:
-    max_n = args.n_max or DEFAULT_MAX_N
-    dist = _kfold_distribution(args.n, parse_bias(args.p), args.k, max_n)
+    dist = _kfold_distribution(args.n, parse_bias(args.p), args.k, _n_max(args))
     if (args.format or "json") == "csv":
         print("perm,p")
         for perm, mass in sorted(dist.masses.items()):
@@ -144,11 +152,10 @@ def cmd_dist(args) -> int:
 
 
 def cmd_tv(args) -> int:
-    max_n = args.n_max or DEFAULT_MAX_N
+    max_n = _n_max(args)
     bias = parse_bias(args.p)
     spec = ShuffleSpec(args.n, bias, args.k)
-    dist = _kfold_distribution(args.n, bias, args.k, max_n)
-    tv = shuffles.tv_distance(dist, shuffles.uniform_distribution(args.n))
+    tv = shuffles.tv_to_uniform(args.n, bias, args.k, max_n=max_n)
     bound = shuffles.suf_bound(spec)
     print(
         json.dumps(
@@ -167,7 +174,7 @@ def cmd_tv(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    max_n = args.n_max or DEFAULT_MAX_N
+    max_n = _n_max(args)
     bias = parse_bias(args.p)
     spec = ShuffleSpec(args.n, bias, args.k)
     out: dict = {
@@ -200,7 +207,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_count(args) -> int:
-    max_n = args.n_max or DEFAULT_MAX_N
+    max_n = _n_max(args)
     n = args.n
     deset = frozenset(int(t) for t in args.j.split(","))
     if args.method == "ie":
@@ -258,7 +265,7 @@ def cmd_bijection(args) -> int:
 def cmd_report(args) -> int:
     if args.k_max < 1:
         raise ValueError("--k-max must be at least 1")
-    max_n = args.n_max or DEFAULT_MAX_N
+    max_n = _n_max(args)
     bias = parse_bias(args.p)
     n = args.n
     exact_ok = n <= max_n
@@ -271,14 +278,10 @@ def cmd_report(args) -> int:
     suffices = None
     if ssq < 1 and n >= 2:
         suffices = 2 * math.log(n) / math.log(1 / ssq)
-    uniform = shuffles.uniform_distribution(n) if exact_ok else None
     rows = []
     for k in range(1, args.k_max + 1):
         bound = shuffles.suf_bound(ShuffleSpec(n, bias, k))
-        exact_tv = None
-        if exact_ok:
-            dist = shuffles.exact_kfold_distribution(n, bias, k, max_n=max_n)
-            exact_tv = shuffles.tv_distance(dist, uniform)
+        exact_tv = shuffles.tv_to_uniform(n, bias, k, max_n=max_n) if exact_ok else None
         rows.append((k, bound, exact_tv))
     if (args.format or "csv") == "json":
         print(
@@ -313,12 +316,13 @@ def cmd_report(args) -> int:
 def cmd_verify(args) -> int:
     if args.samples < 1:
         raise ValueError("--samples must be at least 1")
-    if args.n_max is not None and args.n_max < 1:
-        raise ValueError("--n-max must be at least 1")
     config = verify.VerifyConfig(samples=args.samples)
     if args.n_max is not None:
-        config.n_max = args.n_max
-        config.count_n_max = args.n_max
+        n_max = _n_max(args)
+        if n_max > DEFAULT_MAX_N:
+            # the suites build exact distributions at the default enumeration cap
+            raise ValueError(f"--n-max must be at most {DEFAULT_MAX_N} for verify")
+        config.n_max = config.count_n_max = n_max
     if args.seed is not None:
         config.seed = args.seed
     results = verify.run(only=args.only, config=config)

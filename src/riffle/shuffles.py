@@ -21,16 +21,17 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator
 
-from .counting import multinomial
+from .counting import count_descent_exact, multinomial
 from .permutations import (
     DEFAULT_MAX_N,
+    MAX_CACHED_N,
     Permutation,
-    descent_set,
     partial_sums,
     standard_permutation,
     symmetric_group_list,
@@ -44,15 +45,23 @@ SAMPLE_METHODS = ("interleave", "drop", "geometric", "inverse")
 
 def validate_bias(bias) -> tuple[Fraction, ...]:
     """Check a probability vector: entries >= 0 summing to exactly 1."""
-    probs = tuple(Fraction(p) for p in bias)
+    probs = tuple(p if type(p) is Fraction else Fraction(p) for p in bias)
     if not probs:
         raise ValueError("bias vector is empty")
-    if any(p < 0 for p in probs):
+    # checked on integer numerators: long tensored biases stay cheap
+    weights, den = _weights(probs)
+    if min(weights) < 0:
         raise ValueError(f"negative bias entry in {probs}")
-    total = sum(probs)
-    if total != 1:
+    if sum(weights) != den:
+        total = Fraction(sum(weights), den)
         raise ValueError(f"bias sums to {total}, not 1 (no silent renormalization)")
     return probs
+
+
+def _weights(bias) -> tuple[list[int], int]:
+    """Integer numerators of a rational bias over its least common denominator."""
+    den = math.lcm(*(p.denominator for p in bias))
+    return [p.numerator * (den // p.denominator) for p in bias], den
 
 
 def parse_bias(text: str) -> tuple[Fraction, ...]:
@@ -82,10 +91,13 @@ def tensor_power(bias, k: int) -> tuple[Fraction, ...]:
     """k-fold tensor of a bias vector with itself; k = 0 gives (1,)."""
     if k < 0:
         raise ValueError("negative k")
-    result: tuple[Fraction, ...] = (Fraction(1),)
+    # tensored on integer numerators, dividing once by den^k at the end
+    weights, den = _weights(validate_bias(bias))
+    result = [1]
     for _ in range(k):
-        result = tensor_bias(result, bias)
-    return result
+        result = [x * y for x in result for y in weights]
+    scale = den**k
+    return tuple(Fraction(x, scale) for x in result)
 
 
 @dataclass(frozen=True)
@@ -295,30 +307,32 @@ def mass_by_inverse_descents(n: int, bias) -> dict[frozenset[int], Fraction]:
 
     The mass of pi depends only on descent_set(pi^{-1}): it is the total
     bias-word mass of weakly increasing pile words with strict rises forced
-    at those positions.  Computed by one O(n*a) sweep of Fraction
-    arithmetic per descent class, over all 2^(n-1) classes.  That is not
-    cheap for the long tensored biases of k-fold shuffles (a^k letters):
-    at n = 6 with 3^8 = 6561 letters it is some two million Fraction
-    operations, the bulk of ``tv`` and ``report`` there.
+    at those positions (the fundamental quasisymmetric function of that set,
+    evaluated at the bias).  The sweep runs on integer numerators over the
+    common denominator ``den`` of the bias, dividing once per class by
+    den^n, and drops zero-mass letters, which no counted word uses.  Classes
+    are the leaves of a depth-first trie over positions 1..n-1, so classes
+    that agree on {1..j-1} share their first j steps: about 2^n * a list
+    cells in all for a letters (a^k for a k-fold tensored bias), where one
+    sweep per class would take n * 2^(n-1) * a.
     """
-    bias = validate_bias(bias)
+    weights, den = _weights(validate_bias(bias))
     if n == 0:
         return {frozenset(): Fraction(1)}
-    a = len(bias)
+    weights = [w for w in weights if w]
+    scale = den**n
     out: dict[frozenset[int], Fraction] = {}
-    positions = list(range(1, n))
-    for r in range(len(positions) + 1):
-        for strict in itertools.combinations(positions, r):
-            strict_set = frozenset(strict)
-            f = list(bias)
-            for j in range(2, n + 1):
-                prefix = list(itertools.accumulate(f))
-                if (j - 1) in strict_set:
-                    f = [bias[v] * (prefix[v - 1] if v else Fraction(0)) for v in range(a)]
-                else:
-                    f = [bias[v] * prefix[v] for v in range(a)]
-            total = sum(f) if n else Fraction(1)
-            out[frozenset(strict_set | {n})] = total
+
+    def visit(words: list[int], j: int, strict: tuple[int, ...]):
+        # words[v]: numerator of the mass of admissible length-j words ending in v
+        if j == n:
+            out[frozenset((*strict, n))] = Fraction(sum(words), scale)
+            return
+        prefix = list(itertools.accumulate(words))
+        visit(list(map(operator.mul, weights, prefix)), j + 1, strict)
+        visit([0, *map(operator.mul, weights[1:], prefix)], j + 1, (*strict, j))
+
+    visit(weights, 1, ())
     return out
 
 
@@ -329,16 +343,41 @@ def exact_kfold_distribution(
 
     Avoids convolving S_n-sized tables: the k-fold measure is the single
     shuffle with bias tensor_power(bias, k), and per-permutation masses
-    come from the inverse-descent-class sweep.
+    come from the inverse-descent-class sweep.  Des(pi^{-1}) is read off
+    the one-line form: i is in it iff i+1 sits left of i.
     """
     _check_cap(n, max_n)
     classes = mass_by_inverse_descents(n, tensor_power(bias, k))
     masses: dict[Permutation, Fraction] = {}
+    where = [0] * (n + 1)
     for perm in symmetric_group_list(n):
-        m = classes[descent_set(perm.inverse())]
+        for position, card in enumerate(perm.images):
+            where[card] = position
+        m = classes[frozenset(i for i in range(1, n + 1) if i == n or where[i + 1] < where[i])]
         if m:
             masses[perm] = m
     return ExactDistribution(n, masses)
+
+
+def tv_to_uniform(n: int, bias, k: int = 1, *, max_n: int = DEFAULT_MAX_N) -> Fraction:
+    """Exact distance from the k-fold shuffle to uniform, summed over classes.
+
+    The mass is constant on each inverse-descent class D, which holds
+    count_descent_exact(n, D) permutations, so the distance is
+    (1/2) sum_D |D| * |m_D - 1/n!| over 2^(n-1) classes, with no S_n
+    enumeration.  The caps are those of the S_n route it replaces.
+
+    >>> tv_to_uniform(3, (Fraction(1, 2), Fraction(1, 2)))
+    Fraction(1, 3)
+    """
+    spec = ShuffleSpec(n, bias, k)
+    _check_cap(n, min(max_n, MAX_CACHED_N))
+    if n == 0:
+        return Fraction(0)
+    uniform = Fraction(1, math.factorial(n))
+    classes = mass_by_inverse_descents(n, tensor_power(spec.bias, k))
+    gaps = (count_descent_exact(n, deset) * abs(m - uniform) for deset, m in classes.items())
+    return sum(gaps, Fraction(0)) / 2
 
 
 def uniform_distribution(n: int) -> ExactDistribution:
@@ -451,13 +490,8 @@ def substream(seed: int, index: int) -> random.Random:
 
 def _categorical(bias) -> tuple[list[int], int]:
     """Integer thresholds for exact categorical sampling of a rational bias."""
-    denom = math.lcm(*(p.denominator for p in bias))
-    cumulative = []
-    acc = 0
-    for p in bias:
-        acc += p.numerator * (denom // p.denominator)
-        cumulative.append(acc)
-    return cumulative, denom
+    weights, denom = _weights(bias)
+    return list(itertools.accumulate(weights)), denom
 
 
 def _draw_category(cumulative: list[int], denom: int, rng: random.Random) -> int:

@@ -200,7 +200,8 @@ def check_convolution(config: VerifyConfig) -> CheckResult:
 
 @_suite("mixing-bound")
 def check_mixing_bound(config: VerifyConfig) -> CheckResult:
-    """Exact distance to uniform never exceeds the pair-collision bound."""
+    """Exact distance to uniform never exceeds the pair-collision bound, and
+    the descent-class sum gives the same distance as the sum over S_n."""
     name = "mixing-bound"
     fair = (F(1, 2), F(1, 2))
     if shuffles.tv_distance(
@@ -219,6 +220,8 @@ def check_mixing_bound(config: VerifyConfig) -> CheckResult:
                 tv = shuffles.tv_distance(
                     shuffles.exact_kfold_distribution(n, bias, k), uniform
                 )
+                if shuffles.tv_to_uniform(n, bias, k, max_n=n) != tv:
+                    return _fail(name, f"class-sum tv differs from S_n tv at n={n}, k={k}, bias={bias}")
                 if tv > bound:
                     return _fail(name, f"tv {tv} > bound {bound} at n={n}, k={k}, bias={bias}")
     return _ok(name, f"tv <= C(n,2)(sum p^2)^k wherever bound < 1, n <= {config.n_max}, k <= 8")

@@ -145,6 +145,12 @@ def test_verify_filtered_suites(capsys):
     assert "1/1 suites passed" in err
 
 
+def test_verify_runs_at_the_largest_cap(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--only", "necklace-counts", "--n-max", "8")
+    assert code == 0
+    assert json.loads(out)["detail"].endswith("through size 8, a <= 3")
+
+
 def test_verify_unknown_suite(capsys):
     code, _, err = run_cli(capsys, "verify", "--only", "nonesuch")
     assert code == 2
@@ -157,8 +163,19 @@ def test_verify_unknown_suite(capsys):
     ["verify", "--only", "lalley", "--samples", "0"],
     ["verify", "--only", "monte", "--samples", "-5"],
     ["verify", "--only", "equivalence", "--n-max", "-2"],
+    ["verify", "--only", "equivalence", "--n-max", "9"],
+    ["verify", "--only", "equivalence", "--n-max", "10"],
+    ["dist", "--n", "3", "--p", "1/2,1/2", "--n-max", "0"],
+    ["tv", "--n", "3", "--p", "1/2,1/2", "--n-max", "0"],
+    ["stats", "--n", "3", "--p", "1/2,1/2", "--stat", "inv-pgf", "--n-max", "0"],
+    ["count", "--n", "3", "--j", "1,3", "--method", "brute", "--n-max", "0"],
+    ["report", "--n", "3", "--p", "1/2,1/2", "--n-max", "0"],
+    ["tv", "--n", "10", "--p", "1/2,1/2", "--n-max", "12"],
+    ["report", "--n", "10", "--p", "1/2,1/2", "--n-max", "10"],
 ], ids=["report-k-max-negative", "report-k-max-zero", "verify-samples-zero",
-        "verify-samples-negative", "verify-n-max-negative"])
+        "verify-samples-negative", "verify-n-max-negative", "verify-n-max-9",
+        "verify-n-max-10", "dist-n-max-zero", "tv-n-max-zero", "stats-n-max-zero",
+        "count-n-max-zero", "report-n-max-zero", "tv-above-s9", "report-above-s9"])
 def test_bad_counts_are_refused(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2

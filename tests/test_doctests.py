@@ -5,10 +5,11 @@ import pytest
 import riffle.necklaces
 import riffle.permutations
 import riffle.qpoly
+import riffle.shuffles
 
 
 @pytest.mark.parametrize(
-    "module", [riffle.permutations, riffle.qpoly, riffle.necklaces]
+    "module", [riffle.permutations, riffle.qpoly, riffle.necklaces, riffle.shuffles]
 )
 def test_module_doctests(module):
     failures, tested = doctest.testmod(module)

@@ -32,6 +32,8 @@ GOLDEN_SHA256 = [
      "fcadab64bd3037ce43de7bac103e46003da79794326cd0a39663d8da44cfdccd"),
     (["stats", "--n", "6", "--p", "0.4,0.6", "--k", "3", "--stat", "inv-pgf"],
      "9eafb9f2f731e63d522c54dadd749591093c501cf247ea348768c2e8c36f07cb"),
+    (["report", "--n", "6", "--p", "0.4,0.6", "--k-max", "5"],
+     "66d467d546cb4d4bca0500681cef33e24e88b558dc6c04f34b83090d68f517c0"),
 ]
 
 GOLDEN_TEXT = [
@@ -43,6 +45,39 @@ GOLDEN_TEXT = [
      '{"necklace": [2], "letters": "b", "mult": 1}, '
      '{"necklace": [2, 3], "letters": "bc", "mult": 1}, '
      '{"necklace": [2, 3, 2, 3, 3], "letters": "bcbcc", "mult": 1}]}\n'),
+    # exact distances to uniform, recorded when they were still summed over S_n
+    (["tv", "--n", "5", "--p", "1/3,2/3"],
+     '{"n": 5, "bias": ["1/3", "2/3"], "k": 1, "exact_tv": "7537/9720", '
+     '"exact_tv_float": 0.7754115226337449, "tv_bound": "50/9", '
+     '"tv_bound_float": 5.555555555555555}\n'),
+    (["tv", "--n", "6", "--p", "1/2,1/4,1/4", "--k", "3"],
+     '{"n": 6, "bias": ["1/2", "1/4", "1/4"], "k": 3, "exact_tv": "11917844197/103079215104", '
+     '"exact_tv_float": 0.11561830563975188, "tv_bound": "405/512", '
+     '"tv_bound_float": 0.791015625}\n'),
+    (["tv", "--n", "4", "--p", "1/3,0,2/3"],
+     '{"n": 4, "bias": ["1/3", "0/1", "2/3"], "k": 1, "exact_tv": "119/216", '
+     '"exact_tv_float": 0.5509259259259259, "tv_bound": "10/3", '
+     '"tv_bound_float": 3.3333333333333335}\n'),
+    (["tv", "--n", "5", "--p", "1/3,0,2/3", "--k", "2"],
+     '{"n": 5, "bias": ["1/3", "0/1", "2/3"], "k": 2, "exact_tv": "1097381/2361960", '
+     '"exact_tv_float": 0.4646060898575759, "tv_bound": "250/81", '
+     '"tv_bound_float": 3.0864197530864197}\n'),
+    (["tv", "--n", "4", "--p", "1/2,1/2", "--k", "0"],
+     '{"n": 4, "bias": ["1/2", "1/2"], "k": 0, "exact_tv": "23/24", '
+     '"exact_tv_float": 0.9583333333333334, "tv_bound": "6/1", "tv_bound_float": 6.0}\n'),
+    (["tv", "--n", "0", "--p", "1/2,1/2"],
+     '{"n": 0, "bias": ["1/2", "1/2"], "k": 1, "exact_tv": "0/1", "exact_tv_float": 0.0, '
+     '"tv_bound": "0/1", "tv_bound_float": 0.0}\n'),
+    (["report", "--n", "5", "--p", "1/2,1/4,1/4", "--k-max", "3", "--format", "json"],
+     '{"n": 5, "bias": ["1/2", "1/4", "1/4"], "lalley_lower_steps": null, '
+     '"suffices_steps": 3.281790194352735, "rows": ['
+     '{"k": 1, "tv_bound": "15/4", "exact_tv": "1429/2560"}, '
+     '{"k": 2, "tv_bound": "45/32", "exact_tv": "1726871/7864320"}, '
+     '{"k": 3, "tv_bound": "135/256", "exact_tv": "11946741/134217728"}]}\n'),
+    # n above the cap: the exact column stays empty
+    (["report", "--n", "10", "--p", "1/2,1/2", "--k-max", "3"],
+     "# n=10\n# bias=1/2,1/2\n# lalley_lower_steps=4.982892142330666\n"
+     "# suffices_steps=6.643856189774725\nk,tv_bound,exact_tv\n1,45/2,\n2,45/4,\n3,45/8,\n"),
 ]
 
 

@@ -3,8 +3,10 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from riffle.permutations import Permutation, descent_set
+from riffle.permutations import Permutation, descent_set, symmetric_group_list
 from riffle.shuffles import (
     SAMPLE_METHODS,
     ExactDistribution,
@@ -25,6 +27,7 @@ from riffle.shuffles import (
     tensor_bias,
     tensor_power,
     tv_distance,
+    tv_to_uniform,
     uniform_distribution,
 )
 from riffle.verify import BIAS_PANEL
@@ -163,6 +166,48 @@ def test_tv_examples():
     assert tv_distance(point_mass(Permutation.identity(n)), uniform_distribution(n)) == \
         1 - F(1, math.factorial(n))
     assert tv_distance(dist, uniform_distribution(3)) == F(1, 3)
+
+
+def test_tv_to_uniform_examples():
+    assert tv_to_uniform(3, FAIR) == F(1, 3)
+    assert tv_to_uniform(0, FAIR, 5) == 0
+    # k = 0 is the identity: all mass sits in the class {n}
+    assert tv_to_uniform(4, FAIR, 0) == 1 - F(1, 24)
+    assert tv_to_uniform(4, (F(1),)) == 1 - F(1, 24)
+
+
+def test_tv_to_uniform_keeps_the_enumeration_caps():
+    with pytest.raises(ValueError, match="cap 8"):
+        tv_to_uniform(9, FAIR)
+    # S_n was never built above 9, whatever max_n said
+    with pytest.raises(ValueError, match="cap 9"):
+        tv_to_uniform(10, FAIR, max_n=12)
+    with pytest.raises(ValueError):
+        tv_to_uniform(3, FAIR, -1)
+
+
+# Random rational biases: up to four letters, zero entries allowed, large
+# denominators.  The fixed panel has no zero entry and only small denominators.
+random_bias = st.lists(
+    st.one_of(st.just(0), st.integers(1, 10**12)), min_size=1, max_size=4
+).filter(any).map(lambda ws: tuple(F(w, sum(ws)) for w in ws))
+
+
+@given(bias=random_bias, n=st.integers(0, 5))
+@settings(max_examples=40, deadline=None)
+def test_class_masses_match_pile_words_on_random_biases(bias, n):
+    classes = mass_by_inverse_descents(n, bias)
+    dist = exact_distribution_pile_words(n, bias)
+    assert len(classes) == 2 ** max(n - 1, 0)
+    for perm in symmetric_group_list(n):
+        assert classes[descent_set(perm.inverse())] == dist.mass(perm)
+
+
+@given(bias=random_bias, n=st.integers(0, 5), k=st.integers(0, 2))
+@settings(max_examples=40, deadline=None)
+def test_class_tv_matches_sn_tv_on_random_biases(bias, n, k):
+    want = tv_distance(exact_kfold_distribution(n, bias, k), uniform_distribution(n))
+    assert tv_to_uniform(n, bias, k) == want
 
 
 def test_tv_rejects_size_mismatch():
