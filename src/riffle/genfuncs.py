@@ -17,7 +17,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 
-from .necklaces import primitive_count
+from .necklaces import _mobius
 from .permutations import (
     DEFAULT_MAX_N,
     cycle_type,
@@ -29,7 +29,13 @@ from .permutations import (
     weak_compositions,
 )
 from .qpoly import QPolynomial, q_binomial, q_multinomial
-from .shuffles import ExactDistribution, ShuffleSpec, _content_mass, validate_bias
+from .shuffles import (
+    ExactDistribution,
+    ShuffleSpec,
+    _content_mass,
+    _weights,
+    validate_bias,
+)
 
 CycleTypeKey = tuple[tuple[int, int], ...]
 
@@ -91,36 +97,54 @@ def cycle_structure_pgf(n: int, bias, *, max_n: int = DEFAULT_MAX_N) -> CyclePol
 
         (1 - p^r u^i x_i) ^ (-M(r))
 
-    with M(r) the primitive-necklace count of content r.  Collecting the
-    u^n coefficient by dynamic programming over the factors gives the PGF
-    of the n-card shuffle.
+    with M(r) the primitive-necklace count of content r.  The contents of
+    one size i are taken together: with t = u^i x_i their product is
+
+        exp( sum_{m >= 1} t^m / m * L_i(p^m) ),
+        L_i(q) = (1/i) sum_{d | i} mu(d) P_d(q)^(i/d),
+
+    where L_i is the weighted count of primitive necklaces of length i and
+    P_d(q) = sum_j q_j^d.  At q = p^m this is the power sum P_{dm}(p), so
+    only the n power sums of the bias are needed, whatever its length.  The
+    truncated exponential's coefficients follow from c_s = (1/s) sum_m
+    m g_m c_{s-m}, and collecting the u^n coefficient by dynamic
+    programming over the n factors gives the PGF of the n-card shuffle.
+
+    >>> half = Fraction(1, 2)
+    >>> cycle_structure_pgf(3, (half, half)).coefficient({3: 1})
+    Fraction(1, 4)
     """
     bias = validate_bias(bias)
     if n > max_n:
         raise ValueError(f"n={n} above series cap {max_n}")
-    a = len(bias)
+    # power sums P_1..P_n on integer numerators; zero letters add nothing
+    weights, den = _weights(bias)
+    weights = [w for w in weights if w]
+    psum = [None] + [
+        Fraction(sum(w**e for w in weights), den**e) for e in range(1, n + 1)
+    ]
 
     # state: (u-degree, cycle-type counter as sorted tuple) -> coefficient
     state: dict[tuple[int, CycleTypeKey], Fraction] = {(0, ()): Fraction(1)}
     for i in range(1, n + 1):
-        for content in weak_compositions(i, a):
-            weight = _content_mass(bias, content)
-            if weight == 0:
-                continue
-            mult = primitive_count(content)
-            if mult == 0:
-                continue
-            new_state = dict(state)
-            for (deg, key), coeff in state.items():
-                room = (n - deg) // i
-                power = Fraction(1)
-                for m in range(1, room + 1):
-                    power *= weight
-                    bump = coeff * math.comb(mult + m - 1, m) * power
-                    new_key = _add_cycles(key, i, m)
-                    slot = (deg + i * m, new_key)
-                    new_state[slot] = new_state.get(slot, Fraction(0)) + bump
-            state = new_state
+        top = n // i
+        mobius = [(d, _mobius(d)) for d in range(1, i + 1) if i % d == 0]
+        # g[m] = L_i(p^m) / m, the t^m coefficient of the log of the factor
+        g = [Fraction(0)] + [
+            sum(mu * psum[d * m] ** (i // d) for d, mu in mobius if mu) / (i * m)
+            for m in range(1, top + 1)
+        ]
+        # expo[s] = t^s coefficient of exp(sum_m g[m] t^m)
+        expo = [Fraction(1)]
+        for s in range(1, top + 1):
+            expo.append(sum(m * g[m] * expo[s - m] for m in range(1, s + 1)) / s)
+        new_state = dict(state)
+        for (deg, key), coeff in state.items():
+            for s in range(1, (n - deg) // i + 1):
+                if expo[s]:
+                    slot = (deg + i * s, _add_cycles(key, i, s))
+                    new_state[slot] = new_state.get(slot, Fraction(0)) + coeff * expo[s]
+        state = new_state
 
     terms = {key: c for (deg, key), c in state.items() if deg == n}
     return CyclePolynomial(n, terms)
@@ -203,24 +227,40 @@ def inversion_pgf(n: int, bias, *, max_n: int = DEFAULT_MAX_N) -> QPolynomial:
 
     The series is convolved with coefficients kept over the implicit
     denominator [j]!, so each convolution step only needs q-binomials and
-    the u^n coefficient comes out already multiplied by [n]!.
+    the u^n coefficient comes out already multiplied by [n]!.  The
+    convolution runs on integers: with p_i = w_i / den over the bias's
+    least common denominator, the u^j coefficient is kept as an integer
+    polynomial over den^j, and the u^n one is divided by den^n once at the
+    end.  Zero-weight letters are skipped.
     """
     bias = validate_bias(bias)
     if n > max_n:
         raise ValueError(f"n={n} above series cap {max_n}")
-    coeffs: list[QPolynomial] = [QPolynomial.one()] + [QPolynomial.zero()] * n
-    for p in bias:
+    weights, den = _weights(bias)
+    # binoms[j][j1] = integer coefficients of the q-binomial [j choose j1]
+    binoms = [
+        [[c.numerator for c in q_binomial(j, j1).coeffs] for j1 in range(j + 1)]
+        for j in range(n + 1)
+    ]
+    # coeffs[j] = integer coefficients in q of the u^j coefficient, times den^j
+    coeffs: list[list[int]] = [[1]] + [[0] for _ in range(n)]
+    for w in weights:
+        if w == 0:
+            continue
+        powers = [w**j1 for j1 in range(n + 1)]
         new = []
         for j in range(n + 1):
-            acc = QPolynomial.zero()
-            power = Fraction(1)
+            acc = [0] * (math.comb(j, 2) + 1)
             for j1 in range(j + 1):
-                if power != 0:
-                    acc = acc + q_binomial(j, j1) * power * coeffs[j - j1]
-                power *= p
+                rest = coeffs[j - j1]
+                for e, b in enumerate(binoms[j][j1]):
+                    b *= powers[j1]
+                    for f, x in enumerate(rest, start=e):
+                        acc[f] += b * x
             new.append(acc)
         coeffs = new
-    return coeffs[n]
+    scale = den**n
+    return QPolynomial(Fraction(x, scale) for x in coeffs[n])
 
 
 def inversion_pgf_from_compositions(

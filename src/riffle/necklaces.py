@@ -175,7 +175,8 @@ def primitive_count(parts: Iterable[int]) -> int:
         for r in parts:
             term //= math.factorial(r // d)
         total += mu * term
-    assert total % n == 0
+    if total % n:
+        raise ArithmeticError(f"necklace sum {total} for {parts} is not divisible by {n}")
     return total // n
 
 

@@ -263,27 +263,52 @@ def descent_composition(deset: Iterable[int], n: int) -> tuple[int, ...]:
 
 
 def weak_compositions(n: int, num_parts: int) -> Iterator[tuple[int, ...]]:
-    """All (b1..ba) with bi >= 0 summing to n; zero parts allowed."""
-    if num_parts == 0:
+    """All (b1..ba) with bi >= 0 summing to n; zero parts allowed.
+
+    Yielded in lexicographic order, by a loop, so any number of parts works.
+
+    >>> list(weak_compositions(2, 2))
+    [(0, 2), (1, 1), (2, 0)]
+    """
+    if n < 0 or num_parts == 0:
         if n == 0:
             yield ()
         return
-    if num_parts == 1:
-        yield (n,)
-        return
-    for first in range(n + 1):
-        for rest in weak_compositions(n - first, num_parts - 1):
-            yield (first,) + rest
+    parts = [0] * num_parts
+    parts[-1] = n
+    last = num_parts - 1 if n else 0  # index of the last nonzero part
+    while True:
+        yield tuple(parts)
+        if last == 0:
+            return
+        # the last nonzero part gives one unit to its left neighbour and
+        # the rest of it to the final part
+        rest = parts[last] - 1
+        parts[last] = 0
+        parts[last - 1] += 1
+        parts[-1] = rest
+        last = num_parts - 1 if rest else last - 1
 
 
 def compositions(n: int) -> Iterator[tuple[int, ...]]:
-    """All compositions of n into positive parts (2^(n-1) of them)."""
-    if n == 0:
-        yield ()
+    """All compositions of n into positive parts (2^(n-1) of them), in
+    lexicographic order, by a loop.
+
+    >>> list(compositions(3))
+    [(1, 1, 1), (1, 2), (2, 1), (3,)]
+    """
+    if n < 0:
         return
-    for first in range(1, n + 1):
-        for rest in compositions(n - first):
-            yield (first,) + rest
+    parts = [1] * n
+    while True:
+        yield tuple(parts)
+        if len(parts) < 2:
+            return
+        # the next one raises the second-to-last part and spreads the rest
+        # of the last part as ones
+        rest = parts.pop() - 1
+        parts[-1] += 1
+        parts.extend([1] * rest)
 
 
 if __name__ == "__main__":

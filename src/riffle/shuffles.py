@@ -140,7 +140,7 @@ class ExactDistribution:
                 raise ValueError(f"negative mass for {perm}")
             total += mass
             if mass:
-                clean[perm] = Fraction(mass)
+                clean[perm] = mass if type(mass) is Fraction else Fraction(mass)
         if total != 1:
             raise ValueError(f"masses sum to {total}, not 1")
         object.__setattr__(self, "n", n)
@@ -193,9 +193,8 @@ def _check_cap(n: int, max_n: int):
 
 def _content_mass(bias, parts) -> Fraction:
     mass = Fraction(1)
-    for p, b in zip(bias, parts):
-        if b:
-            mass *= p ** b
+    for p, b in itertools.compress(zip(bias, parts), parts):
+        mass *= p ** b
     return mass
 
 
@@ -231,7 +230,9 @@ def exact_distribution(
         mass = _content_mass(bias, parts)
         if mass == 0:
             continue
-        for word in _words_with_content(list(parts)):
+        # standardization sees only the order of the letters, so unused
+        # letters are dropped before the words are listed
+        for word in _words_with_content(list(filter(None, parts))):
             perm = standard_permutation(word)
             masses[perm] = masses.get(perm, Fraction(0)) + mass
     return ExactDistribution(n, masses)

@@ -1,4 +1,8 @@
+import itertools
 import json
+import math
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -91,6 +95,42 @@ def test_stats_pgfs(capsys):
                            "--stat", "cycle-pgf")
     terms = json.loads(out)["terms"]
     assert {"type": [[3, 1]], "p": "1/4"} in terms
+
+
+def test_dist_with_a_1024_letter_bias(capsys):
+    # a RecursionError inside the composition walk before it became a loop
+    code, out, _ = run_cli(capsys, "dist", "--n", "1", "--p", ",".join(["1/1024"] * 1024))
+    assert code == 0
+    assert json.loads(out) == {"n": 1, "masses": [{"perm": [1], "p": "1/1"}]}
+
+
+def test_cycle_pgf_of_ten_fair_shuffles_is_the_rising_sequence_law(capsys):
+    # ten fair shuffles are one 1024-shuffle; Bayer and Diaconis: a fair
+    # a-shuffle gives pi the mass C(a + n - 1 - d, n) / a^n, d = des(pi^-1)
+    n, a = 3, 2**10
+    want: dict = {}
+    for images in itertools.permutations(range(1, n + 1)):
+        position = {card: i for i, card in enumerate(images)}
+        d = sum(1 for card in range(1, n) if position[card] > position[card + 1])
+        seen, lengths = set(), []
+        for start in range(1, n + 1):
+            length, i = 0, start
+            while i not in seen:
+                seen.add(i)
+                i = images[i - 1]
+                length += 1
+            if length:
+                lengths.append(length)
+        key = tuple(sorted(Counter(lengths).items()))
+        want[key] = want.get(key, Fraction(0)) + Fraction(math.comb(a + n - 1 - d, n), a**n)
+    code, out, _ = run_cli(capsys, "stats", "--n", "3", "--p", "1/2,1/2", "--k", "10",
+                           "--stat", "cycle-pgf")
+    assert code == 0
+    got = {
+        tuple(tuple(pair) for pair in term["type"]): Fraction(term["p"])
+        for term in json.loads(out)["terms"]
+    }
+    assert got == want
 
 
 def test_count_json_all_methods(capsys):

@@ -2,6 +2,7 @@ import doctest
 
 import pytest
 
+import riffle.genfuncs
 import riffle.necklaces
 import riffle.permutations
 import riffle.qpoly
@@ -9,7 +10,8 @@ import riffle.shuffles
 
 
 @pytest.mark.parametrize(
-    "module", [riffle.permutations, riffle.qpoly, riffle.necklaces, riffle.shuffles]
+    "module",
+    [riffle.permutations, riffle.qpoly, riffle.necklaces, riffle.shuffles, riffle.genfuncs],
 )
 def test_module_doctests(module):
     failures, tested = doctest.testmod(module)

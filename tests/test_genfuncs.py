@@ -2,6 +2,9 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_shuffles import random_bias
 
 from riffle.genfuncs import (
     CyclePolynomial,
@@ -19,7 +22,7 @@ from riffle.genfuncs import (
     translate_identity_check,
 )
 from riffle.qpoly import QPolynomial
-from riffle.shuffles import ShuffleSpec, exact_distribution
+from riffle.shuffles import ShuffleSpec, exact_distribution, exact_distribution_pile_words
 from riffle.verify import BIAS_PANEL
 
 FAIR = (F(1, 2), F(1, 2))
@@ -49,6 +52,14 @@ def test_cycle_pgf_three_cycle_coefficient():
 def test_cycle_pgf_matches_distribution(n, bias):
     assert cycle_structure_pgf(n, bias) == cycle_pgf_from_distribution(
         exact_distribution(n, bias)
+    )
+
+
+@given(bias=random_bias, n=st.integers(0, 5))
+@settings(max_examples=40, deadline=None)
+def test_cycle_pgf_matches_pile_words_on_random_biases(bias, n):
+    assert cycle_structure_pgf(n, bias) == cycle_pgf_from_distribution(
+        exact_distribution_pile_words(n, bias)
     )
 
 
@@ -139,6 +150,12 @@ def test_inversion_pgf_routes_agree(n, bias):
     assert series == inversion_pgf_from_distribution(exact_distribution(n, bias))
     assert series(1) == 1
     assert series.degree() <= math.comb(n, 2)
+
+
+@given(bias=random_bias, n=st.integers(0, 8))
+@settings(max_examples=40, deadline=None)
+def test_inversion_pgf_routes_agree_on_random_biases(bias, n):
+    assert inversion_pgf(n, bias) == inversion_pgf_from_compositions(n, bias)
 
 
 def test_expected_inversions_examples():

@@ -125,6 +125,14 @@ def test_primitive_count_examples():
         primitive_count((0, 0))
 
 
+def test_primitive_count_raises_when_the_sum_is_not_divisible(monkeypatch):
+    # with mu = 1 everywhere the sum over d | 4 for content (4,) is 3, not a
+    # multiple of 4; the check is a raise, so it also holds under python -O
+    monkeypatch.setattr("riffle.necklaces._mobius", lambda d: 1)
+    with pytest.raises(ArithmeticError):
+        primitive_count((4,))
+
+
 def test_enumerate_primitive_necklaces_examples():
     assert enumerate_primitive_necklaces((1, 1)) == [(1, 2)]
     assert enumerate_primitive_necklaces((2, 2)) == [(1, 1, 2, 2)]

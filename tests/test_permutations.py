@@ -139,3 +139,39 @@ def test_weak_compositions_count():
     assert len(list(weak_compositions(4, 3))) == math.comb(6, 2)
     assert list(weak_compositions(0, 2)) == [(0, 0)]
     assert len(list(compositions(5))) == 16
+
+
+def _weak_compositions_by_recursion(n, num_parts):
+    if num_parts == 0:
+        if n == 0:
+            yield ()
+        return
+    for first in range(n + 1):
+        for rest in _weak_compositions_by_recursion(n - first, num_parts - 1):
+            yield (first,) + rest
+
+
+def _compositions_by_recursion(n):
+    if n == 0:
+        yield ()
+        return
+    for first in range(1, n + 1):
+        for rest in _compositions_by_recursion(n - first):
+            yield (first,) + rest
+
+
+@pytest.mark.parametrize("n", range(0, 7))
+def test_compositions_keep_lexicographic_order(n):
+    assert list(compositions(n)) == list(_compositions_by_recursion(n))
+    for parts in range(0, 5):
+        assert list(weak_compositions(n, parts)) == list(
+            _weak_compositions_by_recursion(n, parts)
+        )
+
+
+def test_compositions_have_no_depth_limit():
+    # the recursive versions hit RecursionError past ~1000 parts
+    ones = list(weak_compositions(1, 1024))
+    assert len(ones) == 1024
+    assert ones[0] == (0,) * 1023 + (1,) and ones[-1] == (1,) + (0,) * 1023
+    assert next(compositions(1500)) == (1,) * 1500

@@ -104,6 +104,14 @@ def test_masses_sum_to_one_is_enforced():
         ExactDistribution(2, {Permutation([1, 2]): F(3, 2), Permutation([2, 1]): F(-1, 2)})
 
 
+def test_masses_are_stored_as_fractions_without_copies():
+    half = F(1, 2)
+    dist = ExactDistribution(2, {Permutation([1, 2]): half, Permutation([2, 1]): F(1, 2)})
+    assert dist.masses[Permutation([1, 2])] is half
+    dist = ExactDistribution(1, {Permutation([1]): 1})
+    assert type(dist.masses[Permutation([1])]) is F
+
+
 def test_enumeration_cap():
     with pytest.raises(ValueError):
         exact_distribution(9, FAIR)
