@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import counting, genfuncs, necklaces, shuffles, verify
-from .permutations import DEFAULT_MAX_N, Permutation, descent_set, is_n_cycle
+from .permutations import DEFAULT_MAX_N, MAX_CACHED_N, Permutation, descent_set, is_n_cycle
 from .shuffles import ShuffleSpec, parse_bias
 
 
@@ -135,8 +135,14 @@ def _n_max(args) -> int:
 
 
 def _kfold_distribution(n, bias, k, max_n):
+    # One shuffle can be listed as its a'^n pile words over the a' nonzero
+    # letters (exact_distribution) or as S_n read off the descent classes
+    # (exact_kfold_distribution, which stops at MAX_CACHED_N): take the
+    # shorter list.
     if k == 1:
-        return shuffles.exact_distribution(n, bias, max_n=max_n)
+        letters = sum(1 for p in bias if p)
+        if n > MAX_CACHED_N or letters**n <= math.factorial(n):
+            return shuffles.exact_distribution(n, bias, max_n=max_n)
     return shuffles.exact_kfold_distribution(n, bias, k, max_n=max_n)
 
 
@@ -192,8 +198,7 @@ def cmd_stats(args) -> int:
         out["exact"] = frac_str(value)
         out["float"] = float(value)
     elif args.stat == "cycle-pgf":
-        bias_k = shuffles.tensor_power(bias, args.k)
-        pgf = genfuncs.cycle_structure_pgf(args.n, bias_k, max_n=max_n)
+        pgf = genfuncs.cycle_structure_pgf(args.n, bias, args.k, max_n=max_n)
         out["terms"] = [
             {"type": [[length, count] for length, count in key], "p": frac_str(c)}
             for key, c in sorted(pgf.terms.items())

@@ -89,8 +89,14 @@ class CyclePolynomial:
         raise AttributeError("CyclePolynomial is immutable")
 
 
-def cycle_structure_pgf(n: int, bias, *, max_n: int = DEFAULT_MAX_N) -> CyclePolynomial:
+def cycle_structure_pgf(
+    n: int, bias, k: int = 1, *, max_n: int = DEFAULT_MAX_N
+) -> CyclePolynomial:
     """Expand the product formula for the joint cycle-count PGF to order n.
+
+    The PGF is that of k repeated shuffles, i.e. of one shuffle with bias
+    tensor_power(bias, k), whose power sums are P_e(p)^k: the kernel takes
+    k and never builds the a^k tensored letters.
 
     The generating function over all deck sizes is a product, over cycle
     lengths i and letter contents r of size i, of geometric factors
@@ -115,13 +121,16 @@ def cycle_structure_pgf(n: int, bias, *, max_n: int = DEFAULT_MAX_N) -> CyclePol
     Fraction(1, 4)
     """
     bias = validate_bias(bias)
+    if k < 0:
+        raise ValueError("negative k")
     if n > max_n:
         raise ValueError(f"n={n} above series cap {max_n}")
-    # power sums P_1..P_n on integer numerators; zero letters add nothing
+    # power sums P_1..P_n of the k-fold tensored bias on integer numerators;
+    # zero letters add nothing
     weights, den = _weights(bias)
     weights = [w for w in weights if w]
     psum = [None] + [
-        Fraction(sum(w**e for w in weights), den**e) for e in range(1, n + 1)
+        Fraction(sum(w**e for w in weights) ** k, den ** (e * k)) for e in range(1, n + 1)
     ]
 
     # state: (u-degree, cycle-type counter as sorted tuple) -> coefficient

@@ -106,13 +106,25 @@ def standard_permutation(word: Iterable) -> Permutation:
     >>> standard_permutation((1, 0, 1, 0)).images
     (3, 1, 4, 2)
     """
-    word = tuple(word)
+    return Permutation(standard_ranks(tuple(word)))
+
+
+def standard_ranks(word) -> list[int]:
+    """The images of ``standard_permutation(word)`` as an unchecked list.
+
+    ``word`` must support ``len`` and indexing.  The ranks are a bijection
+    onto 1..len(word) by construction, so callers that compose several of
+    them may validate only the result.
+
+    >>> standard_ranks([1, 0, 1, 0])
+    [3, 1, 4, 2]
+    """
     # a stable sort by letter alone breaks ties to the left
     order = sorted(range(len(word)), key=word.__getitem__)
     ranks = [0] * len(word)
     for rank, j in enumerate(order, start=1):
         ranks[j] = rank
-    return Permutation(ranks)
+    return ranks
 
 
 def descent_set(p: Permutation) -> frozenset[int]:

@@ -98,16 +98,35 @@ def test_stats_pgfs(capsys):
 
 
 def test_dist_with_a_1024_letter_bias(capsys):
-    # a RecursionError inside the composition walk before it became a loop
-    code, out, _ = run_cli(capsys, "dist", "--n", "1", "--p", ",".join(["1/1024"] * 1024))
+    # n=1: a RecursionError inside the composition walk before it became a
+    # loop; n=2: C(1025, 2) letter contents before k=1 went through the
+    # inverse-descent class sweep, now taken when it is the shorter list
+    bias = ",".join(["1/1024"] * 1024)
+    code, out, _ = run_cli(capsys, "dist", "--n", "1", "--p", bias)
     assert code == 0
     assert json.loads(out) == {"n": 1, "masses": [{"perm": [1], "p": "1/1"}]}
+    code, out, _ = run_cli(capsys, "dist", "--n", "2", "--p", bias)
+    assert code == 0
+    # identity: a weakly increasing pile word, 1024 * 1025 / 2 of 1024^2
+    assert json.loads(out) == {"n": 2, "masses": [{"perm": [1, 2], "p": "1025/2048"},
+                                                  {"perm": [2, 1], "p": "1023/2048"}]}
 
 
-def test_cycle_pgf_of_ten_fair_shuffles_is_the_rising_sequence_law(capsys):
-    # ten fair shuffles are one 1024-shuffle; Bayer and Diaconis: a fair
-    # a-shuffle gives pi the mass C(a + n - 1 - d, n) / a^n, d = des(pi^-1)
-    n, a = 3, 2**10
+def test_dist_of_one_shuffle_lists_pile_words_above_s9(capsys):
+    # k=1 above MAX_CACHED_N is listed by its 2^10 pile words, not from S_10
+    code, out, _ = run_cli(capsys, "dist", "--n", "10", "--n-max", "10", "--p", "1/2,1/2")
+    assert code == 0
+    masses = {tuple(m["perm"]): Fraction(m["p"]) for m in json.loads(out)["masses"]}
+    # every binary word standardizes to a distinct permutation except the
+    # n + 1 weakly increasing ones, which all give the identity
+    assert len(masses) == 2**10 - 10
+    assert masses[tuple(range(1, 11))] == Fraction(11, 1024)
+    assert sum(masses.values()) == 1
+
+
+def rising_sequence_cycle_law(n: int, a: int) -> dict:
+    """Cycle-type law of a fair a-shuffle of n cards, from Bayer and Diaconis:
+    pi has mass C(a + n - 1 - d, n) / a^n with d = des(pi^-1)."""
     want: dict = {}
     for images in itertools.permutations(range(1, n + 1)):
         position = {card: i for i, card in enumerate(images)}
@@ -123,14 +142,30 @@ def test_cycle_pgf_of_ten_fair_shuffles_is_the_rising_sequence_law(capsys):
                 lengths.append(length)
         key = tuple(sorted(Counter(lengths).items()))
         want[key] = want.get(key, Fraction(0)) + Fraction(math.comb(a + n - 1 - d, n), a**n)
-    code, out, _ = run_cli(capsys, "stats", "--n", "3", "--p", "1/2,1/2", "--k", "10",
-                           "--stat", "cycle-pgf")
-    assert code == 0
-    got = {
+    return want
+
+
+def cycle_pgf_terms(out: str) -> dict:
+    return {
         tuple(tuple(pair) for pair in term["type"]): Fraction(term["p"])
         for term in json.loads(out)["terms"]
     }
-    assert got == want
+
+
+def test_cycle_pgf_of_ten_fair_shuffles_is_the_rising_sequence_law(capsys):
+    # ten fair shuffles are one 1024-shuffle
+    code, out, _ = run_cli(capsys, "stats", "--n", "3", "--p", "1/2,1/2", "--k", "10",
+                           "--stat", "cycle-pgf")
+    assert code == 0
+    assert cycle_pgf_terms(out) == rising_sequence_cycle_law(3, 2**10)
+
+
+def test_cycle_pgf_of_twenty_fair_shuffles_is_the_rising_sequence_law(capsys):
+    # 2^20 tensored letters, which the kernel never builds
+    code, out, _ = run_cli(capsys, "stats", "--n", "3", "--p", "1/2,1/2", "--k", "20",
+                           "--stat", "cycle-pgf")
+    assert code == 0
+    assert cycle_pgf_terms(out) == rising_sequence_cycle_law(3, 2**20)
 
 
 def test_count_json_all_methods(capsys):

@@ -22,7 +22,13 @@ from riffle.genfuncs import (
     translate_identity_check,
 )
 from riffle.qpoly import QPolynomial
-from riffle.shuffles import ShuffleSpec, exact_distribution, exact_distribution_pile_words
+from riffle.shuffles import (
+    ShuffleSpec,
+    exact_distribution,
+    exact_distribution_pile_words,
+    exact_kfold_distribution,
+    tensor_power,
+)
 from riffle.verify import BIAS_PANEL
 
 FAIR = (F(1, 2), F(1, 2))
@@ -61,6 +67,26 @@ def test_cycle_pgf_matches_pile_words_on_random_biases(bias, n):
     assert cycle_structure_pgf(n, bias) == cycle_pgf_from_distribution(
         exact_distribution_pile_words(n, bias)
     )
+
+
+@given(bias=random_bias, n=st.integers(0, 5), k=st.integers(0, 3))
+@settings(max_examples=40, deadline=None)
+def test_cycle_pgf_takes_k_as_the_tensored_bias(bias, n, k):
+    # P_e of the k-fold tensored bias is P_e(bias)^k
+    assert cycle_structure_pgf(n, bias, k) == cycle_structure_pgf(n, tensor_power(bias, k))
+
+
+@pytest.mark.parametrize("k", [0, 2, 3])
+def test_cycle_pgf_of_k_shuffles_matches_the_kfold_distribution(k):
+    bias = (F(1, 2), F(1, 3), F(1, 6))
+    assert cycle_structure_pgf(4, bias, k) == cycle_pgf_from_distribution(
+        exact_kfold_distribution(4, bias, k)
+    )
+
+
+def test_cycle_pgf_refuses_negative_k():
+    with pytest.raises(ValueError):
+        cycle_structure_pgf(3, FAIR, -1)
 
 
 def test_cycle_polynomial_validates():

@@ -36,7 +36,61 @@ GOLDEN_SHA256 = [
      "66d467d546cb4d4bca0500681cef33e24e88b558dc6c04f34b83090d68f517c0"),
 ]
 
+METHODS = ("interleave", "drop", "geometric", "inverse")
+
+# Seeded streams at the edges of the samplers' input, pinned for every method:
+# a zero bias entry, a denominator whose draws are rejected and redrawn
+# (1000003 < 2^20), and both machine-readable formats.  With bias
+# 1/1000003,1000002/1000003 nearly every draw is the identity, so the
+# three-letter bias over the same denominator is what makes the rejections
+# show in the output.
+SAMPLE_EDGE_SHA256 = [
+    (["sample", "--n", "13", "--p", "1/3,0,2/3", "--k", "3", "--samples", "100", "--seed", "11"],
+     {"interleave": "61815519544b909898b3173710334b5f25593e9a56de0182fc236d56627cc0bc",
+      "drop": "8322f6a235465146f05c72ced89e173737f55d66e1208fcbe72906ac961e8572",
+      "geometric": "e3580ec5c0cf0d74a183be00784895d4499034343dd209c8709066c4221ea91f",
+      "inverse": "a8b1972af633852328e775d26bdc20a58301eb48ad73111673e1c232cdca1db0"}),
+    (["sample", "--n", "20", "--p", "1/1000003,1000002/1000003", "--k", "2", "--samples", "100",
+      "--seed", "12"],
+     dict.fromkeys(METHODS, "c8f4b4ee8b6750997a1a561fed04cd63e9a97383fe0737b6fb307a54e45af102")),
+    (["sample", "--n", "20", "--p", "1/1000003,500001/1000003,500001/1000003", "--k", "2",
+      "--samples", "100", "--seed", "12"],
+     {"interleave": "4891b8ab650dede3cd9433d331503438a6c6b0dd47854618c6ba9a41635de04c",
+      "drop": "ff0bb2d5994808c8bb15dd00f44af100d77ea509f53387515c919349f4f4775a",
+      "geometric": "aa9648dc6f4dd208256e36462a46f4a5afdaca3ea80356d7c707c9ed53941dd9",
+      "inverse": "3ae2235995d0ca51a2c7565b878070383e5c428d95ca7e45a59e7f73a65986dd"}),
+    (["sample", "--n", "10", "--p", "0.4,0.6", "--k", "3", "--samples", "50", "--seed", "14",
+      "--format", "csv"],
+     {"interleave": "739e3c0fc397d28e42d3a4eeb8996976923c8bfdf72d3ac8e8dbe69c82a6f361",
+      "drop": "fd7c045441e0ea4d36a8c88ed74417093d5d4b5fbf71c208465a5974ca079747",
+      "geometric": "194617ff59e1d011e08896802755bd34d3210ff0dd1591606a0e1af1137ce579",
+      "inverse": "8eae4fda64306fbac90daa6b0f51a26bbef160d34647da49248eaa941c36a036"}),
+    (["sample", "--n", "10", "--p", "0.4,0.6", "--k", "3", "--samples", "50", "--seed", "14",
+      "--format", "json"],
+     {"interleave": "4d3e64cc2d83f6b774f604a3e0c17251d23fc4fc0910f8df2cbf227ebe8a99bb",
+      "drop": "1edc9f297228a5a198a33dfc524e841ade8a0f8a8771b4848edbb772915ff500",
+      "geometric": "3cf37a728368982f469b08230c529666c100054bfb1389d6d1cbfd22b36bcfda",
+      "inverse": "8e9f6907bb94ce6eafc58dc1a1eb003ca4767bd78ac75bf6cd3cffa1c3c9f597"}),
+]
+GOLDEN_SHA256 += [
+    (argv + ["--method", method], digests[method])
+    for argv, digests in SAMPLE_EDGE_SHA256
+    for method in METHODS
+]
+
+# no shuffle at all, a one-card deck and an empty deck, for every method
+SAMPLE_EDGE_TEXT = [
+    (["sample", "--n", "6", "--p", "1/2,1/2", "--k", "0", "--samples", "3", "--seed", "13"],
+     "1 2 3 4 5 6\n" * 3),
+    (["sample", "--n", "1", "--p", "1/3,2/3", "--k", "2", "--samples", "3", "--seed", "13"],
+     "1\n" * 3),
+    (["sample", "--n", "0", "--p", "1/2,1/4,1/4", "--k", "2", "--samples", "3", "--seed", "13"],
+     "\n" * 3),
+]
+
 GOLDEN_TEXT = [
+    *((argv + ["--method", method], text)
+      for argv, text in SAMPLE_EDGE_TEXT for method in METHODS),
     (["sample", "--n", "0", "--p", "1/2,1/2", "--seed", "1", "--samples", "2"], "\n\n"),
     (["bijection", "--word", "2,2,1,1,2,3,3,3,2,3,2,2"],
      '{"word": [2, 2, 1, 1, 2, 3, 3, 3, 2, 3, 2, 2], "letters": "bbaabcccbcbb", '

@@ -1,3 +1,4 @@
+import bisect
 import math
 import random
 from fractions import Fraction as F
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riffle.permutations import Permutation, descent_set, symmetric_group_list
+from riffle import shuffles
 from riffle.shuffles import (
     SAMPLE_METHODS,
     ExactDistribution,
@@ -333,6 +335,51 @@ def test_composed_samples_match_tensored_distribution():
         want = float(exact.mass(perm))
         sigma = math.sqrt(want * (1 - want) / trials)
         assert abs(counts.get(perm, 0) / trials - want) < 4 * sigma
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 7, 2**32, 2**32 + 1, 10**30])
+def test_randbelow_consumes_the_randrange_stream(m):
+    ours, theirs = random.Random(m), random.Random(m)
+    assert [shuffles._randbelow(ours.getrandbits, m) for _ in range(300)] == \
+        [theirs.randrange(m) for _ in range(300)]
+    assert ours.getstate() == theirs.getstate()
+
+
+@pytest.mark.parametrize("length", [0, 1, 2, 5, 52, 300])
+def test_shuffle_consumes_the_shuffle_stream(length):
+    ours, theirs = random.Random(length), random.Random(length)
+    for _ in range(20):
+        x, y = list(range(length)), list(range(length))
+        shuffles._shuffle(x, ours.getrandbits)
+        theirs.shuffle(y)
+        assert x == y
+    assert ours.getstate() == theirs.getstate()
+
+
+@pytest.mark.parametrize("bias", ["1", "0.4,0.6", "1/3,0,2/3", "1/1000003,1000002/1000003",
+                                  f"1/{10**30},{10**30 - 1}/{10**30}"])
+def test_inlined_category_draws_consume_the_randrange_stream(bias):
+    # the inlined rejection loop of the category draws against randrange
+    cumulative, denom = shuffles._categorical(parse_bias(bias))
+    ours, theirs = random.Random(3), random.Random(3)
+    labels = shuffles._draw_labels(500, cumulative, denom, ours)
+    assert labels == [bisect.bisect_right(cumulative, theirs.randrange(denom)) for _ in range(500)]
+    assert ours.getstate() == theirs.getstate()
+
+
+@pytest.mark.parametrize("method", SAMPLE_METHODS)
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("bad", [
+    lambda n: [1] * n,  # not injective
+    lambda n: list(range(1, n)),  # one card short
+    lambda n: [*range(1, n + 1), 1],  # one card extra
+], ids=["repeat", "short", "long"])
+def test_sample_validates_the_composed_draw(monkeypatch, method, k, bad):
+    # the factors are composed unchecked, so the one check of the product
+    # must catch a single shuffle that is not a permutation of 1..n
+    monkeypatch.setitem(shuffles._SINGLE_SAMPLERS, method, lambda n, *rest: bad(n))
+    with pytest.raises(ValueError):
+        sample(ShuffleSpec(5, FAIR, k), method, random.Random(1))
 
 
 def test_substream_reproducible_and_distinct():
