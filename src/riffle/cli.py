@@ -204,8 +204,7 @@ def cmd_stats(args) -> int:
             for key, c in sorted(pgf.terms.items())
         ]
     else:  # inv-pgf
-        bias_k = shuffles.tensor_power(bias, args.k)
-        pgf = genfuncs.inversion_pgf(args.n, bias_k, max_n=max_n)
+        pgf = genfuncs.inversion_pgf(args.n, bias, args.k, max_n=max_n)
         out["coeffs"] = [frac_str(c) for c in pgf.coeffs]
     print(json.dumps(out))
     return 0
@@ -350,9 +349,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:
+        # refused input exits 2; a failed invariant (ArithmeticError) exits 3
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 2 if isinstance(exc, ValueError) else 3
 
 
 if __name__ == "__main__":

@@ -6,9 +6,10 @@ are formal polynomial derivatives, never finite differences.  Each closed
 form has a companion that reads the same statistic off an exact
 distribution, so the two can be compared coefficient by coefficient.
 
-Statistics of k repeated shuffles are obtained by tensoring the bias
-vector (a k-fold shuffle is a single a^k-shuffle), which keeps them
-available beyond the S_n enumeration cap.
+The cycle, fixed-point and inversion series depend on the bias only
+through its power sums P_e(p) = sum_i p_i^e.  A k-fold shuffle is a single
+shuffle with the tensored bias, whose power sums are P_e(p)^k, so each
+series kernel takes k and never builds the a^k tensored letters.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .shuffles import (
     ExactDistribution,
     ShuffleSpec,
     _content_mass,
-    _weights,
+    _power_sums,
     validate_bias,
 )
 
@@ -94,10 +95,6 @@ def cycle_structure_pgf(
 ) -> CyclePolynomial:
     """Expand the product formula for the joint cycle-count PGF to order n.
 
-    The PGF is that of k repeated shuffles, i.e. of one shuffle with bias
-    tensor_power(bias, k), whose power sums are P_e(p)^k: the kernel takes
-    k and never builds the a^k tensored letters.
-
     The generating function over all deck sizes is a product, over cycle
     lengths i and letter contents r of size i, of geometric factors
 
@@ -111,7 +108,7 @@ def cycle_structure_pgf(
 
     where L_i is the weighted count of primitive necklaces of length i and
     P_d(q) = sum_j q_j^d.  At q = p^m this is the power sum P_{dm}(p), so
-    only the n power sums of the bias are needed, whatever its length.  The
+    only n power sums are needed (P_e(p)^k for k shuffles), whatever a.  The
     truncated exponential's coefficients follow from c_s = (1/s) sum_m
     m g_m c_{s-m}, and collecting the u^n coefficient by dynamic
     programming over the n factors gives the PGF of the n-card shuffle.
@@ -125,13 +122,8 @@ def cycle_structure_pgf(
         raise ValueError("negative k")
     if n > max_n:
         raise ValueError(f"n={n} above series cap {max_n}")
-    # power sums P_1..P_n of the k-fold tensored bias on integer numerators;
-    # zero letters add nothing
-    weights, den = _weights(bias)
-    weights = [w for w in weights if w]
-    psum = [None] + [
-        Fraction(sum(w**e for w in weights) ** k, den ** (e * k)) for e in range(1, n + 1)
-    ]
+    sums, scale = _power_sums(bias, n, k)
+    psum = [Fraction(x, scale**e) for e, x in enumerate(sums)]
 
     # state: (u-degree, cycle-type counter as sorted tuple) -> coefficient
     state: dict[tuple[int, CycleTypeKey], Fraction] = {(0, ()): Fraction(1)}
@@ -182,40 +174,22 @@ def expected_fixed_points(spec: ShuffleSpec) -> Fraction:
 
         sum_{j=1..n} (p_1^j + ... + p_a^j)^k
     """
-    total = Fraction(0)
-    for j in range(1, spec.n + 1):
-        total += sum(p ** j for p in spec.bias) ** spec.k
-    return total
+    n = spec.n
+    sums, scale = _power_sums(spec.bias, n, spec.k)
+    return Fraction(sum(sums[j] * scale ** (n - j) for j in range(1, n + 1)), scale**n)
 
 
-def fixed_point_pgf(n: int, bias, *, max_n: int = DEFAULT_MAX_N) -> tuple[Fraction, ...]:
-    """PGF of the fixed-point count after one shuffle, as coefficients in x.
+def fixed_point_pgf(n: int, bias, k: int = 1, *, max_n: int = DEFAULT_MAX_N) -> tuple[Fraction, ...]:
+    """PGF of the fixed-point count after k shuffles; entry m is P(N_1 = m).
 
-    Extracts the y^n coefficient of
-
-        1/(1-y) * prod_i (1 - p_i y) / (1 - p_i x y)
-
-    by truncated series arithmetic; entry m of the result is P(N_1 = m).
+    Fixed points are 1-cycles, so this is the N_1 marginal of
+    cycle_structure_pgf: the y^n coefficient of
+    1/(1-y) * prod_i (1 - p_i y) / (1 - p_i x y) over the tensored letters.
     """
-    bias = validate_bias(bias)
-    if n > max_n:
-        raise ValueError(f"n={n} above series cap {max_n}")
-    # series[m] = coefficient of y^m, a polynomial in x
-    series = [QPolynomial.one()] * (n + 1)
-    for p in bias:
-        # multiply by (1 - p y)
-        series = series[:1] + [series[m] - p * series[m - 1] for m in range(1, n + 1)]
-        # multiply by sum_m (p x)^m y^m
-        px = QPolynomial.q() * p
-        powers = [QPolynomial.one()]
-        for _ in range(n):
-            powers.append(powers[-1] * px)
-        series = [
-            sum((powers[m1] * series[m - m1] for m1 in range(m + 1)), QPolynomial.zero())
-            for m in range(n + 1)
-        ]
-    coeffs = series[n].coeffs
-    return coeffs + (Fraction(0),) * (n + 1 - len(coeffs))
+    coeffs = [Fraction(0)] * (n + 1)
+    for key, c in cycle_structure_pgf(n, bias, k, max_n=max_n).terms.items():
+        coeffs[dict(key).get(1, 0)] += c
+    return tuple(coeffs)
 
 
 def fixed_point_pgf_from_distribution(dist: ExactDistribution) -> tuple[Fraction, ...]:
@@ -228,48 +202,58 @@ def fixed_point_pgf_from_distribution(dist: ExactDistribution) -> tuple[Fraction
     return tuple(coeffs)
 
 
-def inversion_pgf(n: int, bias, *, max_n: int = DEFAULT_MAX_N) -> QPolynomial:
-    """E q^Inv after one shuffle, by coefficient extraction from the
-    q-exponential product
+def inversion_pgf(n: int, bias, k: int = 1, *, max_n: int = DEFAULT_MAX_N) -> QPolynomial:
+    """E q^Inv after k shuffles, from the power sums P_m of the tensored bias.
 
-        prod_i  sum_j (u p_i)^j / [j]!
+    E_n = sum_b p^b [n; b]_q is [n]! times the u^n coefficient of
+    prod_i e_q(p_i u), e_q(x) = sum_j x^j / [j]!.  The q-binomial theorem
+    gives log e_q(x) = sum_m (1-q)^m x^m / (m (1 - q^m)); differentiating in
+    u, with (1-q)^m [s]! / ((1 - q^m) [s-m]!) = [s; m]_q (q;q)_{m-1},
 
-    The series is convolved with coefficients kept over the implicit
-    denominator [j]!, so each convolution step only needs q-binomials and
-    the u^n coefficient comes out already multiplied by [n]!.  The
-    convolution runs on integers: with p_i = w_i / den over the bias's
-    least common denominator, the u^j coefficient is kept as an integer
-    polynomial over den^j, and the u^n one is divided by den^n once at the
-    end.  Zero-weight letters are skipped.
+        E_s = (1/s) sum_{m=1..s} P_m (q;q)_{m-1} [s; m]_q E_{s-m},   E_0 = 1.
+
+    With P_m = N_m / D^m (see _power_sums), e_s = E_s D^s s! is integral:
+
+        e_s = sum_m N_m (s-1)!/(s-m)! (q;q)_{m-1} [s; m]_q e_{s-m},
+
+    and e_n is divided by D^n n! once at the end.
+
+    >>> half = Fraction(1, 2)
+    >>> inversion_pgf(3, (half, half), 2) == QPolynomial([5/16, 5/16, 5/16, 1/16])
+    True
     """
     bias = validate_bias(bias)
+    if k < 0:
+        raise ValueError("negative k")
     if n > max_n:
         raise ValueError(f"n={n} above series cap {max_n}")
-    weights, den = _weights(bias)
-    # binoms[j][j1] = integer coefficients of the q-binomial [j choose j1]
-    binoms = [
-        [[c.numerator for c in q_binomial(j, j1).coeffs] for j1 in range(j + 1)]
-        for j in range(n + 1)
-    ]
-    # coeffs[j] = integer coefficients in q of the u^j coefficient, times den^j
-    coeffs: list[list[int]] = [[1]] + [[0] for _ in range(n)]
-    for w in weights:
-        if w == 0:
-            continue
-        powers = [w**j1 for j1 in range(n + 1)]
-        new = []
-        for j in range(n + 1):
-            acc = [0] * (math.comb(j, 2) + 1)
-            for j1 in range(j + 1):
-                rest = coeffs[j - j1]
-                for e, b in enumerate(binoms[j][j1]):
-                    b *= powers[j1]
-                    for f, x in enumerate(rest, start=e):
-                        acc[f] += b * x
-            new.append(acc)
-        coeffs = new
-    scale = den**n
-    return QPolynomial(Fraction(x, scale) for x in coeffs[n])
+    sums, scale = _power_sums(bias, n, k)
+    # poch[m] = integer coefficients of (q;q)_m = (1-q)(1-q^2)...(1-q^m)
+    poch = [[1]]
+    for m in range(1, n):
+        poch.append(_int_mul(poch[-1], [1] + [0] * (m - 1) + [-1]))
+    # e[s] = integer coefficients in q of E_s * D^s * s!
+    e = [[1]]
+    for s in range(1, n + 1):
+        acc = [0] * (math.comb(s, 2) + 1)
+        for m in range(1, s + 1):
+            binom = [c.numerator for c in q_binomial(s, m).coeffs]
+            c = sums[m] * math.perm(s - 1, m - 1)
+            for i, x in enumerate(_int_mul(_int_mul(poch[m - 1], binom), e[s - m])):
+                acc[i] += c * x
+        e.append(acc)
+    den = scale**n * math.factorial(n)
+    return QPolynomial(Fraction(x, den) for x in e[n])
+
+
+def _int_mul(a: list[int], b: list[int]) -> list[int]:
+    """Product of two polynomials given as integer coefficient lists."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, start=i):
+                out[j] += x * y
+    return out
 
 
 def inversion_pgf_from_compositions(

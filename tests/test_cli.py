@@ -1,11 +1,13 @@
 import itertools
 import json
 import math
+import time
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from riffle import counting
 from riffle.cli import main
 
 
@@ -166,6 +168,40 @@ def test_cycle_pgf_of_twenty_fair_shuffles_is_the_rising_sequence_law(capsys):
                            "--stat", "cycle-pgf")
     assert code == 0
     assert cycle_pgf_terms(out) == rising_sequence_cycle_law(3, 2**20)
+
+
+def test_inv_pgf_of_forty_fair_shuffles(capsys):
+    # 2^40 tensored letters, which the kernel never builds
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "stats", "--n", "3", "--p", "1/2,1/2", "--k", "40",
+                           "--stat", "inv-pgf")
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    coeffs = [Fraction(c) for c in json.loads(out)["coeffs"]]
+    assert sum(coeffs) == 1
+    mean = sum(j * c for j, c in enumerate(coeffs))
+    assert mean == Fraction(math.comb(3, 2), 2) * (1 - Fraction(1, 2**40))
+
+
+def test_tv_of_forty_fair_shuffles_is_refused_before_tensoring(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "tv", "--n", "6", "--p", "1/2,1/2", "--k", "40")
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "2^6 * 2^40 cells" in err
+
+
+def test_arithmetic_errors_exit_3_without_traceback(capsys, monkeypatch):
+    def no_divide(n, deset):
+        raise ArithmeticError(f"divisor sum not divisible by n={n}")
+
+    monkeypatch.setattr(counting, "ncycles_descent_det", no_divide)
+    code, out, err = run_cli(capsys, "count", "--n", "3", "--j", "1,3", "--method", "det")
+    assert code == 3
+    assert out == ""
+    assert err == "error: divisor sum not divisible by n=3\n"
 
 
 def test_count_json_all_methods(capsys):

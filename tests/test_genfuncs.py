@@ -143,6 +143,14 @@ def test_fixed_point_pgf_matches_distribution(n, bias):
     assert mean == expected_fixed_points(ShuffleSpec(n, bias, 1))
 
 
+@given(bias=random_bias, n=st.integers(0, 6), k=st.integers(0, 2))
+@settings(max_examples=40, deadline=None)
+def test_fixed_point_pgf_of_k_shuffles_matches_the_kfold_distribution(bias, n, k):
+    assert fixed_point_pgf(n, bias, k) == fixed_point_pgf_from_distribution(
+        exact_kfold_distribution(n, bias, k)
+    )
+
+
 def test_fixed_point_poisson_proximity():
     # fair 52-card deck after 10 shuffles: mean within 0.01 of the
     # tail-corrected limit value 1 + sum_{j >= 2} 2^{(1-j)10}
@@ -178,10 +186,20 @@ def test_inversion_pgf_routes_agree(n, bias):
     assert series.degree() <= math.comb(n, 2)
 
 
-@given(bias=random_bias, n=st.integers(0, 8))
+@given(bias=random_bias, k=st.integers(0, 3), data=st.data())
 @settings(max_examples=40, deadline=None)
-def test_inversion_pgf_routes_agree_on_random_biases(bias, n):
-    assert inversion_pgf(n, bias) == inversion_pgf_from_compositions(n, bias)
+def test_inversion_pgf_routes_agree_on_random_biases(bias, k, data):
+    # the composition route walks C(n + a^k - 1, n) cuts of the tensored
+    # bias: n is drawn where that stays at most 500
+    letters = tensor_power(bias, k)
+    top = max(n for n in range(9) if math.comb(n + len(letters) - 1, n) <= 500)
+    n = data.draw(st.integers(0, top), label="n")
+    assert inversion_pgf(n, bias, k) == inversion_pgf_from_compositions(n, letters)
+
+
+def test_inversion_pgf_refuses_negative_k():
+    with pytest.raises(ValueError, match="negative k"):
+        inversion_pgf(3, FAIR, -1)
 
 
 def test_expected_inversions_examples():

@@ -22,7 +22,6 @@ from riffle.shuffles import (
     lalley_theta,
     mass_by_inverse_descents,
     parse_bias,
-    point_mass,
     sample,
     substream,
     suf_bound,
@@ -133,14 +132,13 @@ def test_json_roundtrip():
     obj = dist.to_json_obj()
     assert obj["n"] == 3
     assert {"perm": [1, 2, 3], "p": "5/9"} in obj["masses"]
-    assert ExactDistribution.from_json_obj(obj) == dist
 
 
 # --- convolution ---------------------------------------------------------
 
 def test_convolve_with_point_mass_is_identity():
     dist = exact_distribution(4, (F(1, 3), F(2, 3)))
-    delta = point_mass(Permutation.identity(4))
+    delta = ExactDistribution(4, {Permutation.identity(4): F(1)})
     assert convolve(delta, dist) == dist
     assert convolve(dist, delta) == dist
 
@@ -173,8 +171,8 @@ def test_tv_examples():
     dist = exact_distribution(3, FAIR)
     assert tv_distance(dist, dist) == 0
     n = 4
-    assert tv_distance(point_mass(Permutation.identity(n)), uniform_distribution(n)) == \
-        1 - F(1, math.factorial(n))
+    delta = ExactDistribution(n, {Permutation.identity(n): F(1)})
+    assert tv_distance(delta, uniform_distribution(n)) == 1 - F(1, math.factorial(n))
     assert tv_distance(dist, uniform_distribution(3)) == F(1, 3)
 
 
@@ -194,6 +192,26 @@ def test_tv_to_uniform_keeps_the_enumeration_caps():
         tv_to_uniform(10, FAIR, max_n=12)
     with pytest.raises(ValueError):
         tv_to_uniform(3, FAIR, -1)
+
+
+def test_kfold_sweep_is_refused_over_budget_before_tensoring():
+    # 2^6 * 2^40 cells: the estimate is refused, not the a^k letters built
+    with pytest.raises(ValueError, match=r"2\^6 \* 2\^40 cells"):
+        tv_to_uniform(6, FAIR, 40)
+    with pytest.raises(ValueError, match=r"2\^4 \* 3\^1000000000 cells"):
+        exact_kfold_distribution(4, (F(1, 2), F(1, 4), F(1, 4)), 10**9)
+    # the largest sweep under the budget runs
+    assert 2**6 * 2**15 == shuffles.MAX_SWEEP_CELLS
+    assert tv_to_uniform(6, FAIR, 15) > 0
+    with pytest.raises(ValueError, match="budget of 2097152 cells"):
+        tv_to_uniform(6, FAIR, 16)
+
+
+def test_kfold_sweep_counts_only_nonzero_letters():
+    # one nonzero letter of ten: 2^3 * 1^30 cells, the identity at every k
+    bias = (F(1),) + (F(0),) * 9
+    assert tv_to_uniform(3, bias, 30) == 1 - F(1, 6)
+    assert exact_kfold_distribution(3, bias, 30) == exact_distribution(3, (F(1),))
 
 
 # Random rational biases: up to four letters, zero entries allowed, large
