@@ -138,8 +138,8 @@ def _kfold_distribution(n, bias, k, max_n):
     # One shuffle can be listed as its a'^n pile words over the a' nonzero
     # letters (exact_distribution) or as S_n read off the descent classes
     # (exact_kfold_distribution, which stops at MAX_CACHED_N): take the
-    # shorter list.
-    if k == 1:
+    # shorter list.  A negative n goes to the class route, which refuses it.
+    if k == 1 and n >= 0:
         letters = sum(1 for p in bias if p)
         if n > MAX_CACHED_N or letters**n <= math.factorial(n):
             return shuffles.exact_distribution(n, bias, max_n=max_n)
@@ -282,9 +282,14 @@ def cmd_report(args) -> int:
     suffices = None
     if ssq < 1 and n >= 2:
         suffices = 2 * math.log(n) / math.log(1 / ssq)
+    letters = sum(1 for p in bias if p)
     rows = []
     for k in range(1, args.k_max + 1):
         bound = shuffles.suf_bound(ShuffleSpec(n, bias, k))
+        # the sweep grows with k, so the exact column ends at the first row over budget
+        if exact_ok and (refusal := shuffles.sweep_refusal(n, letters, k)):
+            print(f"note: exact_tv omitted from k={k} on: {refusal}", file=sys.stderr)
+            exact_ok = False
         exact_tv = shuffles.tv_to_uniform(n, bias, k, max_n=max_n) if exact_ok else None
         rows.append((k, bound, exact_tv))
     if (args.format or "csv") == "json":

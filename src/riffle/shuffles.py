@@ -63,10 +63,15 @@ def validate_bias(bias) -> tuple[Fraction, ...]:
     return probs
 
 
-def _weights(bias) -> tuple[list[int], int]:
-    """Integer numerators of a rational bias over its least common denominator."""
+def _weights(bias, k: int = 1) -> tuple[list[int], int]:
+    """Integer numerators of a rational bias over its least common denominator
+    den, or of its k-fold lexicographic tensor over den^k (k >= 0)."""
     den = math.lcm(*(p.denominator for p in bias))
-    return [p.numerator * (den // p.denominator) for p in bias], den
+    weights = [p.numerator * (den // p.denominator) for p in bias]
+    tensored = [1]
+    for _ in range(k):
+        tensored = [x * y for x in tensored for y in weights]
+    return tensored, den**k
 
 
 def _power_sums(bias, n: int, k: int = 1) -> tuple[list[int], int]:
@@ -105,12 +110,8 @@ def tensor_power(bias, k: int) -> tuple[Fraction, ...]:
     if k < 0:
         raise ValueError("negative k")
     # tensored on integer numerators, dividing once by den^k at the end
-    weights, den = _weights(validate_bias(bias))
-    result = [1]
-    for _ in range(k):
-        result = [x * y for x in result for y in weights]
-    scale = den**k
-    return tuple(Fraction(x, scale) for x in result)
+    weights, scale = _weights(validate_bias(bias), k)
+    return tuple(Fraction(x, scale) for x in weights)
 
 
 @dataclass(frozen=True)
@@ -145,17 +146,18 @@ class ExactDistribution:
 
     def __init__(self, n: int, masses: dict[Permutation, Fraction]):
         clean: dict[Permutation, Fraction] = {}
-        total = Fraction(0)
         for perm, mass in masses.items():
             if perm.n != n:
                 raise ValueError(f"permutation of wrong size: {perm}")
             if mass < 0:
                 raise ValueError(f"negative mass for {perm}")
-            total += mass
             if mass:
                 clean[perm] = mass if type(mass) is Fraction else Fraction(mass)
-        if total != 1:
-            raise ValueError(f"masses sum to {total}, not 1")
+        # summed as integer numerators over the lcm of the denominators
+        den = math.lcm(*{m.denominator for m in clean.values()})
+        total = sum(m.numerator * (den // m.denominator) for m in clean.values())
+        if total != den:
+            raise ValueError(f"masses sum to {Fraction(total, den)}, not 1")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "masses", clean)
 
@@ -199,19 +201,62 @@ def _check_cap(n: int, max_n: int):
 # Largest k-fold class sweep run, in list cells (2^n * a'^k over the a'
 # nonzero letters).  2^21 cells take 0.3-0.35 s at n = 6..9 (CPython 3.11, a
 # 2-vCPU Xeon) and admit the largest sweep of `verify --n-max 8` (n = 8,
-# a' = 3, k = 8); at n = 1 the 2^20 tensored letters cost 3.6 s and 128 MB.
+# a' = 3, k = 8).  The letters are tensored as integers, so the budget also
+# bounds n = 1: its 2^20 letters take ~0.15 s and 31 MB max RSS.
 MAX_SWEEP_CELLS = 2**21
 
 
-def _kfold_bias(n: int, bias, k: int) -> tuple[Fraction, ...]:
-    """The nonzero letters tensored k times, refused over MAX_SWEEP_CELLS first."""
-    letters = tuple(p for p in validate_bias(bias) if p)
+def sweep_refusal(n: int, letters: int, k: int) -> str | None:
+    """Why a k-fold class sweep over ``letters`` nonzero letters is refused,
+    or None when its 2^n * letters^k cells are within MAX_SWEEP_CELLS."""
     # exponents clipped at the budget's bit length keep huge n or k cheap to refuse
     bits = MAX_SWEEP_CELLS.bit_length()
-    if 2 ** min(n, bits) * len(letters) ** min(k, bits) > MAX_SWEEP_CELLS:
-        raise ValueError(f"class sweep of 2^{n} * {len(letters)}^{k} cells is above "
-                         f"the budget of {MAX_SWEEP_CELLS} cells")
-    return tensor_power(letters, k)
+    if 2 ** min(n, bits) * letters ** min(k, bits) <= MAX_SWEEP_CELLS:
+        return None
+    return (f"class sweep of 2^{n} * {letters}^{k} cells is above "
+            f"the budget of {MAX_SWEEP_CELLS} cells")
+
+
+def _kfold_classes(n: int, bias, k: int) -> tuple[list[int], int]:
+    """Numerators N_D over den^(kn) of the k-fold masses of the 2^(n-1)
+    inverse-descent classes D of S_n ([1] over 1 at n = 0).
+
+    N_D sits at index sum_{i in D, i < n} 2^(n-1-i): position 1 is the high
+    bit, and i is a descent of pi^{-1} iff i+1 sits left of i in pi.  The
+    mass is the total mass of weakly increasing words over the k-fold
+    tensored bias with strict rises forced at D (the fundamental
+    quasisymmetric function F_D at that bias).  The sweep runs on integer
+    numerators over the tensored letters, zero letters dropped since no
+    counted word uses them.  Classes are the leaves of a depth-first trie
+    over positions 1..n-1, so classes that agree on {1..j-1} share their
+    first j steps: about 2^n * a'^k list cells for a' nonzero letters, which
+    is refused over MAX_SWEEP_CELLS before any letter is built.
+    """
+    probs = validate_bias(bias)
+    if k < 0:
+        raise ValueError("negative k")
+    if n < 0:
+        raise ValueError("negative deck size")
+    if n == 0:
+        return [1], 1  # an empty deck has one arrangement whatever the letters
+    letters = [p for p in probs if p]
+    refusal = sweep_refusal(n, len(letters), k)
+    if refusal is not None:
+        raise ValueError(refusal)
+    weights, den = _weights(letters, k)
+    out: list[int] = []
+
+    def visit(words: list[int], j: int):
+        # words[v]: numerator of the mass of admissible length-j words ending in v
+        if j == n:
+            out.append(sum(words))
+            return
+        prefix = list(itertools.accumulate(words))
+        visit(list(map(operator.mul, weights, prefix)), j + 1)
+        visit([0, *map(operator.mul, weights[1:], prefix)], j + 1)
+
+    visit(weights, 1)
+    return out, den**n
 
 
 def _content_mass(bias, parts) -> Fraction:
@@ -329,35 +374,21 @@ def exact_distribution_pile_words(
 def mass_by_inverse_descents(n: int, bias) -> dict[frozenset[int], Fraction]:
     """Single-shuffle mass of a permutation, keyed by descent set of its inverse.
 
-    The mass of pi depends only on descent_set(pi^{-1}): it is the total
-    bias-word mass of weakly increasing pile words with strict rises forced
-    at those positions (the fundamental quasisymmetric function of that set,
-    evaluated at the bias).  The sweep runs on integer numerators over the
-    common denominator ``den`` of the bias, dividing once per class by
-    den^n, and drops zero-mass letters, which no counted word uses.  Classes
-    are the leaves of a depth-first trie over positions 1..n-1, so classes
-    that agree on {1..j-1} share their first j steps: about 2^n * a list
-    cells in all for a letters (a^k for a k-fold tensored bias), where one
-    sweep per class would take n * 2^(n-1) * a.
+    The mass of pi depends only on descent_set(pi^{-1}), a set that contains
+    n: it is the fundamental quasisymmetric function of that set evaluated
+    at the bias.  The integer class table of ``_kfold_classes`` at k = 1,
+    with its sweep budget, read back as one Fraction per class.
+
+    >>> classes = mass_by_inverse_descents(3, (Fraction(1, 2), Fraction(1, 2)))
+    >>> classes[frozenset({3})], classes[frozenset({1, 3})], classes[frozenset({1, 2, 3})]
+    (Fraction(1, 2), Fraction(1, 8), Fraction(0, 1))
     """
-    weights, den = _weights(validate_bias(bias))
-    if n == 0:
-        return {frozenset(): Fraction(1)}
-    weights = [w for w in weights if w]
-    scale = den**n
-    out: dict[frozenset[int], Fraction] = {}
-
-    def visit(words: list[int], j: int, strict: tuple[int, ...]):
-        # words[v]: numerator of the mass of admissible length-j words ending in v
-        if j == n:
-            out[frozenset((*strict, n))] = Fraction(sum(words), scale)
-            return
-        prefix = list(itertools.accumulate(words))
-        visit(list(map(operator.mul, weights, prefix)), j + 1, strict)
-        visit([0, *map(operator.mul, weights[1:], prefix)], j + 1, (*strict, j))
-
-    visit(weights, 1, ())
-    return out
+    numerators, scale = _kfold_classes(n, bias, 1)
+    return {
+        frozenset(i for i in range(1, n + 1) if i == n or index >> (n - 1 - i) & 1):
+            Fraction(m, scale)
+        for index, m in enumerate(numerators)
+    }
 
 
 def exact_kfold_distribution(
@@ -366,18 +397,23 @@ def exact_kfold_distribution(
     """Exact measure of k repeated shuffles, via the tensored bias.
 
     Avoids convolving S_n-sized tables: the k-fold measure is the single
-    shuffle with bias tensor_power(bias, k), and per-permutation masses
-    come from the inverse-descent-class sweep.  Des(pi^{-1}) is read off
-    the one-line form: i is in it iff i+1 sits left of i.
+    shuffle with bias tensor_power(bias, k), so it is constant on each
+    inverse-descent class.  The integer class table of ``_kfold_classes``
+    gives one Fraction per class, and each permutation of S_n takes its
+    class's by index: i is in Des(pi^{-1}) iff i+1 sits left of i.
     """
     _check_cap(n, max_n)
-    classes = mass_by_inverse_descents(n, _kfold_bias(n, bias, k))
+    numerators, scale = _kfold_classes(n, bias, k)
+    class_mass = [Fraction(m, scale) for m in numerators]
     masses: dict[Permutation, Fraction] = {}
     where = [0] * (n + 1)
     for perm in symmetric_group_list(n):
         for position, card in enumerate(perm.images):
             where[card] = position
-        m = classes[frozenset(i for i in range(1, n + 1) if i == n or where[i + 1] < where[i])]
+        index = 0
+        for i in range(1, n):
+            index = 2 * index + (where[i + 1] < where[i])
+        m = class_mass[index]
         if m:
             masses[perm] = m
     return ExactDistribution(n, masses)
@@ -386,22 +422,25 @@ def exact_kfold_distribution(
 def tv_to_uniform(n: int, bias, k: int = 1, *, max_n: int = DEFAULT_MAX_N) -> Fraction:
     """Exact distance from the k-fold shuffle to uniform, summed over classes.
 
-    The mass is constant on each inverse-descent class D, which holds
-    count_descent_exact(n, D) permutations, so the distance is
-    (1/2) sum_D |D| * |m_D - 1/n!| over 2^(n-1) classes, with no S_n
-    enumeration.  The caps are those of the S_n route, plus MAX_SWEEP_CELLS.
+    The mass N_D / S is constant on each inverse-descent class D, which holds
+    |D| = count_descent_exact(n, D) permutations, so the distance is
+    sum_D |D| * |N_D * n! - S| / (2 * S * n!) over 2^(n-1) classes, summed
+    on integers with no S_n enumeration.  The caps are those of the S_n
+    route, plus MAX_SWEEP_CELLS.
 
     >>> tv_to_uniform(3, (Fraction(1, 2), Fraction(1, 2)))
     Fraction(1, 3)
     """
-    spec = ShuffleSpec(n, bias, k)
     _check_cap(n, min(max_n, MAX_CACHED_N))
+    numerators, scale = _kfold_classes(n, bias, k)
     if n == 0:
         return Fraction(0)
-    uniform = Fraction(1, math.factorial(n))
-    classes = mass_by_inverse_descents(n, _kfold_bias(n, spec.bias, k))
-    gaps = (count_descent_exact(n, deset) * abs(m - uniform) for deset, m in classes.items())
-    return sum(gaps, Fraction(0)) / 2
+    fact = math.factorial(n)
+    total = 0
+    for index, m in enumerate(numerators):
+        deset = [i for i in range(1, n) if index >> (n - 1 - i) & 1] + [n]
+        total += count_descent_exact(n, deset) * abs(m * fact - scale)
+    return Fraction(total, 2 * scale * fact)
 
 
 def uniform_distribution(n: int) -> ExactDistribution:

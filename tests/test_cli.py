@@ -248,6 +248,17 @@ def test_report_above_cap_omits_exact(capsys):
     assert obj["lalley_lower_steps"] == pytest.approx(9.1509, abs=1e-3)
 
 
+def test_report_ends_the_exact_column_at_the_sweep_budget(capsys):
+    # rows 1-8 are within 2^8 * 3^8 cells; k = 9 is the first row over budget
+    code, out, err = run_cli(capsys, "report", "--n", "8", "--p", "1/3,1/3,1/3",
+                             "--k-max", "10", "--format", "json")
+    assert code == 0
+    assert err == ("note: exact_tv omitted from k=9 on: class sweep of 2^8 * 3^9 cells "
+                   "is above the budget of 2097152 cells\n")
+    rows = json.loads(out)["rows"]
+    assert [row["exact_tv"] is None for row in rows] == [False] * 8 + [True] * 2
+
+
 def test_verify_filtered_suites(capsys):
     code, out, err = run_cli(capsys, "verify", "--only", "lalley")
     assert code == 0
@@ -283,12 +294,22 @@ def test_verify_unknown_suite(capsys):
     ["report", "--n", "3", "--p", "1/2,1/2", "--n-max", "0"],
     ["tv", "--n", "10", "--p", "1/2,1/2", "--n-max", "12"],
     ["report", "--n", "10", "--p", "1/2,1/2", "--n-max", "10"],
+    ["dist", "--n", "-1", "--p", "1/2,1/2", "--k", "2"],
+    ["dist", "--n", "-1", "--p", "1/2,1/2"],
 ], ids=["report-k-max-negative", "report-k-max-zero", "verify-samples-zero",
         "verify-samples-negative", "verify-n-max-negative", "verify-n-max-9",
         "verify-n-max-10", "dist-n-max-zero", "tv-n-max-zero", "stats-n-max-zero",
-        "count-n-max-zero", "report-n-max-zero", "tv-above-s9", "report-above-s9"])
+        "count-n-max-zero", "report-n-max-zero", "tv-above-s9", "report-above-s9",
+        "dist-n-negative-k2", "dist-n-negative"])
 def test_bad_counts_are_refused(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("k", ["1", "2"])
+def test_negative_deck_size_is_named(capsys, k):
+    # k = 1 reached math.factorial(-1), k = 2 recursed without end
+    assert run_cli(capsys, "dist", "--n", "-1", "--p", "1/2,1/2", "--k", k) == \
+        (2, "", "error: negative deck size\n")

@@ -34,6 +34,9 @@ GOLDEN_SHA256 = [
      "9eafb9f2f731e63d522c54dadd749591093c501cf247ea348768c2e8c36f07cb"),
     (["report", "--n", "6", "--p", "0.4,0.6", "--k-max", "5"],
      "66d467d546cb4d4bca0500681cef33e24e88b558dc6c04f34b83090d68f517c0"),
+    # rows 9 and 10 are over the sweep budget: their exact column stays empty
+    (["report", "--n", "8", "--p", "1/3,1/3,1/3"],
+     "ff84cbc864b3ed6858b3a6e03d9ea1526c9f1d8d585711fd16667df022af798c"),
 ]
 
 METHODS = ("interleave", "drop", "geometric", "inverse")

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from riffle.permutations import Permutation, descent_set, symmetric_group_list
@@ -205,6 +205,10 @@ def test_kfold_sweep_is_refused_over_budget_before_tensoring():
     assert tv_to_uniform(6, FAIR, 15) > 0
     with pytest.raises(ValueError, match="budget of 2097152 cells"):
         tv_to_uniform(6, FAIR, 16)
+    # at n = 1 the budget admits 2^20 tensored letters, and the one class is uniform
+    assert tv_to_uniform(1, FAIR, 20) == 0
+    with pytest.raises(ValueError, match=r"2\^1 \* 2\^21 cells"):
+        tv_to_uniform(1, FAIR, 21)
 
 
 def test_kfold_sweep_counts_only_nonzero_letters():
@@ -229,6 +233,24 @@ def test_class_masses_match_pile_words_on_random_biases(bias, n):
     assert len(classes) == 2 ** max(n - 1, 0)
     for perm in symmetric_group_list(n):
         assert classes[descent_set(perm.inverse())] == dist.mass(perm)
+
+
+@given(bias=random_bias, n=st.integers(0, 4), k=st.integers(0, 2))
+@settings(max_examples=40, deadline=None)
+def test_kfold_classes_match_pile_words_of_the_tensored_bias(bias, n, k):
+    # the pile-word route never sees a descent class: an independent oracle
+    # for the integer class table behind both k-fold routes
+    assume(len(bias) ** (k * n) <= 4**4)
+    want = exact_distribution_pile_words(n, tensor_power(bias, k))
+    assert exact_kfold_distribution(n, bias, k) == want
+
+
+@given(bias=random_bias, n=st.integers(0, 5))
+@settings(max_examples=40, deadline=None)
+def test_per_permutation_routes_agree_on_random_biases(bias, n):
+    dist = exact_distribution(n, bias)
+    assert dist == exact_distribution_drops(n, bias)
+    assert dist == exact_distribution_pile_words(n, bias)
 
 
 @given(bias=random_bias, n=st.integers(0, 5), k=st.integers(0, 2))
