@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterable
-from itertools import combinations
 
 from .necklaces import _mobius, primitive_count
 from .permutations import (
@@ -30,10 +29,7 @@ def _comb0(m: int, k: int) -> int:
 
 def multinomial(parts: Iterable[int]) -> int:
     parts = tuple(parts)
-    out = math.factorial(sum(parts))
-    for b in parts:
-        out //= math.factorial(b)
-    return out
+    return math.factorial(sum(parts)) // math.prod(map(math.factorial, parts))
 
 
 def int_det(matrix: list[list[int]]) -> int:
@@ -88,20 +84,46 @@ def count_descent_subset(parts: Iterable[int]) -> int:
     return multinomial(parts)
 
 
+# Largest number of inclusion-exclusion terms, 2^(|J|-1), the ie routes walk.
+MAX_IE_TERMS = 2**18
+
+
 def _descent_inclusion_exclusion(
     n: int, deset: Iterable[int], term: Callable[[tuple[int, ...]], int]
 ) -> int:
     """sum_{K subseteq J, n in K} (-1)^(|J|-|K|) term(C(K)), with C(K) the
     gap composition of K: inverts a count over descent sets inside K into
-    a count over descent set exactly J."""
+    a count over descent set exactly J.
+
+    The 2^(|J|-1) sets K are walked depth first over the points of J in
+    order, keeping or merging each one, on one list of gaps, so each term
+    costs one ``term`` call; the walk is refused above MAX_IE_TERMS terms
+    before it starts.
+    """
     js = _validate_descent_set(n, deset)
-    inner = sorted(js - {n})
-    total = 0
-    for r in range(len(inner) + 1):
-        for chosen in combinations(inner, r):
-            k = set(chosen) | {n}
-            total += (-1) ** (len(js) - len(k)) * term(descent_composition(k, n))
-    return total
+    if 2 ** (len(js) - 1) > MAX_IE_TERMS:
+        raise ValueError(
+            f"inclusion-exclusion over 2^{len(js) - 1} subsets of J is above "
+            f"the budget of {MAX_IE_TERMS} terms"
+        )
+    points = sorted(js)
+    last = len(points) - 1
+    parts: list[int] = []
+
+    def walk(i: int, start: int) -> int:
+        # signed sum over the choices for points[i:], the last cut at ``start``
+        if i == last:
+            parts.append(n - start)
+            value = term(tuple(parts))
+            parts.pop()
+            return value
+        cut = points[i]
+        parts.append(cut - start)
+        kept = walk(i + 1, cut)
+        parts.pop()
+        return kept - walk(i + 1, start)
+
+    return walk(0, 0)
 
 
 def _binomial_det(n: int, positions: list[int], d: int) -> int:
@@ -119,6 +141,9 @@ def count_descent_exact(n: int, deset: Iterable[int]) -> int:
     contain n), by inclusion-exclusion over subsets:
 
         sum_{K subseteq J, n in K} (-1)^(|J|-|K|) multinomial(C(K))
+
+    >>> count_descent_exact(4, {2, 4}), count_descent_exact(4, {1, 2, 3, 4})
+    (5, 1)
     """
     return _descent_inclusion_exclusion(n, deset, multinomial)
 
@@ -168,44 +193,54 @@ def ncycles_descent_det(n: int, deset: Iterable[int]) -> int:
 
 def count_symmetric_matrices(row_sums: Iterable[int]) -> int:
     """Symmetric r x r matrices with non-negative integer entries and the
-    given row sums, counted by filling the upper triangle row by row."""
+    given row sums, counted by filling the upper triangle row by row.
+
+    Filling a row leaves the rows below it with smaller row sums and the
+    same problem, so the count for each tuple of remaining row sums of the
+    unfilled rows is kept in a memo local to the call.
+
+    >>> count_symmetric_matrices((1, 1)), count_symmetric_matrices((2, 1, 1))
+    (2, 5)
+    """
     sums = tuple(row_sums)
-    r = len(sums)
     if any(s < 0 for s in sums):
         raise ValueError(f"negative row sum in {sums}")
+    memo: dict[tuple[int, ...], int] = {}
 
-    def fill(row: int, lower_contrib: list[int]) -> int:
-        if row == r:
+    def fill(rest: tuple[int, ...]) -> int:
+        # rest: remaining row sums of the unfilled rows; fill the first one
+        if not rest:
             return 1
-        budget = sums[row] - lower_contrib[row]
-        if budget < 0:
-            return 0
+        if rest in memo:
+            return memo[rest]
+        head, tail = rest[0], rest[1:]
+        below = list(tail)
         total = 0
-        free = r - row  # entries X[row][row..r-1]
 
         def spread(col: int, left: int):
             nonlocal total
-            if col == r:
-                if left == 0:
-                    total += fill(row + 1, lower_contrib)
+            if col == len(tail):
+                total += fill(tuple(below))  # the diagonal entry takes what is left
                 return
-            upper = left
-            for value in range(upper + 1):
-                if col > row:
-                    lower_contrib[col] += value
+            for value in range(min(left, tail[col]) + 1):
+                below[col] = tail[col] - value
                 spread(col + 1, left - value)
-                if col > row:
-                    lower_contrib[col] -= value
+            below[col] = tail[col]
 
-        spread(row, budget)
+        spread(0, head)
+        memo[rest] = total
         return total
 
-    return fill(0, [0] * r)
+    return fill(sums)
 
 
 def involutions_descent_subset(n: int, kset: Iterable[int]) -> int:
     """Involutions of S_n with descent set contained in ``kset`` (which must
     contain n), counted as symmetric matrices with row sums given by the
-    gap composition of ``kset``."""
+    gap composition of ``kset``.
+
+    >>> involutions_descent_subset(3, {1, 3}), involutions_descent_subset(4, {1, 2, 3, 4})
+    (2, 10)
+    """
     ks = _validate_descent_set(n, kset)
     return count_symmetric_matrices(descent_composition(ks, n))

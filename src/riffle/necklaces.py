@@ -24,10 +24,9 @@ from functools import lru_cache
 
 from .permutations import (
     Permutation,
-    cycles,
-    descent_set,
     partial_sums,
     standard_permutation,
+    standard_ranks,
 )
 
 DEFAULT_MAX_N = 16
@@ -81,10 +80,21 @@ def necklace_decomposition(word: Iterable[int]) -> NecklaceMultiset:
     always equals the cycle type of ``standardize(word)``.
     """
     word = tuple(word)
-    st = standardize(word)
+    if not word:
+        raise ValueError("empty word")
+    ranks = standard_ranks(word)
+    seen = [False] * len(word)
     out: NecklaceMultiset = Counter()
-    for cyc in cycles(st):
-        out[min_rotation(word[j - 1] for j in cyc)] += 1
+    for start in range(len(word)):
+        if seen[start]:
+            continue
+        letters_around = []
+        j = start
+        while not seen[j]:
+            seen[j] = True
+            letters_around.append(word[j])
+            j = ranks[j] - 1
+        out[min_rotation(letters_around)] += 1
     return out
 
 
@@ -100,21 +110,27 @@ def word_from_permutation(perm: Permutation, parts: Iterable[int]) -> Word:
     """
     parts = tuple(parts)
     psums = partial_sums(parts)
-    if perm.n != (psums[-1] if psums else 0):
-        raise ValueError(f"parts {parts} do not sum to n={perm.n}")
-    allowed = set(psums) | {perm.n}
-    bad = descent_set(perm.inverse()) - allowed
+    n = perm.n
+    if n != (psums[-1] if psums else 0):
+        raise ValueError(f"parts {parts} do not sum to n={n}")
+    # position[v] is where value v sits; v is an inverse descent when v + 1 sits before it
+    position = [0] * (n + 1)
+    for j, value in enumerate(perm.images):
+        position[value] = j
+    allowed = set(psums)
+    bad = [v for v in range(1, n) if position[v] > position[v + 1] and v not in allowed]
     if bad:
         raise ValueError(
             f"no word with content {parts} standardizes to {perm}: "
-            f"inverse descent at {sorted(bad)}"
+            f"inverse descent at {bad}"
         )
-    word = []
-    for j in range(1, perm.n + 1):
-        value = perm(j)
-        block = next(i for i, b in enumerate(psums, start=1) if value <= b)
-        word.append(block)
-    return tuple(word)
+    # block[v - 1]: the first block whose partial sum reaches v
+    block, i = [], 0
+    for v in range(1, n + 1):
+        while psums[i] < v:
+            i += 1
+        block.append(i + 1)
+    return tuple(block[value - 1] for value in perm.images)
 
 
 def ubar_forward(perm: Permutation, parts: Iterable[int]) -> NecklaceMultiset:
@@ -163,18 +179,15 @@ def primitive_count(parts: Iterable[int]) -> int:
     n = sum(parts)
     if n == 0:
         raise ValueError("all letter counts are zero")
-    total = 0
+    factorial = math.factorial
+    total = factorial(n) // math.prod(map(factorial, parts))  # the d = 1 term
     g = math.gcd(*parts)
-    for d in range(1, g + 1):
+    for d in range(2, g + 1):
         if g % d:
             continue
         mu = _mobius(d)
-        if mu == 0:
-            continue
-        term = math.factorial(n // d)
-        for r in parts:
-            term //= math.factorial(r // d)
-        total += mu * term
+        if mu:
+            total += mu * (factorial(n // d) // math.prod([factorial(r // d) for r in parts]))
     if total % n:
         raise ArithmeticError(f"necklace sum {total} for {parts} is not divisible by {n}")
     return total // n

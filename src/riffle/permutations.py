@@ -42,6 +42,14 @@ class Permutation:
             raise ValueError(f"not a permutation of 1..{len(imgs)}: {imgs!r}")
         object.__setattr__(self, "images", imgs)
 
+    @classmethod
+    def _unchecked(cls, images: tuple[int, ...]) -> "Permutation":
+        """Wrap a tuple already known to be a permutation of 1..n, skipping
+        the check in ``__init__``."""
+        perm = object.__new__(cls)
+        object.__setattr__(perm, "images", images)
+        return perm
+
     @property
     def n(self) -> int:
         return len(self.images)
@@ -235,8 +243,8 @@ def is_n_cycle(p: Permutation) -> bool:
 
 def symmetric_group(n: int) -> Iterator[Permutation]:
     """Iterate all of S_n (n! elements; S_0 is the single empty permutation)."""
-    for images in itertools.permutations(range(1, n + 1)):
-        yield Permutation(images)
+    # itertools.permutations yields permutations of 1..n by construction
+    return map(Permutation._unchecked, itertools.permutations(range(1, n + 1)))
 
 
 @lru_cache(maxsize=8)

@@ -194,6 +194,8 @@ class ExactDistribution:
 
 
 def _check_cap(n: int, max_n: int):
+    if n < 0:
+        raise ValueError("negative deck size")
     if n > max_n:
         raise ValueError(f"n={n} above enumeration cap {max_n}")
 

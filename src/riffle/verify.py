@@ -11,22 +11,22 @@ that need an independent test-only oracle (scipy, numpy).
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from functools import lru_cache
 
 from . import counting, genfuncs, necklaces, shuffles
 from .permutations import (
+    MAX_CACHED_N,
     Permutation,
     compositions,
     count_inversions,
     cycle_type,
     descent_set,
-    is_involution,
-    is_n_cycle,
     partial_sums,
     symmetric_group_list,
     weak_compositions,
@@ -355,25 +355,59 @@ def check_fixed_points(config: VerifyConfig) -> CheckResult:
     return _ok(name, f"fixed-point PGFs exact for n <= {config.n_max}")
 
 
+@lru_cache(maxsize=None)
+def _descent_table(n: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """Brute force over all of S_n: how many permutations, n-cycles and
+    involutions have each descent set, as three tuples indexed by the set's
+    bitmask (position i is bit i-1, so bit n-1 is always set)."""
+    if n > MAX_CACHED_N:
+        raise ValueError(f"n={n} above enumeration cap {MAX_CACHED_N}")
+    counts, ncycles, involutions = ([0] * 2**n for _ in range(3))
+    top = 1 << (n - 1)
+    for images in itertools.permutations(range(n)):  # images 0..n-1
+        mask = top
+        for i in range(n - 1):
+            if images[i] > images[i + 1]:
+                mask |= 1 << i
+        counts[mask] += 1
+        # an n-cycle is one whose cycle through 0 has length n
+        length, j = 1, images[0]
+        while j:
+            j = images[j]
+            length += 1
+        if length == n:
+            ncycles[mask] += 1
+        # an involution sends each image back: p(p(i)) = i
+        for i, x in enumerate(images):
+            if images[x] != i:
+                break
+        else:
+            involutions[mask] += 1
+    return tuple(counts), tuple(ncycles), tuple(involutions)
+
+
+def _descent_subsets(n: int):
+    """(J, bitmask of J) for every descent set J of S_n, each containing n."""
+    for r in range(n):
+        for inner in itertools.combinations(range(1, n), r):
+            deset = frozenset(inner) | {n}
+            yield deset, sum(1 << (j - 1) for j in deset)
+
+
 @_suite("descent-counts")
 def check_descent_counts(config: VerifyConfig) -> CheckResult:
     """Inclusion-exclusion and determinant descent counts against brute force."""
     name = "descent-counts"
     for n in range(1, config.count_n_max + 1):
-        buckets: dict[frozenset, int] = {}
-        for p in symmetric_group_list(n):
-            key = descent_set(p)
-            buckets[key] = buckets.get(key, 0) + 1
+        buckets = _descent_table(n)[0]
         total = 0
-        for r in range(n):
-            for inner in combinations(range(1, n), r):
-                deset = frozenset(inner) | {n}
-                want = buckets.get(deset, 0)
-                ie = counting.count_descent_exact(n, deset)
-                det = counting.count_descent_det(n, inner)
-                if not (ie == det == want):
-                    return _fail(name, f"n={n}, J={sorted(deset)}: ie={ie}, det={det}, brute={want}")
-                total += ie
+        for deset, mask in _descent_subsets(n):
+            want = buckets[mask]
+            ie = counting.count_descent_exact(n, deset)
+            det = counting.count_descent_det(n, sorted(deset - {n}))
+            if not (ie == det == want):
+                return _fail(name, f"n={n}, J={sorted(deset)}: ie={ie}, det={det}, brute={want}")
+            total += ie
         if total != math.factorial(n):
             return _fail(name, f"counts do not sum to {n}! at n={n}")
     return _ok(name, f"ie = det = brute for all descent sets, n <= {config.count_n_max}")
@@ -384,24 +418,16 @@ def check_ncycle_counts(config: VerifyConfig) -> CheckResult:
     """Both n-cycle descent formulas against brute force."""
     name = "ncycle-counts"
     for n in range(1, config.count_n_max + 1):
-        buckets: dict[frozenset, int] = {}
-        ncycles = 0
-        for p in symmetric_group_list(n):
-            if is_n_cycle(p):
-                ncycles += 1
-                key = descent_set(p)
-                buckets[key] = buckets.get(key, 0) + 1
+        buckets = _descent_table(n)[1]
         total = 0
-        for r in range(n):
-            for inner in combinations(range(1, n), r):
-                deset = frozenset(inner) | {n}
-                want = buckets.get(deset, 0)
-                ie = counting.ncycles_descent_ie(n, deset)
-                det = counting.ncycles_descent_det(n, deset)
-                if not (ie == det == want):
-                    return _fail(name, f"n={n}, J={sorted(deset)}: ie={ie}, det={det}, brute={want}")
-                total += ie
-        if total != ncycles:
+        for deset, mask in _descent_subsets(n):
+            want = buckets[mask]
+            ie = counting.ncycles_descent_ie(n, deset)
+            det = counting.ncycles_descent_det(n, deset)
+            if not (ie == det == want):
+                return _fail(name, f"n={n}, J={sorted(deset)}: ie={ie}, det={det}, brute={want}")
+            total += ie
+        if total != sum(buckets):
             return _fail(name, f"n-cycle counts do not sum at n={n}")
     return _ok(name, f"ie = det = brute over n-cycles, n <= {config.count_n_max}")
 
@@ -411,14 +437,14 @@ def check_involution_counts(config: VerifyConfig) -> CheckResult:
     """Symmetric-matrix enumeration against brute-force involution counts."""
     name = "involution-counts"
     for n in range(1, config.count_n_max + 1):
-        involutions = [p for p in symmetric_group_list(n) if is_involution(p)]
-        for r in range(n):
-            for inner in combinations(range(1, n), r):
-                kset = frozenset(inner) | {n}
-                want = sum(1 for p in involutions if descent_set(p) <= kset)
-                got = counting.involutions_descent_subset(n, kset)
-                if got != want:
-                    return _fail(name, f"n={n}, K={sorted(kset)}: {got} != {want}")
+        involutions = [
+            (mask, count) for mask, count in enumerate(_descent_table(n)[2]) if count
+        ]
+        for kset, kmask in _descent_subsets(n):
+            want = sum(count for mask, count in involutions if not mask & ~kmask)
+            got = counting.involutions_descent_subset(n, kset)
+            if got != want:
+                return _fail(name, f"n={n}, K={sorted(kset)}: {got} != {want}")
     return _ok(name, f"matrix count = involution count, n <= {config.count_n_max}")
 
 

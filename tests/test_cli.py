@@ -193,6 +193,17 @@ def test_tv_of_forty_fair_shuffles_is_refused_before_tensoring(capsys):
     assert "2^6 * 2^40 cells" in err
 
 
+def test_count_ie_over_its_term_budget_is_refused_before_walking(capsys):
+    j = ",".join(str(i) for i in range(1, 41))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "count", "--n", "40", "--j", j, "--method", "ie")
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "2^39 subsets" in err
+
+
 def test_arithmetic_errors_exit_3_without_traceback(capsys, monkeypatch):
     def no_divide(n, deset):
         raise ArithmeticError(f"divisor sum not divisible by n={n}")

@@ -1,11 +1,12 @@
 import math
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from riffle.counting import (
+    MAX_IE_TERMS,
     brute_count,
     count_descent_det,
     count_descent_exact,
@@ -17,6 +18,7 @@ from riffle.counting import (
     ncycles_descent_ie,
 )
 from riffle.necklaces import primitive_count
+from riffle.verify import _descent_table
 from riffle.permutations import (
     descent_composition,
     descent_set,
@@ -164,6 +166,43 @@ def test_involution_counts_match_brute_force(n):
         assert involutions_descent_subset(n, kset) == want
 
 
+def _symmetric_matrices_by_brute_force(row_sums):
+    """Choose every off-diagonal entry; the diagonal then takes what is left."""
+    r = len(row_sums)
+    pairs = list(combinations(range(r), 2))
+    count = 0
+    for values in product(
+        *(range(min(row_sums[i], row_sums[j]) + 1) for i, j in pairs)
+    ):
+        off = [0] * r
+        for (i, j), x in zip(pairs, values):
+            off[i] += x
+            off[j] += x
+        count += all(o <= s for o, s in zip(off, row_sums))
+    return count
+
+
+@given(st.lists(st.integers(0, 4), max_size=4))
+@settings(max_examples=150)
+def test_symmetric_matrix_count_matches_brute_force(row_sums):
+    assert count_symmetric_matrices(row_sums) == _symmetric_matrices_by_brute_force(row_sums)
+
+
+def test_ie_and_det_agree_on_every_descent_set_at_ten():
+    n = 10
+    for deset in all_descent_sets(n):
+        assert count_descent_exact(n, deset) == count_descent_det(n, sorted(deset - {n}))
+        assert ncycles_descent_ie(n, deset) == ncycles_descent_det(n, deset)
+
+
+def test_inclusion_exclusion_is_refused_over_its_term_budget():
+    n = MAX_IE_TERMS.bit_length() + 1  # 2^(n-1) terms for J = {1..n}
+    with pytest.raises(ValueError, match=f"2\\^{n - 1} subsets"):
+        count_descent_exact(n, range(1, n + 1))
+    with pytest.raises(ValueError, match="budget"):
+        ncycles_descent_ie(n, range(1, n + 1))
+
+
 # --- universal oracle --------------------------------------------------------
 
 def test_brute_count_examples():
@@ -173,3 +212,15 @@ def test_brute_count_examples():
     assert brute_count(1, lambda p: True) == 1
     with pytest.raises(ValueError):
         brute_count(9, is_n_cycle)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_verify_brute_table_matches_the_permutation_predicates(n):
+    # the table the verify suites check against, rebuilt from Permutation
+    counts, ncycles, involutions = ([0] * 2**n for _ in range(3))
+    for p in symmetric_group_list(n):
+        mask = sum(1 << (i - 1) for i in descent_set(p))
+        counts[mask] += 1
+        ncycles[mask] += is_n_cycle(p)
+        involutions[mask] += is_involution(p)
+    assert _descent_table(n) == (tuple(counts), tuple(ncycles), tuple(involutions))

@@ -2,6 +2,7 @@ import doctest
 
 import pytest
 
+import riffle.counting
 import riffle.genfuncs
 import riffle.necklaces
 import riffle.permutations
@@ -11,7 +12,14 @@ import riffle.shuffles
 
 @pytest.mark.parametrize(
     "module",
-    [riffle.permutations, riffle.qpoly, riffle.necklaces, riffle.shuffles, riffle.genfuncs],
+    [
+        riffle.permutations,
+        riffle.qpoly,
+        riffle.necklaces,
+        riffle.counting,
+        riffle.shuffles,
+        riffle.genfuncs,
+    ],
 )
 def test_module_doctests(module):
     failures, tested = doctest.testmod(module)

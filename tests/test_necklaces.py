@@ -107,6 +107,21 @@ def test_word_from_permutation_requires_inverse_descents_inside():
         word_from_permutation(Permutation([1, 2]), (3,))
 
 
+@pytest.mark.parametrize("n", range(1, 6))
+def test_word_from_permutation_names_the_inverse_descents_outside(n):
+    for parts in compositions(n):
+        allowed = set(partial_sums(parts))
+        for p in symmetric_group_list(n):
+            bad = descent_set(p.inverse()) - allowed
+            if not bad:
+                continue
+            want = (f"no word with content {parts} standardizes to {p}: "
+                    f"inverse descent at {sorted(bad)}")
+            with pytest.raises(ValueError) as raised:
+                word_from_permutation(p, parts)
+            assert str(raised.value) == want
+
+
 def test_word_round_trips_through_standardize():
     parts = (2, 3)
     allowed = set(partial_sums(parts))

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from riffle.permutations import (
     descent_set,
     inversions,
     partial_sums,
+    symmetric_group,
     symmetric_group_list,
     weak_compositions,
 )
@@ -82,6 +84,13 @@ def test_cycle_type_conjugation_invariant(p, rnd):
     rnd.shuffle(images)
     sigma = Permutation(images)
     assert cycle_type(sigma * p * sigma.inverse()) == cycle_type(p)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_symmetric_group_equals_validated_construction(n):
+    built = list(symmetric_group(n))
+    assert built == [Permutation(t) for t in itertools.permutations(range(1, n + 1))]
+    assert all(type(p.images) is tuple for p in built)
 
 
 def test_invert_examples():

@@ -119,6 +119,14 @@ def test_enumeration_cap():
     exact_distribution(9, FAIR, max_n=9)  # override allowed
 
 
+@pytest.mark.parametrize(
+    "route", [exact_distribution, exact_distribution_drops, exact_distribution_pile_words]
+)
+def test_negative_deck_size_is_named_by_every_exact_route(route):
+    with pytest.raises(ValueError, match="^negative deck size$"):
+        route(-1, FAIR)
+
+
 def test_mass_depends_only_on_inverse_descents():
     bias = (F(1, 3), F(2, 3))
     classes = mass_by_inverse_descents(4, bias)
