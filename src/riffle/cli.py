@@ -23,11 +23,7 @@ def frac_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def _common_flags(parser: argparse.ArgumentParser):
-    parser.add_argument("--seed", type=int, default=None, help="64-bit RNG seed")
-    parser.add_argument(
-        "--format", choices=("json", "csv", "lines"), default=None, help="output format"
-    )
+def _add_n_max(parser: argparse.ArgumentParser):
     parser.add_argument(
         "--n-max", type=int, default=None, help="override the exact-enumeration cap"
     )
@@ -47,21 +43,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=1, help="number of repeated shuffles")
     p.add_argument("--samples", type=int, default=1)
     p.add_argument("--method", choices=shuffles.SAMPLE_METHODS, default="inverse")
-    _common_flags(p)
+    p.add_argument("--seed", type=int, default=None, help="64-bit RNG seed")
+    p.add_argument(
+        "--format", choices=("lines", "json", "csv"), default="lines", help="output format"
+    )
     p.set_defaults(handler=cmd_sample)
 
     p = sub.add_parser("dist", help="exact distribution of the shuffle on S_n")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", required=True)
     p.add_argument("--k", type=int, default=1)
-    _common_flags(p)
+    p.add_argument("--format", choices=("json", "csv"), default="json", help="output format")
+    _add_n_max(p)
     p.set_defaults(handler=cmd_dist)
 
     p = sub.add_parser("tv", help="exact distance to uniform, with the upper bound")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", required=True)
     p.add_argument("--k", type=int, default=1)
-    _common_flags(p)
+    _add_n_max(p)
     p.set_defaults(handler=cmd_tv)
 
     p = sub.add_parser("stats", help="exact shuffle statistics and generating functions")
@@ -73,34 +73,35 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("fixed-points", "inversions", "descents", "cycle-pgf", "inv-pgf"),
         required=True,
     )
-    _common_flags(p)
+    _add_n_max(p)
     p.set_defaults(handler=cmd_stats)
 
     p = sub.add_parser("count", help="permutations and n-cycles by descent set")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--j", required=True, help="descent set containing n, e.g. 1,3")
     p.add_argument("--method", choices=("ie", "det", "brute"), default="ie")
-    _common_flags(p)
+    _add_n_max(p)
     p.set_defaults(handler=cmd_count)
 
     p = sub.add_parser("bijection", help="standardize a word / map a permutation to necklaces")
     p.add_argument("--word", help="comma-separated letters, e.g. 2,2,1,1")
     p.add_argument("--perm", help="one-line permutation, e.g. 3,1,2")
     p.add_argument("--parts", help="letter content for --perm, e.g. 1,2")
-    _common_flags(p)
     p.set_defaults(handler=cmd_bijection)
 
     p = sub.add_parser("report", help="table of mixing bounds and exact distances over k")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", required=True)
     p.add_argument("--k-max", type=int, default=10)
-    _common_flags(p)
+    p.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
+    _add_n_max(p)
     p.set_defaults(handler=cmd_report)
 
     p = sub.add_parser("verify", help="run the self-verification suites")
     p.add_argument("--only", default=None, help="run suites whose name contains this string")
     p.add_argument("--samples", type=int, default=20000)
-    _common_flags(p)
+    p.add_argument("--seed", type=int, default=None, help="64-bit RNG seed")
+    _add_n_max(p)
     p.set_defaults(handler=cmd_verify)
 
     return parser
@@ -113,12 +114,11 @@ def cmd_sample(args) -> int:
         raise ValueError("--samples must be at least 1")
     spec = ShuffleSpec(args.n, parse_bias(args.p), args.k)
     rng = shuffles.substream(args.seed, 0)
-    fmt = args.format or "lines"
     for _ in range(args.samples):
         perm = shuffles.sample(spec, args.method, rng)
-        if fmt == "json":
+        if args.format == "json":
             print(json.dumps(list(perm.images)))
-        elif fmt == "csv":
+        elif args.format == "csv":
             print(",".join(map(str, perm.images)))
         else:
             print(" ".join(map(str, perm.images)))
@@ -148,7 +148,7 @@ def _kfold_distribution(n, bias, k, max_n):
 
 def cmd_dist(args) -> int:
     dist = _kfold_distribution(args.n, parse_bias(args.p), args.k, _n_max(args))
-    if (args.format or "json") == "csv":
+    if args.format == "csv":
         print("perm,p")
         for perm, mass in sorted(dist.masses.items()):
             print(f"{' '.join(map(str, perm.images))},{frac_str(mass)}")
@@ -278,7 +278,8 @@ def cmd_report(args) -> int:
     lalley = None
     if len(bias) == 2 and 0 < bias[0] < 1 and n >= 2:
         lalley = shuffles.lalley_lower_steps(n, bias[0])
-    ssq = ShuffleSpec(n, bias).sum_squares()
+    sums, scale = shuffles._power_sums(bias, 2)
+    ssq = Fraction(sums[2], scale**2)
     suffices = None
     if ssq < 1 and n >= 2:
         suffices = 2 * math.log(n) / math.log(1 / ssq)
@@ -292,7 +293,7 @@ def cmd_report(args) -> int:
             exact_ok = False
         exact_tv = shuffles.tv_to_uniform(n, bias, k, max_n=max_n) if exact_ok else None
         rows.append((k, bound, exact_tv))
-    if (args.format or "csv") == "json":
+    if args.format == "json":
         print(
             json.dumps(
                 {

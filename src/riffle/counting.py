@@ -15,6 +15,7 @@ from .necklaces import _mobius, primitive_count
 from .permutations import (
     DEFAULT_MAX_N,
     Permutation,
+    check_size,
     descent_composition,
     symmetric_group_list,
 )
@@ -64,8 +65,7 @@ def brute_count(
     n: int, predicate: Callable[[Permutation], bool], *, max_n: int = DEFAULT_MAX_N
 ) -> int:
     """Count permutations in S_n satisfying a predicate, by full iteration."""
-    if n > max_n:
-        raise ValueError(f"n={n} above enumeration cap {max_n}")
+    check_size(n, cap=max_n)
     return sum(1 for p in symmetric_group_list(n) if predicate(p))
 
 
@@ -154,6 +154,7 @@ def count_descent_det(n: int, j_positions: Iterable[int]) -> int:
     Builds the (k+1) x (k+1) matrix with entries C(n - j_l, j_{m+1} - j_l)
     for j_0 = 0 and j_{k+1} = n, and takes its exact determinant.
     """
+    check_size(n)
     js = sorted(j_positions)
     if any(j < 1 or j > n - 1 for j in js):
         raise ValueError(f"positions must lie in 1..{n - 1}: {js}")

@@ -18,9 +18,10 @@ import math
 from collections import Counter
 from fractions import Fraction
 
-from .necklaces import _mobius
+from .necklaces import _mobius, enumerate_primitive_multisets, length_multiset
 from .permutations import (
     DEFAULT_MAX_N,
+    check_size,
     cycle_type,
     cycle_type_key,
     descent_set,
@@ -118,10 +119,7 @@ def cycle_structure_pgf(
     Fraction(1, 4)
     """
     bias = validate_bias(bias)
-    if k < 0:
-        raise ValueError("negative k")
-    if n > max_n:
-        raise ValueError(f"n={n} above series cap {max_n}")
+    check_size(n, k=k, cap=max_n)
     sums, scale = _power_sums(bias, n, k)
     psum = [Fraction(x, scale**e) for e, x in enumerate(sums)]
 
@@ -160,10 +158,7 @@ def _add_cycles(key: CycleTypeKey, length: int, count: int) -> CycleTypeKey:
 def cycle_pgf_from_distribution(dist: ExactDistribution) -> CyclePolynomial:
     """The same joint PGF read directly off an exact distribution."""
     terms: dict[CycleTypeKey, Fraction] = {}
-    for perm in symmetric_group_list(dist.n):
-        mass = dist.mass(perm)
-        if mass == 0:
-            continue
+    for perm, mass in dist.masses.items():
         key = cycle_type_key(cycle_type(perm))
         terms[key] = terms.get(key, Fraction(0)) + mass
     return CyclePolynomial(dist.n, terms)
@@ -179,7 +174,7 @@ def expected_fixed_points(spec: ShuffleSpec) -> Fraction:
     return Fraction(sum(sums[j] * scale ** (n - j) for j in range(1, n + 1)), scale**n)
 
 
-def fixed_point_pgf(n: int, bias, k: int = 1, *, max_n: int = DEFAULT_MAX_N) -> tuple[Fraction, ...]:
+def fixed_point_pgf(n: int, bias, k: int = 1) -> tuple[Fraction, ...]:
     """PGF of the fixed-point count after k shuffles; entry m is P(N_1 = m).
 
     Fixed points are 1-cycles, so this is the N_1 marginal of
@@ -187,18 +182,15 @@ def fixed_point_pgf(n: int, bias, k: int = 1, *, max_n: int = DEFAULT_MAX_N) -> 
     1/(1-y) * prod_i (1 - p_i y) / (1 - p_i x y) over the tensored letters.
     """
     coeffs = [Fraction(0)] * (n + 1)
-    for key, c in cycle_structure_pgf(n, bias, k, max_n=max_n).terms.items():
+    for key, c in cycle_structure_pgf(n, bias, k).terms.items():
         coeffs[dict(key).get(1, 0)] += c
     return tuple(coeffs)
 
 
 def fixed_point_pgf_from_distribution(dist: ExactDistribution) -> tuple[Fraction, ...]:
     coeffs = [Fraction(0)] * (dist.n + 1)
-    for perm in symmetric_group_list(dist.n):
-        mass = dist.mass(perm)
-        if mass:
-            fixed = sum(1 for i in range(1, dist.n + 1) if perm(i) == i)
-            coeffs[fixed] += mass
+    for perm, mass in dist.masses.items():
+        coeffs[sum(1 for i, x in enumerate(perm.images, start=1) if i == x)] += mass
     return tuple(coeffs)
 
 
@@ -223,10 +215,7 @@ def inversion_pgf(n: int, bias, k: int = 1, *, max_n: int = DEFAULT_MAX_N) -> QP
     True
     """
     bias = validate_bias(bias)
-    if k < 0:
-        raise ValueError("negative k")
-    if n > max_n:
-        raise ValueError(f"n={n} above series cap {max_n}")
+    check_size(n, k=k, cap=max_n)
     sums, scale = _power_sums(bias, n, k)
     # poch[m] = integer coefficients of (q;q)_m = (1-q)(1-q^2)...(1-q^m)
     poch = [[1]]
@@ -266,8 +255,7 @@ def inversion_pgf_from_compositions(
     permutations it can produce, which is the q-multinomial.
     """
     bias = validate_bias(bias)
-    if n > max_n:
-        raise ValueError(f"n={n} above series cap {max_n}")
+    check_size(n, cap=max_n)
     total = QPolynomial.zero()
     for parts in weak_compositions(n, len(bias)):
         weight = _content_mass(bias, parts)
@@ -292,7 +280,8 @@ def expected_inversions(spec: ShuffleSpec) -> Fraction:
     Each pair of cards is inverted with probability half the chance their
     pile-assignment histories differ.
     """
-    return Fraction(math.comb(spec.n, 2), 2) * (1 - spec.sum_squares() ** spec.k)
+    sums, scale = _power_sums(spec.bias, 2, spec.k)
+    return Fraction(math.comb(spec.n, 2), 2) * (1 - Fraction(sums[2], scale**2))
 
 
 def expected_descents(spec: ShuffleSpec) -> Fraction:
@@ -303,7 +292,8 @@ def expected_descents(spec: ShuffleSpec) -> Fraction:
     """
     if spec.n < 1:
         raise ValueError("need n >= 1")
-    return 1 + Fraction(spec.n - 1, 2) * (1 - spec.sum_squares() ** spec.k)
+    sums, scale = _power_sums(spec.bias, 2, spec.k)
+    return 1 + Fraction(spec.n - 1, 2) * (1 - Fraction(sums[2], scale**2))
 
 
 def euler_identity_residual(x: float, q: float, terms: int) -> float:
@@ -331,7 +321,7 @@ def euler_identity_residual(x: float, q: float, terms: int) -> float:
     return abs(product - total)
 
 
-def translate_identity_check(n: int, a: int, *, max_n: int = 7) -> bool:
+def translate_identity_check(n: int, a: int) -> bool:
     """Verify that descent-restricted cycle-type counts match multiset-of-
     primitive-necklace counts, for every content of n letters from an
     a-letter alphabet and every cycle type.
@@ -339,10 +329,7 @@ def translate_identity_check(n: int, a: int, *, max_n: int = 7) -> bool:
     Both sides are enumerated independently: permutations on the left,
     necklace multisets on the right.
     """
-    from .necklaces import enumerate_primitive_multisets, length_multiset
-
-    if n > max_n:
-        raise ValueError(f"n={n} above enumeration cap {max_n}")
+    check_size(n, cap=DEFAULT_MAX_N)
     perms = symmetric_group_list(n)
     stats = [(descent_set(p), cycle_type_key(cycle_type(p))) for p in perms]
     for parts in weak_compositions(n, a):

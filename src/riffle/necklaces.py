@@ -16,6 +16,7 @@ is what makes the shuffle-measure cycle counting work.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 import operator
 from collections import Counter
@@ -24,12 +25,14 @@ from functools import lru_cache
 
 from .permutations import (
     Permutation,
+    check_size,
     partial_sums,
     standard_permutation,
     standard_ranks,
 )
 
-DEFAULT_MAX_N = 16
+# Longest necklace enumerate_primitive_necklaces lists.
+MAX_NECKLACE_LENGTH = 16
 
 Word = tuple[int, ...]
 Necklace = tuple[int, ...]
@@ -108,7 +111,7 @@ def word_from_permutation(perm: Permutation, parts: Iterable[int]) -> Word:
     >>> word_from_permutation(Permutation([2, 3, 1]), (1, 2))
     (2, 2, 1)
     """
-    parts = tuple(parts)
+    parts = _letter_counts(parts)
     psums = partial_sums(parts)
     n = perm.n
     if n != (psums[-1] if psums else 0):
@@ -147,6 +150,14 @@ def ubar_forward(perm: Permutation, parts: Iterable[int]) -> NecklaceMultiset:
 
 # --- primitive necklace counting and enumeration ------------------------
 
+def _letter_counts(parts: Iterable[int]) -> tuple[int, ...]:
+    """``parts`` as a tuple of letter counts, refused if one is negative."""
+    parts = tuple(parts)
+    if any(r < 0 for r in parts):
+        raise ValueError(f"negative letter count in {parts}")
+    return parts
+
+
 def _mobius(n: int) -> int:
     if n < 1:
         raise ValueError("mobius needs n >= 1")
@@ -173,9 +184,7 @@ def primitive_count(parts: Iterable[int]) -> int:
     >>> primitive_count((2, 2)), primitive_count((1, 1, 1))
     (1, 2)
     """
-    parts = tuple(parts)
-    if any(r < 0 for r in parts):
-        raise ValueError(f"negative letter count in {parts}")
+    parts = _letter_counts(parts)
     n = sum(parts)
     if n == 0:
         raise ValueError("all letter counts are zero")
@@ -193,16 +202,14 @@ def primitive_count(parts: Iterable[int]) -> int:
     return total // n
 
 
-def enumerate_primitive_necklaces(
-    parts: Iterable[int], *, max_n: int = DEFAULT_MAX_N
-) -> list[Necklace]:
+def enumerate_primitive_necklaces(parts: Iterable[int]) -> list[Necklace]:
     """All primitive necklaces with the given letter content, canonical and
-    sorted; the brute-force counterpart of ``primitive_count``.
+    sorted; the brute-force counterpart of ``primitive_count``.  Contents
+    longer than MAX_NECKLACE_LENGTH are refused.
     """
-    parts = tuple(parts)
+    parts = _letter_counts(parts)
     n = sum(parts)
-    if n > max_n:
-        raise ValueError(f"content size {n} above enumeration cap {max_n}")
+    check_size(n, cap=MAX_NECKLACE_LENGTH)
     if n == 0:
         raise ValueError("all letter counts are zero")
     found: set[Necklace] = set()
@@ -233,8 +240,6 @@ def _necklaces_below(parts: tuple[int, ...]) -> tuple[Necklace, ...]:
     """All primitive necklaces whose content fits inside ``parts``."""
     ranges = [range(r + 1) for r in parts]
     out: set[Necklace] = set()
-    import itertools
-
     for content in itertools.product(*ranges):
         if sum(content) == 0:
             continue

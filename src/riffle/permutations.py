@@ -12,6 +12,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from collections.abc import Iterable, Iterator
 from functools import lru_cache
@@ -20,6 +21,23 @@ from functools import lru_cache
 DEFAULT_MAX_N = 8
 # symmetric_group_list refuses to build S_n above this, whatever the caller's cap.
 MAX_CACHED_N = 9
+
+
+def check_size(n: int = 0, *, k: int = 0, cap: int | None = None) -> None:
+    """Refuse a negative deck size n, a negative shuffle count k, or n above
+    ``cap``: the one check of these limits in the package.
+
+    >>> check_size(9, cap=DEFAULT_MAX_N)
+    Traceback (most recent call last):
+    ...
+    ValueError: n=9 above cap 8
+    """
+    if n < 0:
+        raise ValueError("negative deck size")
+    if k < 0:
+        raise ValueError("negative k")
+    if cap is not None and n > cap:
+        raise ValueError(f"n={n} above cap {cap}")
 
 
 class Permutation:
@@ -156,36 +174,19 @@ def inversions(p: Permutation) -> int:
 
 
 def count_inversions(seq) -> int:
-    """Inversion count of an integer sequence by merge counting, O(n log n).
+    """Inversion count of a sequence: each entry counts the smaller entries
+    to its right, found by bisection in the sorted list of those seen.
 
     >>> count_inversions((3, 1, 2))
     2
     """
-    seq = list(seq)
-    if len(seq) < 2:
-        return 0
-
-    def merge_count(lo: int, hi: int) -> int:
-        if hi - lo < 2:
-            return 0
-        mid = (lo + hi) // 2
-        count = merge_count(lo, mid) + merge_count(mid, hi)
-        merged = []
-        i, j = lo, mid
-        while i < mid and j < hi:
-            if seq[j] < seq[i]:
-                count += mid - i
-                merged.append(seq[j])
-                j += 1
-            else:
-                merged.append(seq[i])
-                i += 1
-        merged.extend(seq[i:mid])
-        merged.extend(seq[j:hi])
-        seq[lo:hi] = merged
-        return count
-
-    return merge_count(0, len(seq))
+    seen: list = []
+    count = 0
+    for x in reversed(seq):
+        i = bisect.bisect_left(seen, x)
+        count += i
+        seen.insert(i, x)
+    return count
 
 
 def cycles(p: Permutation) -> list[tuple[int, ...]]:
@@ -249,9 +250,8 @@ def symmetric_group(n: int) -> Iterator[Permutation]:
 
 @lru_cache(maxsize=8)
 def symmetric_group_list(n: int) -> tuple[Permutation, ...]:
-    """Cached tuple of S_n, for repeated brute-force passes."""
-    if n > MAX_CACHED_N:
-        raise ValueError(f"refusing to cache S_{n}")
+    """Cached tuple of S_n, for repeated brute-force passes (n <= MAX_CACHED_N)."""
+    check_size(n, cap=MAX_CACHED_N)
     return tuple(symmetric_group(n))
 
 

@@ -36,6 +36,7 @@ from .permutations import (
     DEFAULT_MAX_N,
     MAX_CACHED_N,
     Permutation,
+    check_size,
     partial_sums,
     standard_permutation,
     standard_ranks,
@@ -107,8 +108,7 @@ def tensor_bias(p, p2) -> tuple[Fraction, ...]:
 
 def tensor_power(bias, k: int) -> tuple[Fraction, ...]:
     """k-fold tensor of a bias vector with itself; k = 0 gives (1,)."""
-    if k < 0:
-        raise ValueError("negative k")
+    check_size(k=k)
     # tensored on integer numerators, dividing once by den^k at the end
     weights, scale = _weights(validate_bias(bias), k)
     return tuple(Fraction(x, scale) for x in weights)
@@ -123,18 +123,8 @@ class ShuffleSpec:
     k: int = 1
 
     def __post_init__(self):
-        if self.n < 0:
-            raise ValueError("negative deck size")
-        if self.k < 0:
-            raise ValueError("negative shuffle count")
+        check_size(self.n, k=self.k)
         object.__setattr__(self, "bias", validate_bias(self.bias))
-
-    @property
-    def a(self) -> int:
-        return len(self.bias)
-
-    def sum_squares(self) -> Fraction:
-        return sum(p * p for p in self.bias)
 
 
 # --- exact distributions ------------------------------------------------
@@ -193,13 +183,6 @@ class ExactDistribution:
         }
 
 
-def _check_cap(n: int, max_n: int):
-    if n < 0:
-        raise ValueError("negative deck size")
-    if n > max_n:
-        raise ValueError(f"n={n} above enumeration cap {max_n}")
-
-
 # Largest k-fold class sweep run, in list cells (2^n * a'^k over the a'
 # nonzero letters).  2^21 cells take 0.3-0.35 s at n = 6..9 (CPython 3.11, a
 # 2-vCPU Xeon) and admit the largest sweep of `verify --n-max 8` (n = 8,
@@ -235,10 +218,7 @@ def _kfold_classes(n: int, bias, k: int) -> tuple[list[int], int]:
     is refused over MAX_SWEEP_CELLS before any letter is built.
     """
     probs = validate_bias(bias)
-    if k < 0:
-        raise ValueError("negative k")
-    if n < 0:
-        raise ValueError("negative deck size")
+    check_size(n, k=k)
     if n == 0:
         return [1], 1  # an empty deck has one arrangement whatever the letters
     letters = [p for p in probs if p]
@@ -294,7 +274,7 @@ def exact_distribution(
     standard permutation.
     """
     bias = validate_bias(bias)
-    _check_cap(n, max_n)
+    check_size(n, cap=max_n)
     masses: dict[Permutation, Fraction] = {}
     for parts in weak_compositions(n, len(bias)):
         mass = _content_mass(bias, parts)
@@ -308,9 +288,7 @@ def exact_distribution(
     return ExactDistribution(n, masses)
 
 
-def exact_distribution_drops(
-    n: int, bias, *, max_n: int = DEFAULT_MAX_N
-) -> ExactDistribution:
+def exact_distribution_drops(n: int, bias) -> ExactDistribution:
     """Same measure by the sequential drop rule, as an exact recursion.
 
     After a multinomial cut, cards drop one at a time, the next card coming
@@ -318,7 +296,7 @@ def exact_distribution_drops(
     the cards left in pile i.  Drops fill the new deck bottom-up.
     """
     bias = validate_bias(bias)
-    _check_cap(n, max_n)
+    check_size(n, cap=DEFAULT_MAX_N)
     a = len(bias)
     masses: dict[Permutation, Fraction] = {}
     arrangement = [0] * n
@@ -360,7 +338,7 @@ def exact_distribution_pile_words(
     arrangement, which is the standard permutation of w.
     """
     bias = validate_bias(bias)
-    _check_cap(n, max_n)
+    check_size(n, cap=max_n)
     masses: dict[Permutation, Fraction] = {}
     for word in itertools.product(range(len(bias)), repeat=n):
         mass = Fraction(1)
@@ -404,7 +382,7 @@ def exact_kfold_distribution(
     gives one Fraction per class, and each permutation of S_n takes its
     class's by index: i is in Des(pi^{-1}) iff i+1 sits left of i.
     """
-    _check_cap(n, max_n)
+    check_size(n, cap=max_n)
     numerators, scale = _kfold_classes(n, bias, k)
     class_mass = [Fraction(m, scale) for m in numerators]
     masses: dict[Permutation, Fraction] = {}
@@ -433,7 +411,7 @@ def tv_to_uniform(n: int, bias, k: int = 1, *, max_n: int = DEFAULT_MAX_N) -> Fr
     >>> tv_to_uniform(3, (Fraction(1, 2), Fraction(1, 2)))
     Fraction(1, 3)
     """
-    _check_cap(n, min(max_n, MAX_CACHED_N))
+    check_size(n, cap=min(max_n, MAX_CACHED_N))
     numerators, scale = _kfold_classes(n, bias, k)
     if n == 0:
         return Fraction(0)
@@ -484,7 +462,8 @@ def suf_bound(spec: ShuffleSpec) -> Fraction:
     Comes from the strong uniform time at which all cards have distinct
     pile-assignment histories; valid (and useful) whenever it is below 1.
     """
-    return math.comb(spec.n, 2) * spec.sum_squares() ** spec.k
+    sums, scale = _power_sums(spec.bias, 2, spec.k)
+    return Fraction(math.comb(spec.n, 2) * sums[2], scale**2)
 
 
 def lalley_theta(p1) -> float:

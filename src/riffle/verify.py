@@ -23,6 +23,7 @@ from . import counting, genfuncs, necklaces, shuffles
 from .permutations import (
     MAX_CACHED_N,
     Permutation,
+    check_size,
     compositions,
     count_inversions,
     cycle_type,
@@ -128,7 +129,7 @@ def check_description_equivalence(config: VerifyConfig) -> CheckResult:
             d1 = shuffles.exact_distribution(n, bias)
             d2 = shuffles.exact_distribution_drops(n, bias)
             d4 = shuffles.exact_distribution_pile_words(n, bias)
-            dd = shuffles.exact_kfold_distribution(n, bias, 1) if n else d1
+            dd = shuffles.exact_kfold_distribution(n, bias, 1)
             if not (d1 == d2 == d4 == dd):
                 return _fail(name, f"routes disagree at n={n}, bias={bias}")
     return _ok(name, f"4 exact routes agree for n <= {config.n_max}, panel of {len(BIAS_PANEL)}")
@@ -220,7 +221,7 @@ def check_mixing_bound(config: VerifyConfig) -> CheckResult:
                 tv = shuffles.tv_distance(
                     shuffles.exact_kfold_distribution(n, bias, k), uniform
                 )
-                if shuffles.tv_to_uniform(n, bias, k, max_n=n) != tv:
+                if shuffles.tv_to_uniform(n, bias, k) != tv:
                     return _fail(name, f"class-sum tv differs from S_n tv at n={n}, k={k}, bias={bias}")
                 if tv > bound:
                     return _fail(name, f"tv {tv} > bound {bound} at n={n}, k={k}, bias={bias}")
@@ -360,8 +361,7 @@ def _descent_table(n: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int,
     """Brute force over all of S_n: how many permutations, n-cycles and
     involutions have each descent set, as three tuples indexed by the set's
     bitmask (position i is bit i-1, so bit n-1 is always set)."""
-    if n > MAX_CACHED_N:
-        raise ValueError(f"n={n} above enumeration cap {MAX_CACHED_N}")
+    check_size(n, cap=MAX_CACHED_N)
     counts, ncycles, involutions = ([0] * 2**n for _ in range(3))
     top = 1 << (n - 1)
     for images in itertools.permutations(range(n)):  # images 0..n-1

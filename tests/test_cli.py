@@ -1,6 +1,9 @@
+import argparse
+import inspect
 import itertools
 import json
 import math
+import re
 import time
 from collections import Counter
 from fractions import Fraction
@@ -8,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from riffle import counting
-from riffle.cli import main
+from riffle.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -324,3 +327,40 @@ def test_negative_deck_size_is_named(capsys, k):
     # k = 1 reached math.factorial(-1), k = 2 recursed without end
     assert run_cli(capsys, "dist", "--n", "-1", "--p", "1/2,1/2", "--k", k) == \
         (2, "", "error: negative deck size\n")
+
+
+def test_every_flag_is_read_by_its_handler():
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for name, sub in commands.choices.items():
+        source = inspect.getsource(sub.get_default("handler"))
+        for action in sub._actions:
+            if not action.option_strings or action.dest == "help":
+                continue
+            read = re.search(rf"\bargs\.{action.dest}\b", source) or (
+                action.dest == "n_max" and "_n_max(args)" in source)
+            assert read, f"{name} declares {action.option_strings[0]} but never reads it"
+
+
+@pytest.mark.parametrize("argv", [
+    ["tv", "--n", "3", "--p", "1/2,1/2", "--seed", "1"],
+    ["bijection", "--word", "1,2", "--n-max", "3"],
+    ["dist", "--n", "3", "--p", "1/2,1/2", "--format", "lines"],
+    ["report", "--n", "3", "--p", "1/2,1/2", "--format", "lines"],
+], ids=["tv-seed", "bijection-n-max", "dist-format-lines", "report-format-lines"])
+def test_flags_a_command_does_not_read_are_refused(capsys, argv):
+    with pytest.raises(SystemExit) as raised:
+        main(argv)
+    assert raised.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_negative_k_is_named(capsys):
+    assert run_cli(capsys, "tv", "--n", "3", "--p", "1/2,1/2", "--k", "-1") == \
+        (2, "", "error: negative k\n")
+
+
+def test_bijection_refuses_a_negative_part(capsys):
+    # the parts sum to n, but (3, -1) is no letter content
+    assert run_cli(capsys, "bijection", "--perm", "1,2", "--parts", "3,-1") == \
+        (2, "", "error: negative letter count in (3, -1)\n")

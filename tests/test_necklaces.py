@@ -107,6 +107,14 @@ def test_word_from_permutation_requires_inverse_descents_inside():
         word_from_permutation(Permutation([1, 2]), (3,))
 
 
+def test_negative_letter_counts_are_refused():
+    for call in (primitive_count, enumerate_primitive_necklaces,
+                 lambda parts: word_from_permutation(Permutation([1, 2]), parts)):
+        with pytest.raises(ValueError) as raised:
+            call((3, -1))
+        assert str(raised.value) == "negative letter count in (3, -1)"
+
+
 @pytest.mark.parametrize("n", range(1, 6))
 def test_word_from_permutation_names_the_inverse_descents_outside(n):
     for parts in compositions(n):

@@ -1,12 +1,16 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from riffle import counting, genfuncs, necklaces, shuffles, verify
 from riffle.permutations import (
+    DEFAULT_MAX_N,
+    MAX_CACHED_N,
     Permutation,
     compositions,
     count_inversions,
@@ -57,7 +61,11 @@ def test_inversions_examples():
 
 
 def test_count_inversions_matches_quadratic_definition():
-    seqs = [(3, 1, 2), (1, 2, 3), (5, 4, 3, 2, 1), (2, 2, 1, 3), (1,), ()]
+    # ties are not inversions
+    seqs = [(3, 1, 2), (1, 2, 3), (5, 4, 3, 2, 1), (2, 2, 1, 3), (1,), (),
+            (1, 1, 1), (2, 1, 2, 1, 2, 1), (3, 3, 1, 1, 2, 2), (0, 2, 2, 0)]
+    rng = random.Random(5)
+    seqs += [tuple(rng.randrange(4) for _ in range(rng.randrange(13))) for _ in range(300)]
     for seq in seqs:
         brute = sum(
             1 for i in range(len(seq)) for j in range(i + 1, len(seq)) if seq[i] > seq[j]
@@ -184,3 +192,67 @@ def test_compositions_have_no_depth_limit():
     assert len(ones) == 1024
     assert ones[0] == (0,) * 1023 + (1,) and ones[-1] == (1,) + (0,) * 1023
     assert next(compositions(1500)) == (1,) * 1500
+
+
+# --- the one size guard ---------------------------------------------------
+
+HALF = (Fraction(1, 2), Fraction(1, 2))
+
+# entry point called at n -> the cap it refuses above (None: no cap)
+SIZE_GUARDED = {
+    "ShuffleSpec": (lambda n: shuffles.ShuffleSpec(n, HALF), None),
+    "_kfold_classes": (lambda n: shuffles._kfold_classes(n, HALF, 1), None),
+    "exact_distribution": (lambda n: shuffles.exact_distribution(n, HALF), DEFAULT_MAX_N),
+    "exact_distribution_drops": (
+        lambda n: shuffles.exact_distribution_drops(n, HALF), DEFAULT_MAX_N),
+    "exact_distribution_pile_words": (
+        lambda n: shuffles.exact_distribution_pile_words(n, HALF), DEFAULT_MAX_N),
+    "exact_kfold_distribution": (
+        lambda n: shuffles.exact_kfold_distribution(n, HALF, 2), DEFAULT_MAX_N),
+    "tv_to_uniform": (lambda n: shuffles.tv_to_uniform(n, HALF), DEFAULT_MAX_N),
+    "tv_to_uniform-max_n-12": (
+        lambda n: shuffles.tv_to_uniform(n, HALF, max_n=12), MAX_CACHED_N),
+    "cycle_structure_pgf": (lambda n: genfuncs.cycle_structure_pgf(n, HALF), DEFAULT_MAX_N),
+    "fixed_point_pgf": (lambda n: genfuncs.fixed_point_pgf(n, HALF), DEFAULT_MAX_N),
+    "inversion_pgf": (lambda n: genfuncs.inversion_pgf(n, HALF), DEFAULT_MAX_N),
+    "inversion_pgf_from_compositions": (
+        lambda n: genfuncs.inversion_pgf_from_compositions(n, HALF), DEFAULT_MAX_N),
+    "translate_identity_check": (
+        lambda n: genfuncs.translate_identity_check(n, 2), DEFAULT_MAX_N),
+    "brute_count": (lambda n: counting.brute_count(n, bool), DEFAULT_MAX_N),
+    "count_descent_det": (lambda n: counting.count_descent_det(n, []), None),
+    "symmetric_group_list": (symmetric_group_list, MAX_CACHED_N),
+    "_descent_table": (verify._descent_table, MAX_CACHED_N),
+}
+
+
+def _message(call, *args) -> str:
+    with pytest.raises(ValueError) as raised:
+        call(*args)
+    return str(raised.value)
+
+
+@pytest.mark.parametrize("name", SIZE_GUARDED)
+def test_every_size_limit_is_refused_with_the_one_message(name):
+    call, cap = SIZE_GUARDED[name]
+    assert _message(call, -1) == "negative deck size"
+    if cap is not None:
+        assert _message(call, cap + 1) == f"n={cap + 1} above cap {cap}"
+
+
+def test_the_necklace_length_cap_has_the_one_message():
+    cap = necklaces.MAX_NECKLACE_LENGTH
+    assert _message(necklaces.enumerate_primitive_necklaces, (cap, 1)) == \
+        f"n={cap + 1} above cap {cap}"
+
+
+@pytest.mark.parametrize("call", [
+    lambda: shuffles.ShuffleSpec(3, HALF, -1),
+    lambda: shuffles._kfold_classes(3, HALF, -1),
+    lambda: shuffles.tensor_power(HALF, -1),
+    lambda: genfuncs.cycle_structure_pgf(3, HALF, -1),
+    lambda: genfuncs.inversion_pgf(3, HALF, -1),
+], ids=["ShuffleSpec", "_kfold_classes", "tensor_power", "cycle_structure_pgf",
+        "inversion_pgf"])
+def test_negative_k_is_refused_with_the_one_message(call):
+    assert _message(call) == "negative k"
