@@ -14,7 +14,7 @@ import math
 import sys
 from fractions import Fraction
 
-from . import counting, genfuncs, necklaces, shuffles, verify
+from . import counting, genfuncs, necklaces, shuffles
 from .permutations import DEFAULT_MAX_N, MAX_CACHED_N, Permutation, descent_set, is_n_cycle
 from .shuffles import ShuffleSpec, parse_bias
 
@@ -134,26 +134,36 @@ def _n_max(args) -> int:
     return args.n_max
 
 
-def _kfold_distribution(n, bias, k, max_n):
-    # One shuffle can be listed as its a'^n pile words over the a' nonzero
-    # letters (exact_distribution) or as S_n read off the descent classes
-    # (exact_kfold_distribution, which stops at MAX_CACHED_N): take the
-    # shorter list.  A negative n goes to the class route, which refuses it.
-    if k == 1 and n >= 0:
-        letters = sum(1 for p in bias if p)
-        if n > MAX_CACHED_N or letters**n <= math.factorial(n):
-            return shuffles.exact_distribution(n, bias, max_n=max_n)
-    return shuffles.exact_kfold_distribution(n, bias, k, max_n=max_n)
+def _print_masses(n: int, fmt: str, rows) -> None:
+    """Print the (card labels as strings, mass text) rows of a distribution
+    on S_n as one JSON object or as CSV; json.dumps would print the same."""
+    if fmt == "csv":
+        text = "\n".join(["perm,p", *[" ".join(labels) + "," + p for labels, p in rows]])
+    else:
+        entries = ", ".join(['{"perm": [' + ", ".join(labels) + '], "p": "' + p + '"}'
+                             for labels, p in rows])
+        text = f'{{"n": {n}, "masses": [{entries}]}}'
+    print(text)
 
 
 def cmd_dist(args) -> int:
-    dist = _kfold_distribution(args.n, parse_bias(args.p), args.k, _n_max(args))
-    if args.format == "csv":
-        print("perm,p")
-        for perm, mass in sorted(dist.masses.items()):
-            print(f"{' '.join(map(str, perm.images))},{frac_str(mass)}")
+    n, bias, k, max_n = args.n, parse_bias(args.p), args.k, _n_max(args)
+    # One shuffle can be listed as its a'^n pile words over the a' nonzero
+    # letters or as S_n read off the descent classes (which stops at
+    # MAX_CACHED_N): take the shorter list.  A negative n goes to the class
+    # route, which refuses it.
+    letters = sum(1 for p in bias if p)
+    if k == 1 and n >= 0 and (n > MAX_CACHED_N or letters**n <= math.factorial(n)):
+        dist = shuffles.exact_distribution(n, bias, max_n=max_n)
+        rows = [(tuple(map(str, perm.images)), frac_str(mass))
+                for perm, mass in sorted(dist.masses.items())]
     else:
-        print(json.dumps(dist.to_json_obj()))
+        # one mass text per class; S_n is walked only to place each permutation
+        numerators, scale, walk = shuffles._kfold_walk(
+            n, bias, k, max_n=max_n, labels=[str(card) for card in range(1, n + 1)])
+        texts = [frac_str(Fraction(m, scale)) for m in numerators]
+        rows = ((labels, texts[index]) for labels, index in walk)
+    _print_masses(n, args.format, rows)
     return 0
 
 
@@ -324,6 +334,8 @@ def cmd_report(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify  # the suites load only for this subcommand
+
     if args.samples < 1:
         raise ValueError("--samples must be at least 1")
     config = verify.VerifyConfig(samples=args.samples)

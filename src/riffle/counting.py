@@ -70,6 +70,7 @@ def brute_count(
 
 
 def _validate_descent_set(n: int, deset: Iterable[int]) -> frozenset[int]:
+    check_size(n)
     js = frozenset(deset)
     if n not in js:
         raise ValueError(f"descent set must contain n={n}: {sorted(js)}")

@@ -289,9 +289,11 @@ def expected_descents(spec: ShuffleSpec) -> Fraction:
     conventional descent at position n:
 
         1 + (n-1)/2 * (1 - (sum p_i^2)^k)
+
+    for n >= 1; the empty deck has no descents.
     """
-    if spec.n < 1:
-        raise ValueError("need n >= 1")
+    if spec.n == 0:
+        return Fraction(0)
     sums, scale = _power_sums(spec.bias, 2, spec.k)
     return 1 + Fraction(spec.n - 1, 2) * (1 - Fraction(sums[2], scale**2))
 

@@ -27,7 +27,6 @@ import itertools
 import math
 import operator
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator
 
@@ -114,17 +113,34 @@ def tensor_power(bias, k: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(x, scale) for x in weights)
 
 
-@dataclass(frozen=True)
 class ShuffleSpec:
-    """Deck size, bias vector, and number of repeated shuffles."""
+    """Deck size, bias vector, and number of repeated shuffles; immutable,
+    equal and hashable by (n, bias, k)."""
 
-    n: int
-    bias: tuple[Fraction, ...]
-    k: int = 1
+    __slots__ = ("n", "bias", "k")
 
-    def __post_init__(self):
-        check_size(self.n, k=self.k)
-        object.__setattr__(self, "bias", validate_bias(self.bias))
+    def __init__(self, n: int, bias, k: int = 1):
+        check_size(n, k=k)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "bias", validate_bias(bias))
+        object.__setattr__(self, "k", k)
+
+    def _key(self) -> tuple:
+        return (self.n, self.bias, self.k)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not ShuffleSpec:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"ShuffleSpec(n={self.n!r}, bias={self.bias!r}, k={self.k!r})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ShuffleSpec is immutable")
 
 
 # --- exact distributions ------------------------------------------------
@@ -172,15 +188,6 @@ class ExactDistribution:
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactDistribution is immutable")
-
-    def to_json_obj(self) -> dict:
-        return {
-            "n": self.n,
-            "masses": [
-                {"perm": list(perm.images), "p": f"{m.numerator}/{m.denominator}"}
-                for perm, m in sorted(self.masses.items())
-            ],
-        }
 
 
 # Largest k-fold class sweep run, in list cells (2^n * a'^k over the a'
@@ -371,6 +378,60 @@ def mass_by_inverse_descents(n: int, bias) -> dict[frozenset[int], Fraction]:
     }
 
 
+def _inverse_descent_indices(n: int) -> list[int]:
+    """The class index of ``_kfold_classes`` of each pi in S_n, in
+    lexicographic order: i in Des(pi^{-1}), i.e. i+1 sits left of i in pi,
+    sets the bit 2^(n-1-i).
+
+    Built up from S_1 by the leading card: in pi = (a, rest), card a sits
+    leftmost, so a-1 is a descent of pi^{-1} and a is not; every other pair
+    of cards i, i+1 keeps its order in rest, whose standardization runs
+    through S_{m-1} in lexicographic order as rest does.  So the indices of
+    S_m are those of S_{m-1} mapped through one table per leading card a,
+    which drops the bit of the standardized pair (a-1, a) and puts the
+    bits 1 and 0 of the pairs (a-1, a) and (a, a+1) in its place.
+    """
+    indices = [0]
+    for m in range(2, n + 1):
+        merged: list[int] = []
+        for a in range(1, m + 1):
+            shift = m - a  # place of the bit of the pair (a-1, a) in S_m
+            low = (1 << max(shift - 1, 0)) - 1  # bits of the pairs (i, i+1), i > a
+            table = [x >> shift << (shift + 1) | (a > 1) << shift | x & low
+                     for x in range(2 ** (m - 2))]
+            merged.extend(map(table.__getitem__, indices))
+        indices = merged
+    return indices
+
+
+def _kfold_walk(
+    n: int, bias, k: int, *, max_n: int = DEFAULT_MAX_N, labels=None
+) -> tuple[list[int], int, Iterator[tuple[tuple, int]]]:
+    """The k-fold class table (numerators, scale) of ``_kfold_classes`` and a
+    walk over S_n in lexicographic order that yields each permutation pi
+    whose class has nonzero mass, with its class index.
+
+    pi is yielded as (labels[pi(1)-1], ..., labels[pi(n)-1]); the labels
+    default to the cards 1..n, which yields pi's images.  The table is
+    refused when a numerator is negative or when the masses of S_n,
+    sum_D |D| * N_D / scale, do not sum to 1.  S_n is walked as plain
+    tuples, so n is capped at MAX_CACHED_N as well as at ``max_n``.
+    """
+    check_size(n, cap=max_n)
+    numerators, scale = _kfold_classes(n, bias, k)
+    check_size(n, cap=MAX_CACHED_N)
+    for index, m in enumerate(numerators):
+        if m < 0:
+            raise ValueError(f"negative mass for inverse-descent class {index}")
+    indices = _inverse_descent_indices(n)
+    per_perm = list(map(numerators.__getitem__, indices))
+    total = sum(per_perm)
+    if total != scale:
+        raise ValueError(f"masses sum to {Fraction(total, scale)}, not 1")
+    perms = itertools.permutations(range(1, n + 1) if labels is None else labels)
+    return numerators, scale, itertools.compress(zip(perms, indices), per_perm)
+
+
 def exact_kfold_distribution(
     n: int, bias, k: int, *, max_n: int = DEFAULT_MAX_N
 ) -> ExactDistribution:
@@ -380,23 +441,13 @@ def exact_kfold_distribution(
     shuffle with bias tensor_power(bias, k), so it is constant on each
     inverse-descent class.  The integer class table of ``_kfold_classes``
     gives one Fraction per class, and each permutation of S_n takes its
-    class's by index: i is in Des(pi^{-1}) iff i+1 sits left of i.
+    class's through the walk of ``_kfold_walk``.
     """
-    check_size(n, cap=max_n)
-    numerators, scale = _kfold_classes(n, bias, k)
+    numerators, scale, walk = _kfold_walk(n, bias, k, max_n=max_n)
     class_mass = [Fraction(m, scale) for m in numerators]
-    masses: dict[Permutation, Fraction] = {}
-    where = [0] * (n + 1)
-    for perm in symmetric_group_list(n):
-        for position, card in enumerate(perm.images):
-            where[card] = position
-        index = 0
-        for i in range(1, n):
-            index = 2 * index + (where[i + 1] < where[i])
-        m = class_mass[index]
-        if m:
-            masses[perm] = m
-    return ExactDistribution(n, masses)
+    return ExactDistribution(
+        n, {Permutation._unchecked(images): class_mass[index] for images, index in walk}
+    )
 
 
 def tv_to_uniform(n: int, bias, k: int = 1, *, max_n: int = DEFAULT_MAX_N) -> Fraction:

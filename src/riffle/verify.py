@@ -15,7 +15,6 @@ import itertools
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -45,22 +44,30 @@ BIAS_PANEL: tuple[tuple[Fraction, ...], ...] = (
 )
 
 
-@dataclass
 class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
+    """Outcome of one suite: its name, whether it passed, and a detail line."""
+
+    __slots__ = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str = ""):
+        self.name = name
+        self.passed = passed
+        self.detail = detail
 
     def to_json_obj(self) -> dict:
         return {"name": self.name, "passed": self.passed, "detail": self.detail}
 
 
-@dataclass
 class VerifyConfig:
-    n_max: int = 5
-    count_n_max: int = 6
-    samples: int = 20000
-    seed: int = 1
+    """Caps, sample count and seed of a verification run."""
+
+    __slots__ = ("n_max", "count_n_max", "samples", "seed")
+
+    def __init__(self, n_max: int = 5, count_n_max: int = 6, samples: int = 20000, seed: int = 1):
+        self.n_max = n_max
+        self.count_n_max = count_n_max
+        self.samples = samples
+        self.seed = seed
 
 
 _SUITES: dict[str, object] = {}

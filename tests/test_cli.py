@@ -4,14 +4,20 @@ import itertools
 import json
 import math
 import re
+import subprocess
+import sys
 import time
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from riffle import counting
+import riffle
+from riffle import counting, shuffles
 from riffle.cli import build_parser, main
+from riffle.shuffles import exact_kfold_distribution
+from riffle.verify import BIAS_PANEL
 
 
 def run_cli(capsys, *argv):
@@ -63,9 +69,48 @@ def test_dist_json(capsys):
     code, out, _ = run_cli(capsys, "dist", "--n", "3", "--p", "1/3,2/3")
     assert code == 0
     obj = json.loads(out)
+    # the JSON is written by hand: it must print back unchanged
+    assert out == json.dumps(obj) + "\n"
     assert obj["n"] == 3
     assert {"perm": [1, 2, 3], "p": "5/9"} in obj["masses"]
     assert {"perm": [1, 3, 2], "p": "2/27"} in obj["masses"]
+
+
+def _dist_text(dist, fmt):
+    """``dist`` as the dist subcommand prints it, rendered with json."""
+    rows = [(list(perm.images), f"{m.numerator}/{m.denominator}")
+            for perm, m in sorted(dist.masses.items())]
+    if fmt == "csv":
+        return "".join(["perm,p\n", *(f"{' '.join(map(str, images))},{p}\n" for images, p in rows)])
+    return json.dumps({"n": dist.n, "masses": [{"perm": images, "p": p} for images, p in rows]}) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("k", [0, 2, 3])
+@pytest.mark.parametrize("text", [",".join(f"{p.numerator}/{p.denominator}" for p in bias)
+                                  for bias in BIAS_PANEL])
+def test_dist_prints_the_kfold_distribution(capsys, text, k, fmt):
+    # the class table is printed without building the distribution; the
+    # validated library route must print the same text
+    for n in range(7):
+        want = _dist_text(exact_kfold_distribution(n, shuffles.parse_bias(text), k), fmt)
+        assert run_cli(capsys, "dist", "--n", str(n), "--p", text, "--k", str(k),
+                       "--format", fmt) == (0, want, "")
+
+
+@pytest.mark.parametrize("table, message", [
+    ([1, 1, 1, 1], "masses sum to 3/2, not 1"),
+    ([5, 0, 0, -1], "negative mass for inverse-descent class 3"),
+], ids=["sum", "negative"])
+def test_dist_refuses_a_bad_class_table(capsys, monkeypatch, table, message):
+    monkeypatch.setattr(shuffles, "_kfold_classes", lambda n, bias, k: (table, 4))
+    assert run_cli(capsys, "dist", "--n", "3", "--p", "1/2,1/2", "--k", "2") == \
+        (2, "", f"error: {message}\n")
+
+
+def test_dist_above_s9_is_refused_on_the_class_route(capsys):
+    assert run_cli(capsys, "dist", "--n", "10", "--p", "1/2,1/2", "--k", "2",
+                   "--n-max", "10") == (2, "", "error: n=10 above cap 9\n")
 
 
 def test_dist_csv(capsys):
@@ -84,9 +129,10 @@ def test_tv_json(capsys):
 
 
 def test_stats_moments(capsys):
-    for stat, value in [("fixed-points", "7/4"), ("inversions", "3/4"),
-                        ("descents", "3/2")]:
-        code, out, _ = run_cli(capsys, "stats", "--n", "3", "--p", "1/2,1/2",
+    for n, stat, value in [("3", "fixed-points", "7/4"), ("3", "inversions", "3/4"),
+                           ("3", "descents", "3/2"), ("0", "fixed-points", "0/1"),
+                           ("0", "inversions", "0/1"), ("0", "descents", "0/1")]:
+        code, out, _ = run_cli(capsys, "stats", "--n", n, "--p", "1/2,1/2",
                                "--stat", stat)
         assert code == 0
         assert json.loads(out)["exact"] == value
@@ -216,6 +262,12 @@ def test_arithmetic_errors_exit_3_without_traceback(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert err == "error: divisor sum not divisible by n=3\n"
+
+
+@pytest.mark.parametrize("method", ["ie", "det", "brute"])
+def test_count_names_a_negative_deck_size(capsys, method):
+    assert run_cli(capsys, "count", "--n", "-1", "--j", "-1", "--method", method) == \
+        (2, "", "error: negative deck size\n")
 
 
 def test_count_json_all_methods(capsys):
@@ -364,3 +416,11 @@ def test_bijection_refuses_a_negative_part(capsys):
     # the parts sum to n, but (3, -1) is no letter content
     assert run_cli(capsys, "bijection", "--perm", "1,2", "--parts", "3,-1") == \
         (2, "", "error: negative letter count in (3, -1)\n")
+
+
+def test_importing_the_cli_leaves_dataclasses_and_verify_unloaded():
+    src = str(Path(riffle.__file__).resolve().parents[1])
+    probe = "import sys, riffle.cli; print(sorted({'dataclasses', 'riffle.verify'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-S", "-c", probe], env={"PYTHONPATH": src},
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"

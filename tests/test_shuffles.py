@@ -64,6 +64,17 @@ def test_tensor_power():
     assert tensor_power(FAIR, 3) == (F(1, 8),) * 8
 
 
+def test_shuffle_spec_is_an_immutable_value():
+    spec = ShuffleSpec(3, [F(1, 2), 0.5])
+    assert (spec.n, spec.bias, spec.k) == (3, FAIR, 1)
+    assert spec == ShuffleSpec(3, FAIR, 1) != ShuffleSpec(3, FAIR, 2)
+    assert len({spec, ShuffleSpec(3, FAIR), ShuffleSpec(4, FAIR)}) == 2
+    with pytest.raises(AttributeError):
+        spec.k = 2
+    with pytest.raises(ValueError, match="bias sums to"):
+        ShuffleSpec(3, (F(1, 2),))
+
+
 # --- exact measures ------------------------------------------------------
 
 @pytest.mark.parametrize("p1", [F(1, 2), F(1, 3), F(1, 5)])
@@ -135,11 +146,11 @@ def test_mass_depends_only_on_inverse_descents():
         assert dist.mass(p) == classes[descent_set(p.inverse())]
 
 
-def test_json_roundtrip():
-    dist = exact_distribution(3, (F(1, 3), F(2, 3)))
-    obj = dist.to_json_obj()
-    assert obj["n"] == 3
-    assert {"perm": [1, 2, 3], "p": "5/9"} in obj["masses"]
+@pytest.mark.parametrize("n", range(8))
+def test_inverse_descent_indices_match_descent_sets(n):
+    want = [sum(2 ** (n - 1 - i) for i in descent_set(p.inverse()) if i < n)
+            for p in symmetric_group_list(n)]
+    assert shuffles._inverse_descent_indices(n) == want
 
 
 # --- convolution ---------------------------------------------------------
