@@ -142,6 +142,9 @@ class ShuffleSpec:
     def __setattr__(self, name, value):
         raise AttributeError("ShuffleSpec is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("ShuffleSpec is immutable")
+
 
 # --- exact distributions ------------------------------------------------
 
@@ -188,6 +191,15 @@ class ExactDistribution:
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactDistribution is immutable")
+
+    def to_json_obj(self) -> dict:
+        return {
+            "n": self.n,
+            "masses": [
+                {"perm": list(perm.images), "p": f"{m.numerator}/{m.denominator}"}
+                for perm, m in sorted(self.masses.items())
+            ],
+        }
 
 
 # Largest k-fold class sweep run, in list cells (2^n * a'^k over the a'

@@ -71,6 +71,9 @@ def test_shuffle_spec_is_an_immutable_value():
     assert len({spec, ShuffleSpec(3, FAIR), ShuffleSpec(4, FAIR)}) == 2
     with pytest.raises(AttributeError):
         spec.k = 2
+    with pytest.raises(AttributeError):
+        del spec.k
+    assert spec.k == 1
     with pytest.raises(ValueError, match="bias sums to"):
         ShuffleSpec(3, (F(1, 2),))
 
@@ -144,6 +147,13 @@ def test_mass_depends_only_on_inverse_descents():
     dist = exact_distribution(4, bias)
     for p in dist.support():
         assert dist.mass(p) == classes[descent_set(p.inverse())]
+
+
+def test_json_roundtrip():
+    dist = exact_distribution(3, (F(1, 3), F(2, 3)))
+    obj = dist.to_json_obj()
+    assert obj["n"] == 3
+    assert {"perm": [1, 2, 3], "p": "5/9"} in obj["masses"]
 
 
 @pytest.mark.parametrize("n", range(8))
