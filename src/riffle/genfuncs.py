@@ -30,7 +30,7 @@ from .permutations import (
     symmetric_group_list,
     weak_compositions,
 )
-from .qpoly import QPolynomial, q_binomial, q_multinomial
+from .qpoly import QPolynomial, q_multinomial
 from .shuffles import (
     ExactDistribution,
     ShuffleSpec,
@@ -199,16 +199,20 @@ def inversion_pgf(n: int, bias, k: int = 1, *, max_n: int = DEFAULT_MAX_N) -> QP
 
     E_n = sum_b p^b [n; b]_q is [n]! times the u^n coefficient of
     prod_i e_q(p_i u), e_q(x) = sum_j x^j / [j]!.  The q-binomial theorem
-    gives log e_q(x) = sum_m (1-q)^m x^m / (m (1 - q^m)); differentiating in
-    u, with (1-q)^m [s]! / ((1 - q^m) [s-m]!) = [s; m]_q (q;q)_{m-1},
+    gives log e_q(x) = sum_m (1-q)^m x^m / (m (1 - q^m)), so the power
+    series F_s = E_s / (q;q)_s satisfy
 
-        E_s = (1/s) sum_{m=1..s} P_m (q;q)_{m-1} [s; m]_q E_{s-m},   E_0 = 1.
+        F_s = (1/s) sum_{m=1..s} P_m F_{s-m} / (1 - q^m),   F_0 = 1.
 
-    With P_m = N_m / D^m (see _power_sums), e_s = E_s D^s s! is integral:
+    With P_m = N_m / D^m (see _power_sums), f_s = F_s D^s s! is integral:
 
-        e_s = sum_m N_m (s-1)!/(s-m)! (q;q)_{m-1} [s; m]_q e_{s-m},
+        f_s = sum_m N_m (s-1)!/(s-m)! f_{s-m} / (1 - q^m),
 
-    and e_n is divided by D^n n! once at the end.
+    and E_n = f_n (q;q)_n / (D^n n!).  E_n has degree C(n,2), so every
+    series is truncated above q^C(n,2); dividing by 1 - q^m is then a
+    running sum of stride m and multiplying by 1 - q^j a running
+    difference.  That is O(n^2 C(n,2)) integer additions, with no
+    polynomial product.
 
     >>> half = Fraction(1, 2)
     >>> inversion_pgf(3, (half, half), 2) == QPolynomial([5/16, 5/16, 5/16, 1/16])
@@ -217,32 +221,24 @@ def inversion_pgf(n: int, bias, k: int = 1, *, max_n: int = DEFAULT_MAX_N) -> QP
     bias = validate_bias(bias)
     check_size(n, k=k, cap=max_n)
     sums, scale = _power_sums(bias, n, k)
-    # poch[m] = integer coefficients of (q;q)_m = (1-q)(1-q^2)...(1-q^m)
-    poch = [[1]]
-    for m in range(1, n):
-        poch.append(_int_mul(poch[-1], [1] + [0] * (m - 1) + [-1]))
-    # e[s] = integer coefficients in q of E_s * D^s * s!
-    e = [[1]]
+    top = math.comb(n, 2) + 1
+    # f[s] = integer coefficients of q^0..q^(top-1) in f_s
+    f = [[1] + [0] * (top - 1)]
     for s in range(1, n + 1):
-        acc = [0] * (math.comb(s, 2) + 1)
+        acc = [0] * top
         for m in range(1, s + 1):
-            binom = [c.numerator for c in q_binomial(s, m).coeffs]
+            g = f[s - m].copy()  # becomes f_{s-m} / (1 - q^m)
+            for i in range(m, top):
+                g[i] += g[i - m]
             c = sums[m] * math.perm(s - 1, m - 1)
-            for i, x in enumerate(_int_mul(_int_mul(poch[m - 1], binom), e[s - m])):
-                acc[i] += c * x
-        e.append(acc)
+            acc = [a + c * x for a, x in zip(acc, g)]
+        f.append(acc)
+    e = f[n]  # times (q;q)_n, in place
+    for j in range(1, n + 1):
+        for i in range(top - 1, j - 1, -1):
+            e[i] -= e[i - j]
     den = scale**n * math.factorial(n)
-    return QPolynomial(Fraction(x, den) for x in e[n])
-
-
-def _int_mul(a: list[int], b: list[int]) -> list[int]:
-    """Product of two polynomials given as integer coefficient lists."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b, start=i):
-                out[j] += x * y
-    return out
+    return QPolynomial(Fraction(x, den) for x in e)
 
 
 def inversion_pgf_from_compositions(

@@ -68,6 +68,8 @@ def _weights(bias, k: int = 1) -> tuple[list[int], int]:
     den, or of its k-fold lexicographic tensor over den^k (k >= 0)."""
     den = math.lcm(*(p.denominator for p in bias))
     weights = [p.numerator * (den // p.denominator) for p in bias]
+    if len(weights) == 1:
+        return [weights[0] ** k], den**k
     tensored = [1]
     for _ in range(k):
         tensored = [x * y for x in tensored for y in weights]
@@ -444,9 +446,7 @@ def _kfold_walk(
     return numerators, scale, itertools.compress(zip(perms, indices), per_perm)
 
 
-def exact_kfold_distribution(
-    n: int, bias, k: int, *, max_n: int = DEFAULT_MAX_N
-) -> ExactDistribution:
+def exact_kfold_distribution(n: int, bias, k: int) -> ExactDistribution:
     """Exact measure of k repeated shuffles, via the tensored bias.
 
     Avoids convolving S_n-sized tables: the k-fold measure is the single
@@ -455,7 +455,7 @@ def exact_kfold_distribution(
     gives one Fraction per class, and each permutation of S_n takes its
     class's through the walk of ``_kfold_walk``.
     """
-    numerators, scale, walk = _kfold_walk(n, bias, k, max_n=max_n)
+    numerators, scale, walk = _kfold_walk(n, bias, k)
     class_mass = [Fraction(m, scale) for m in numerators]
     return ExactDistribution(
         n, {Permutation._unchecked(images): class_mass[index] for images, index in walk}
@@ -525,6 +525,8 @@ def suf_bound(spec: ShuffleSpec) -> Fraction:
     Comes from the strong uniform time at which all cards have distinct
     pile-assignment histories; valid (and useful) whenever it is below 1.
     """
+    if math.comb(spec.n, 2) == 0:
+        return Fraction(0)  # before P_2^k, which can have billions of digits
     sums, scale = _power_sums(spec.bias, 2, spec.k)
     return Fraction(math.comb(spec.n, 2) * sums[2], scale**2)
 

@@ -17,7 +17,8 @@ import pytest
 import riffle
 from riffle import counting, shuffles
 from riffle.cli import build_parser, main
-from riffle.shuffles import exact_kfold_distribution
+from riffle.genfuncs import expected_inversions
+from riffle.shuffles import ShuffleSpec, exact_kfold_distribution
 from riffle.verify import BIAS_PANEL
 
 
@@ -231,6 +232,36 @@ def test_inv_pgf_of_forty_fair_shuffles(capsys):
     assert sum(coeffs) == 1
     mean = sum(j * c for j, c in enumerate(coeffs))
     assert mean == Fraction(math.comb(3, 2), 2) * (1 - Fraction(1, 2**40))
+
+
+def test_inv_pgf_of_a_52_card_deck(capsys):
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "stats", "--n", "52", "--n-max", "52", "--p", "1/2,1/2",
+                           "--k", "7", "--stat", "inv-pgf")
+    assert time.perf_counter() - start < 3
+    assert code == 0
+    coeffs = [Fraction(c) for c in json.loads(out)["coeffs"]]
+    assert sum(coeffs) == 1
+    mean = sum(j * c for j, c in enumerate(coeffs))
+    assert mean == expected_inversions(ShuffleSpec(52, (Fraction(1, 2),) * 2, 7))
+
+
+@pytest.mark.parametrize("argv, k, answer", [
+    (("tv", "--n", "5", "--p", "1,0"), "100000000", '"exact_tv": "119/120"'),
+    (("tv", "--n", "1", "--p", "1,0"), "100000000", '"exact_tv": "0/1"'),
+    (("dist", "--n", "3", "--p", "1,0"), "100000000", '[{"perm": [1, 2, 3], "p": "1/1"}]'),
+    # C(0,2) = 0, so the bound needs no (sum p_i^2)^k
+    (("tv", "--n", "0", "--p", "1/2,1/2"), "1000000000", '"tv_bound": "0/1"'),
+])
+def test_a_huge_k_that_changes_nothing_is_answered_at_once(capsys, argv, k, answer):
+    # 1^k = 1 passes the sweep budget, so a one-letter bias must not be tensored k times
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, *argv, "--k", k)
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    assert answer in out
+    _, at_three, _ = run_cli(capsys, *argv, "--k", "3")
+    assert out == at_three.replace('"k": 3,', f'"k": {k},')
 
 
 def test_tv_of_forty_fair_shuffles_is_refused_before_tensoring(capsys):

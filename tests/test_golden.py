@@ -32,6 +32,11 @@ GOLDEN_SHA256 = [
      "fcadab64bd3037ce43de7bac103e46003da79794326cd0a39663d8da44cfdccd"),
     (["stats", "--n", "6", "--p", "0.4,0.6", "--k", "3", "--stat", "inv-pgf"],
      "9eafb9f2f731e63d522c54dadd749591093c501cf247ea348768c2e8c36f07cb"),
+    (["stats", "--n", "12", "--n-max", "12", "--p", "0.4,0.6", "--k", "3", "--stat", "inv-pgf"],
+     "be8295030178ff5f95adc90387f478b0a404504bcbc7b1c7ed9eebc9617254e0"),
+    # a zero letter, and a series of degree C(20,2) = 190
+    (["stats", "--n", "20", "--n-max", "20", "--p", "1/3,0,2/3", "--k", "2", "--stat", "inv-pgf"],
+     "53b9b3eb40ebd8164375f19a2e5c2fa250a0f390833adbebc393f4621bf07b19"),
     (["report", "--n", "6", "--p", "0.4,0.6", "--k-max", "5"],
      "66d467d546cb4d4bca0500681cef33e24e88b558dc6c04f34b83090d68f517c0"),
     # rows 9 and 10 are over the sweep budget: their exact column stays empty
