@@ -61,7 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", required=True)
     p.add_argument("--k", type=int, default=1)
-    _add_n_max(p)
     p.set_defaults(handler=cmd_tv)
 
     p = sub.add_parser("stats", help="exact shuffle statistics and generating functions")
@@ -94,7 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", required=True)
     p.add_argument("--k-max", type=int, default=10)
     p.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
-    _add_n_max(p)
     p.set_defaults(handler=cmd_report)
 
     p = sub.add_parser("verify", help="run the self-verification suites")
@@ -168,10 +166,9 @@ def cmd_dist(args) -> int:
 
 
 def cmd_tv(args) -> int:
-    max_n = _n_max(args)
     bias = parse_bias(args.p)
     spec = ShuffleSpec(args.n, bias, args.k)
-    tv = shuffles.tv_to_uniform(args.n, bias, args.k, max_n=max_n)
+    tv = shuffles.tv_to_uniform(args.n, bias, args.k)
     bound = shuffles.suf_bound(spec)
     print(
         json.dumps(
@@ -279,12 +276,8 @@ def cmd_bijection(args) -> int:
 def cmd_report(args) -> int:
     if args.k_max < 1:
         raise ValueError("--k-max must be at least 1")
-    max_n = _n_max(args)
     bias = parse_bias(args.p)
     n = args.n
-    exact_ok = n <= max_n
-    if not exact_ok:
-        print(f"note: n={n} above cap {max_n}; exact_tv column omitted", file=sys.stderr)
     lalley = None
     if len(bias) == 2 and 0 < bias[0] < 1 and n >= 2:
         lalley = shuffles.lalley_lower_steps(n, bias[0])
@@ -294,14 +287,13 @@ def cmd_report(args) -> int:
     if ssq < 1 and n >= 2:
         suffices = 2 * math.log(n) / math.log(1 / ssq)
     letters = sum(1 for p in bias if p)
-    rows = []
+    rows, refusal = [], None
     for k in range(1, args.k_max + 1):
         bound = shuffles.suf_bound(ShuffleSpec(n, bias, k))
         # the sweep grows with k, so the exact column ends at the first row over budget
-        if exact_ok and (refusal := shuffles.sweep_refusal(n, letters, k)):
+        if refusal is None and (refusal := shuffles.sweep_refusal(n, letters, k)):
             print(f"note: exact_tv omitted from k={k} on: {refusal}", file=sys.stderr)
-            exact_ok = False
-        exact_tv = shuffles.tv_to_uniform(n, bias, k, max_n=max_n) if exact_ok else None
+        exact_tv = None if refusal else shuffles.tv_to_uniform(n, bias, k)
         rows.append((k, bound, exact_tv))
     if args.format == "json":
         print(

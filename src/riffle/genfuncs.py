@@ -21,6 +21,7 @@ from fractions import Fraction
 from .necklaces import _mobius, enumerate_primitive_multisets, length_multiset
 from .permutations import (
     DEFAULT_MAX_N,
+    Immutable,
     check_size,
     cycle_type,
     cycle_type_key,
@@ -42,7 +43,7 @@ from .shuffles import (
 CycleTypeKey = tuple[tuple[int, int], ...]
 
 
-class CyclePolynomial:
+class CyclePolynomial(Immutable):
     """Joint probability generating function of the cycle counts N_1..N_n.
 
     ``terms`` maps a canonical cycle-type key ((length, count), ...) to the
@@ -86,9 +87,6 @@ class CyclePolynomial:
 
     def __repr__(self) -> str:
         return f"CyclePolynomial(n={self.n}, types={len(self.terms)})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CyclePolynomial is immutable")
 
 
 def cycle_structure_pgf(
@@ -141,18 +139,13 @@ def cycle_structure_pgf(
         for (deg, key), coeff in state.items():
             for s in range(1, (n - deg) // i + 1):
                 if expo[s]:
-                    slot = (deg + i * s, _add_cycles(key, i, s))
+                    # lengths come in increasing order, so the key stays sorted
+                    slot = (deg + i * s, key + ((i, s),))
                     new_state[slot] = new_state.get(slot, Fraction(0)) + coeff * expo[s]
         state = new_state
 
     terms = {key: c for (deg, key), c in state.items() if deg == n}
     return CyclePolynomial(n, terms)
-
-
-def _add_cycles(key: CycleTypeKey, length: int, count: int) -> CycleTypeKey:
-    counts = dict(key)
-    counts[length] = counts.get(length, 0) + count
-    return tuple(sorted(counts.items()))
 
 
 def cycle_pgf_from_distribution(dist: ExactDistribution) -> CyclePolynomial:

@@ -40,7 +40,19 @@ def check_size(n: int = 0, *, k: int = 0, cap: int | None = None) -> None:
         raise ValueError(f"n={n} above cap {cap}")
 
 
-class Permutation:
+class Immutable:
+    """Base of the value types: set once by object.__setattr__, then frozen."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class Permutation(Immutable):
     """An element of S_n, immutable and hashable.
 
     >>> p = Permutation([2, 3, 1])
@@ -115,9 +127,6 @@ class Permutation:
 
     def __repr__(self) -> str:
         return f"Permutation({list(self.images)})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Permutation is immutable")
 
 
 def standard_permutation(word: Iterable) -> Permutation:

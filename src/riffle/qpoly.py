@@ -12,8 +12,10 @@ from functools import lru_cache
 from numbers import Rational
 from typing import Iterable
 
+from .permutations import Immutable
 
-class QPolynomial:
+
+class QPolynomial(Immutable):
     """Polynomial in q with exact rational coefficients.
 
     The coefficient tuple is trimmed of trailing zeros, so equality is
@@ -116,9 +118,6 @@ class QPolynomial:
     def __repr__(self) -> str:
         pretty = [c if c.denominator != 1 else c.numerator for c in self.coeffs]
         return f"QPolynomial({pretty})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QPolynomial is immutable")
 
 
 def _coerce(value) -> QPolynomial:

@@ -30,10 +30,11 @@ import random
 from fractions import Fraction
 from typing import Callable, Iterator
 
-from .counting import count_descent_exact, multinomial
+from .counting import multinomial
 from .permutations import (
     DEFAULT_MAX_N,
     MAX_CACHED_N,
+    Immutable,
     Permutation,
     check_size,
     partial_sums,
@@ -115,7 +116,7 @@ def tensor_power(bias, k: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(x, scale) for x in weights)
 
 
-class ShuffleSpec:
+class ShuffleSpec(Immutable):
     """Deck size, bias vector, and number of repeated shuffles; immutable,
     equal and hashable by (n, bias, k)."""
 
@@ -141,16 +142,10 @@ class ShuffleSpec:
     def __repr__(self) -> str:
         return f"ShuffleSpec(n={self.n!r}, bias={self.bias!r}, k={self.k!r})"
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ShuffleSpec is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("ShuffleSpec is immutable")
-
 
 # --- exact distributions ------------------------------------------------
 
-class ExactDistribution:
+class ExactDistribution(Immutable):
     """Exact rational probability measure on S_n; zero masses are omitted."""
 
     __slots__ = ("n", "masses")
@@ -191,9 +186,6 @@ class ExactDistribution:
     def __repr__(self) -> str:
         return f"ExactDistribution(n={self.n}, support={len(self.masses)})"
 
-    def __setattr__(self, name, value):
-        raise AttributeError("ExactDistribution is immutable")
-
     def to_json_obj(self) -> dict:
         return {
             "n": self.n,
@@ -208,7 +200,8 @@ class ExactDistribution:
 # nonzero letters).  2^21 cells take 0.3-0.35 s at n = 6..9 (CPython 3.11, a
 # 2-vCPU Xeon) and admit the largest sweep of `verify --n-max 8` (n = 8,
 # a' = 3, k = 8).  The letters are tensored as integers, so the budget also
-# bounds n = 1: its 2^20 letters take ~0.15 s and 31 MB max RSS.
+# bounds n = 1: its 2^20 letters take ~0.15 s and 31 MB max RSS.  It bounds
+# the class-size walk of ``tv_to_uniform`` too, which stays within the sweep's trie.
 MAX_SWEEP_CELLS = 2**21
 
 
@@ -236,7 +229,8 @@ def _kfold_classes(n: int, bias, k: int) -> tuple[list[int], int]:
     counted word uses them.  Classes are the leaves of a depth-first trie
     over positions 1..n-1, so classes that agree on {1..j-1} share their
     first j steps: about 2^n * a'^k list cells for a' nonzero letters, which
-    is refused over MAX_SWEEP_CELLS before any letter is built.
+    is refused over MAX_SWEEP_CELLS before any letter is built.  A class of
+    d >= a'^k descents needs d + 1 letters, so its subtree is filled with 0.
     """
     probs = validate_bias(bias)
     check_size(n, k=k)
@@ -249,16 +243,19 @@ def _kfold_classes(n: int, bias, k: int) -> tuple[list[int], int]:
     weights, den = _weights(letters, k)
     out: list[int] = []
 
-    def visit(words: list[int], j: int):
+    def visit(words: list[int], j: int, descents: int):
         # words[v]: numerator of the mass of admissible length-j words ending in v
         if j == n:
             out.append(sum(words))
             return
         prefix = list(itertools.accumulate(words))
-        visit(list(map(operator.mul, weights, prefix)), j + 1)
-        visit([0, *map(operator.mul, weights[1:], prefix)], j + 1)
+        visit(list(map(operator.mul, weights, prefix)), j + 1, descents)
+        if descents + 1 < len(weights):
+            visit([0, *map(operator.mul, weights[1:], prefix)], j + 1, descents + 1)
+        else:
+            out.extend(itertools.repeat(0, 2 ** (n - 1 - j)))
 
-    visit(weights, 1)
+    visit(weights, 1, 0)
     return out, den**n
 
 
@@ -270,17 +267,21 @@ def _content_mass(bias, parts) -> Fraction:
 
 
 def _words_with_content(counts: list[int]) -> Iterator[tuple[int, ...]]:
-    """Distinct words (tuples of 0-based letters) with the given letter counts."""
-    if not any(counts):
-        yield ()
-        return
-    for letter, c in enumerate(counts):
-        if c == 0:
-            continue
-        counts[letter] -= 1
-        for rest in _words_with_content(counts):
-            yield (letter,) + rest
-        counts[letter] += 1
+    """Distinct words (tuples of 0-based letters) with the given letter
+    counts, in lexicographic order, by a loop, so any length works."""
+    word = [letter for letter, c in enumerate(counts) for _ in range(c)]
+    while True:
+        yield tuple(word)
+        # next permutation: reverse the longest non-increasing tail, then swap
+        # the entry before it with the first tail entry above that entry
+        i = len(word) - 2
+        while i >= 0 and word[i] >= word[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        word[i + 1:] = reversed(word[i + 1:])
+        j = bisect.bisect_right(word, word[i], i + 1)
+        word[i], word[j] = word[j], word[i]
 
 
 def exact_distribution(
@@ -462,28 +463,45 @@ def exact_kfold_distribution(n: int, bias, k: int) -> ExactDistribution:
     )
 
 
-def tv_to_uniform(n: int, bias, k: int = 1, *, max_n: int = DEFAULT_MAX_N) -> Fraction:
+def _class_sizes(n: int, most: int) -> list[int]:
+    """|D| for each inverse-descent class D of S_n at its index in
+    ``_kfold_classes``, or 0 past ``most`` descents below n.  |D| counts the
+    permutations with descent set D, built on the sweep's trie: f[r] counts
+    the arrangements so far whose last entry has rank r among them, and the
+    next entry goes above it (prefix sums) or below it (suffix sums)."""
+    out: list[int] = []
+
+    def visit(f: list[int], descents: int):
+        if descents > most:
+            out.extend(itertools.repeat(0, 2 ** (n - len(f))))
+        elif len(f) >= n:  # n = 0 has one class, as n = 1 does
+            out.append(sum(f))
+        else:
+            visit([0, *itertools.accumulate(f)], descents)
+            visit([*itertools.accumulate(f[::-1])][::-1] + [0], descents + 1)
+
+    visit([1], 0)
+    return out
+
+
+def tv_to_uniform(n: int, bias, k: int = 1) -> Fraction:
     """Exact distance from the k-fold shuffle to uniform, summed over classes.
 
-    The mass N_D / S is constant on each inverse-descent class D, which holds
-    |D| = count_descent_exact(n, D) permutations, so the distance is
-    sum_D |D| * |N_D * n! - S| / (2 * S * n!) over 2^(n-1) classes, summed
-    on integers with no S_n enumeration.  The caps are those of the S_n
-    route, plus MAX_SWEEP_CELLS.
+    The mass N_D / S is constant on each inverse-descent class D, and both
+    measures sum to 1, so the distance is sum_D |D| * max(N_D * n! - S, 0)
+    / (S * n!) over the 2^(n-1) classes, on integers.  A class with mass has
+    fewer descents than the a'^k letters, so the size walk stops at the
+    most descents of such a class, and MAX_SWEEP_CELLS bounds it too.
 
     >>> tv_to_uniform(3, (Fraction(1, 2), Fraction(1, 2)))
     Fraction(1, 3)
     """
-    check_size(n, cap=min(max_n, MAX_CACHED_N))
     numerators, scale = _kfold_classes(n, bias, k)
-    if n == 0:
-        return Fraction(0)
     fact = math.factorial(n)
-    total = 0
-    for index, m in enumerate(numerators):
-        deset = [i for i in range(1, n) if index >> (n - 1 - i) & 1] + [n]
-        total += count_descent_exact(n, deset) * abs(m * fact - scale)
-    return Fraction(total, 2 * scale * fact)
+    most = max(index.bit_count() for index, m in enumerate(numerators) if m)
+    excess = (m * fact - scale for m in numerators)
+    total = sum(size * e for size, e in zip(_class_sizes(n, most), excess) if e > 0)
+    return Fraction(total, scale * fact)
 
 
 def uniform_distribution(n: int) -> ExactDistribution:

@@ -170,20 +170,9 @@ def check_geometric_fit(config: VerifyConfig) -> CheckResult:
 
 def _chi2_quantile(prob: float, dof: int) -> float:
     # Wilson-Hilferty cube approximation; adequate for a pass/fail report.
-    z = _normal_quantile(prob)
+    from statistics import NormalDist  # loaded only by the suite that fits a law
+    z = NormalDist().inv_cdf(prob)
     return dof * (1 - 2 / (9 * dof) + z * math.sqrt(2 / (9 * dof))) ** 3
-
-
-def _normal_quantile(prob: float) -> float:
-    # bisection against erf; fine for the few calls made here
-    lo, hi = -10.0, 10.0
-    for _ in range(200):
-        mid = (lo + hi) / 2
-        if 0.5 * (1 + math.erf(mid / math.sqrt(2))) < prob:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2
 
 
 @_suite("convolution")

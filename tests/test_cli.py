@@ -122,6 +122,70 @@ def test_dist_csv(capsys):
     assert out.splitlines() == ["perm,p", "1 2,7/9", "2 1,2/9"]
 
 
+# Exact distances of 1..3 fair shuffles of 10 cards, equal to the closed form
+# of Bayer and Diaconis (checked against it in tests/test_shuffles.py).
+FAIR_TV_10 = ["604631/604800", "1562377/1814400", "812046492277/1902536294400"]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_tv_past_s9_is_the_fair_closed_form(capsys, k):
+    code, out, err = run_cli(capsys, "tv", "--n", "10", "--p", "1/2,1/2", "--k", str(k))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["exact_tv"] == FAIR_TV_10[k - 1]
+
+
+def test_report_past_s9_fills_the_exact_column(capsys):
+    code, out, err = run_cli(capsys, "report", "--n", "10", "--p", "1/2,1/2", "--k-max", "3",
+                             "--format", "json")
+    assert (code, err) == (0, "")
+    assert [row["exact_tv"] for row in json.loads(out)["rows"]] == FAIR_TV_10
+
+
+def _timed_cli(*argv) -> tuple[float, subprocess.CompletedProcess]:
+    src = str(Path(riffle.__file__).resolve().parents[1])
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "riffle.cli", *argv],
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
+    return time.perf_counter() - start, done
+
+
+def test_tv_of_sixteen_cards_prints_within_two_seconds():
+    elapsed, done = _timed_cli("tv", "--n", "16", "--p", "0.4,0.6", "--k", "4")
+    assert elapsed < 2
+    assert done.returncode == 0
+    tv = Fraction(json.loads(done.stdout)["exact_tv"])
+    assert tv == shuffles.tv_to_uniform(16, (Fraction(2, 5), Fraction(3, 5)), 4)
+
+
+def test_tv_of_one_letter_at_the_budget_prints_within_three_seconds():
+    # 2^21 * 1^3 cells is the budget itself; every class but the identity's is empty
+    elapsed, done = _timed_cli("tv", "--n", "21", "--p", "1", "--k", "3")
+    assert elapsed < 3
+    assert done.returncode == 0
+    assert Fraction(json.loads(done.stdout)["exact_tv"]) == 1 - Fraction(1, math.factorial(21))
+
+
+def test_dist_of_a_thousand_cards_one_pile(capsys):
+    # the word listing nested once per card and overflowed the stack at n = 1000
+    code, out, err = run_cli(capsys, "dist", "--n", "1000", "--n-max", "1000", "--p", "1")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"n": 1000, "masses": [{"perm": list(range(1, 1001)), "p": "1/1"}]}
+
+
+@pytest.mark.parametrize("argv, detail", [
+    (["--only", "fixed-points", "--n-max", "6"], "fixed-point PGFs exact for n <= 6"),
+    (["--only", "geometric-fit", "--samples", "2000"],
+     "chi2 10.2 <= 31.4 (dof 11, 2000 samples)"),
+    (["--only", "monte-carlo", "--samples", "300"],
+     "all means within 4 se at 300 samples, k in {1,5,10}"),
+], ids=["fixed-points", "geometric-fit", "monte-carlo"])
+def test_verify_suites_run_through_the_cli(capsys, argv, detail):
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 0
+    assert json.loads(out) == {"name": argv[1], "passed": True, "detail": detail}
+    assert err == "1/1 suites passed\n"
+
+
 def test_tv_json(capsys):
     code, out, _ = run_cli(capsys, "tv", "--n", "3", "--p", "1/2,1/2")
     assert code == 0
@@ -386,18 +450,13 @@ def test_verify_unknown_suite(capsys):
     ["verify", "--only", "equivalence", "--n-max", "9"],
     ["verify", "--only", "equivalence", "--n-max", "10"],
     ["dist", "--n", "3", "--p", "1/2,1/2", "--n-max", "0"],
-    ["tv", "--n", "3", "--p", "1/2,1/2", "--n-max", "0"],
     ["stats", "--n", "3", "--p", "1/2,1/2", "--stat", "inv-pgf", "--n-max", "0"],
     ["count", "--n", "3", "--j", "1,3", "--method", "brute", "--n-max", "0"],
-    ["report", "--n", "3", "--p", "1/2,1/2", "--n-max", "0"],
-    ["tv", "--n", "10", "--p", "1/2,1/2", "--n-max", "12"],
-    ["report", "--n", "10", "--p", "1/2,1/2", "--n-max", "10"],
     ["dist", "--n", "-1", "--p", "1/2,1/2", "--k", "2"],
     ["dist", "--n", "-1", "--p", "1/2,1/2"],
 ], ids=["report-k-max-negative", "report-k-max-zero", "verify-samples-zero",
         "verify-samples-negative", "verify-n-max-negative", "verify-n-max-9",
-        "verify-n-max-10", "dist-n-max-zero", "tv-n-max-zero", "stats-n-max-zero",
-        "count-n-max-zero", "report-n-max-zero", "tv-above-s9", "report-above-s9",
+        "verify-n-max-10", "dist-n-max-zero", "stats-n-max-zero", "count-n-max-zero",
         "dist-n-negative-k2", "dist-n-negative"])
 def test_bad_counts_are_refused(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
@@ -431,7 +490,11 @@ def test_every_flag_is_read_by_its_handler():
     ["bijection", "--word", "1,2", "--n-max", "3"],
     ["dist", "--n", "3", "--p", "1/2,1/2", "--format", "lines"],
     ["report", "--n", "3", "--p", "1/2,1/2", "--format", "lines"],
-], ids=["tv-seed", "bijection-n-max", "dist-format-lines", "report-format-lines"])
+    # tv and report are limited by the sweep budget alone
+    ["tv", "--n", "3", "--p", "1/2,1/2", "--n-max", "0"],
+    ["report", "--n", "3", "--p", "1/2,1/2", "--n-max", "0"],
+], ids=["tv-seed", "bijection-n-max", "dist-format-lines", "report-format-lines",
+        "tv-n-max-zero", "report-n-max-zero"])
 def test_flags_a_command_does_not_read_are_refused(capsys, argv):
     with pytest.raises(SystemExit) as raised:
         main(argv)

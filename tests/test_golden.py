@@ -136,10 +136,11 @@ GOLDEN_TEXT = [
      '{"k": 1, "tv_bound": "15/4", "exact_tv": "1429/2560"}, '
      '{"k": 2, "tv_bound": "45/32", "exact_tv": "1726871/7864320"}, '
      '{"k": 3, "tv_bound": "135/256", "exact_tv": "11946741/134217728"}]}\n'),
-    # n above the cap: the exact column stays empty
+    # past S_9: the exact column is the fair closed form of Bayer and Diaconis
     (["report", "--n", "10", "--p", "1/2,1/2", "--k-max", "3"],
      "# n=10\n# bias=1/2,1/2\n# lalley_lower_steps=4.982892142330666\n"
-     "# suffices_steps=6.643856189774725\nk,tv_bound,exact_tv\n1,45/2,\n2,45/4,\n3,45/8,\n"),
+     "# suffices_steps=6.643856189774725\nk,tv_bound,exact_tv\n1,45/2,604631/604800\n"
+     "2,45/4,1562377/1814400\n3,45/8,812046492277/1902536294400\n"),
 ]
 
 

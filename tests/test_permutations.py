@@ -209,9 +209,7 @@ SIZE_GUARDED = {
         lambda n: shuffles.exact_distribution_pile_words(n, HALF), DEFAULT_MAX_N),
     "exact_kfold_distribution": (
         lambda n: shuffles.exact_kfold_distribution(n, HALF, 2), DEFAULT_MAX_N),
-    "tv_to_uniform": (lambda n: shuffles.tv_to_uniform(n, HALF), DEFAULT_MAX_N),
-    "tv_to_uniform-max_n-12": (
-        lambda n: shuffles.tv_to_uniform(n, HALF, max_n=12), MAX_CACHED_N),
+    "tv_to_uniform": (lambda n: shuffles.tv_to_uniform(n, HALF), None),
     "cycle_structure_pgf": (lambda n: genfuncs.cycle_structure_pgf(n, HALF), DEFAULT_MAX_N),
     "fixed_point_pgf": (lambda n: genfuncs.fixed_point_pgf(n, HALF), DEFAULT_MAX_N),
     "inversion_pgf": (lambda n: genfuncs.inversion_pgf(n, HALF), DEFAULT_MAX_N),
@@ -256,3 +254,23 @@ def test_the_necklace_length_cap_has_the_one_message():
         "inversion_pgf"])
 def test_negative_k_is_refused_with_the_one_message(call):
     assert _message(call) == "negative k"
+
+
+# --- immutable value types ------------------------------------------------
+
+@pytest.mark.parametrize("make, attr", [
+    (lambda: Permutation([2, 1]), "images"),
+    (lambda: shuffles.ShuffleSpec(3, HALF), "k"),
+    (lambda: shuffles.exact_distribution(2, HALF), "masses"),
+    (lambda: genfuncs.cycle_structure_pgf(2, HALF), "terms"),
+    (lambda: QPolynomial([1, 2]), "coeffs"),
+], ids=["Permutation", "ShuffleSpec", "ExactDistribution", "CyclePolynomial", "QPolynomial"])
+def test_value_types_refuse_set_and_delete(make, attr):
+    value = make()
+    before = (repr(value), getattr(value, attr))
+    message = f"{type(value).__name__} is immutable"
+    with pytest.raises(AttributeError, match=message):
+        setattr(value, attr, None)
+    with pytest.raises(AttributeError, match=message):
+        delattr(value, attr)
+    assert (repr(value), getattr(value, attr)) == before

@@ -1,4 +1,5 @@
 import bisect
+import itertools
 import math
 import random
 from fractions import Fraction as F
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from riffle.counting import count_descent_exact
 from riffle.permutations import Permutation, descent_set, symmetric_group_list
 from riffle import shuffles
 from riffle.shuffles import (
@@ -79,6 +81,25 @@ def test_shuffle_spec_is_an_immutable_value():
 
 
 # --- exact measures ------------------------------------------------------
+
+def _words_by_recursion(counts):
+    if not any(counts):
+        yield ()
+        return
+    for letter, c in enumerate(counts):
+        if c:
+            counts[letter] -= 1
+            for rest in _words_by_recursion(counts):
+                yield (letter,) + rest
+            counts[letter] += 1
+
+
+@pytest.mark.parametrize("counts", [
+    *itertools.product(range(4), repeat=3), (0, 2, 0, 3), (1, 1, 1, 1, 1), (5,), ()])
+def test_words_with_content_keep_lexicographic_order(counts):
+    assert list(shuffles._words_with_content(list(counts))) == list(
+        _words_by_recursion(list(counts)))
+
 
 @pytest.mark.parametrize("p1", [F(1, 2), F(1, 3), F(1, 5)])
 def test_three_card_masses(p1):
@@ -213,14 +234,59 @@ def test_tv_to_uniform_examples():
     assert tv_to_uniform(4, (F(1),)) == 1 - F(1, 24)
 
 
-def test_tv_to_uniform_keeps_the_enumeration_caps():
-    with pytest.raises(ValueError, match="cap 8"):
-        tv_to_uniform(9, FAIR)
-    # S_n was never built above 9, whatever max_n said
-    with pytest.raises(ValueError, match="cap 9"):
-        tv_to_uniform(10, FAIR, max_n=12)
-    with pytest.raises(ValueError):
+def test_tv_to_uniform_is_limited_by_the_sweep_budget_alone():
+    with pytest.raises(ValueError, match="negative deck size"):
+        tv_to_uniform(-1, FAIR)
+    with pytest.raises(ValueError, match="negative k"):
         tv_to_uniform(3, FAIR, -1)
+    # one letter: 2^21 cells is the budget, 2^22 is over it
+    assert tv_to_uniform(21, (F(1),)) == 1 - F(1, math.factorial(21))
+    with pytest.raises(ValueError, match=r"2\^22 \* 1\^1 cells"):
+        tv_to_uniform(22, (F(1),))
+
+
+def _class_deset(n, index):
+    return [i for i in range(1, n) if index >> (n - 1 - i) & 1] + [n]
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_class_sizes_are_the_descent_set_counts(n):
+    sizes = shuffles._class_sizes(n, n - 1)
+    assert len(sizes) == 2 ** (n - 1) and sum(sizes) == math.factorial(n)
+    assert sizes == [count_descent_exact(n, _class_deset(n, index)) for index in range(len(sizes))]
+    # a walk cut at `most` descents keeps every class index, with 0 past the cut
+    for most in range(n - 1):
+        assert shuffles._class_sizes(n, most) == [
+            size if index.bit_count() <= most else 0 for index, size in enumerate(sizes)]
+
+
+def _tv_by_descent_counts(n, bias, k):
+    """sum_D |D| * |N_D * n! - S| / (2 * S * n!) with |D| by inclusion-exclusion."""
+    numerators, scale = shuffles._kfold_classes(n, bias, k)
+    fact = math.factorial(n)
+    total = sum(count_descent_exact(n, _class_deset(n, index)) * abs(m * fact - scale)
+                for index, m in enumerate(numerators))
+    return F(total, 2 * scale * fact)
+
+
+def _fair_tv(n, k):
+    """Bayer and Diaconis: k fair shuffles are one 2^k-shuffle, whose mass at
+    pi is C(2^k + n - 1 - d, n) / 2^(kn) with d = des(pi^-1); the Eulerian
+    number A(n, d) counts the permutations with d descents."""
+    eulerian = [1]  # A(m, d) for d < m, from m = 1 up
+    for m in range(2, n + 1):
+        prev = [0, *eulerian, 0]
+        eulerian = [(d + 1) * prev[d + 1] + (m - d) * prev[d] for d in range(m)]
+    letters, uniform = 2**k, F(1, math.factorial(n))
+    return sum(count * abs(F(math.comb(letters + n - 1 - d, n), letters**n) - uniform)
+               for d, count in enumerate(eulerian)) / F(2)
+
+
+@pytest.mark.parametrize("n", range(0, 17))
+def test_tv_to_uniform_is_the_fair_closed_form(n):
+    # k <= 5 keeps 2^n * 2^k within the sweep budget for every n <= 16
+    for k in range(0, 6):
+        assert tv_to_uniform(n, FAIR, k) == _fair_tv(n, k)
 
 
 def test_kfold_sweep_is_refused_over_budget_before_tensoring():
@@ -287,6 +353,13 @@ def test_per_permutation_routes_agree_on_random_biases(bias, n):
 def test_class_tv_matches_sn_tv_on_random_biases(bias, n, k):
     want = tv_distance(exact_kfold_distribution(n, bias, k), uniform_distribution(n))
     assert tv_to_uniform(n, bias, k) == want
+
+
+@given(bias=random_bias, n=st.integers(1, 11), k=st.integers(0, 3))
+@settings(max_examples=40, deadline=None)
+def test_tv_to_uniform_matches_the_class_sum_on_random_biases(bias, n, k):
+    assume(shuffles.sweep_refusal(n, sum(1 for p in bias if p), k) is None)
+    assert tv_to_uniform(n, bias, k) == _tv_by_descent_counts(n, bias, k)
 
 
 def test_tv_rejects_size_mismatch():
