@@ -338,6 +338,7 @@ def cmd_verify(args) -> int:
             raise ValueError(f"--n-max must be at most {DEFAULT_MAX_N} for verify")
         config.n_max = config.count_n_max = n_max
     if args.seed is not None:
+        shuffles.substream(args.seed, 0)  # refuses a seed out of range before any suite runs
         config.seed = args.seed
     results = verify.run(only=args.only, config=config)
     if not results:

@@ -8,10 +8,10 @@ permutation, and that reading defines the measure computed here.
 Four equivalent sampling procedures are provided (``interleave``, ``drop``,
 ``geometric``, ``inverse``), plus exact enumeration routes for three of
 them, so the equivalence is testable and not just asserted.  The samplers
-take their bits from ``rng.getrandbits`` in exactly the order
-``rng.randrange`` and ``rng.shuffle`` would, so seeded streams are those of
-those methods, and they return unchecked image lists: ``sample`` composes
-the k lists and validates one permutation per draw.
+take the generator's words in exactly the order ``rng.randrange``,
+``rng.shuffle`` and ``rng.random`` would, so seeded streams are those of
+those methods, and they return each shuffle as an unchecked inverse order:
+``sample`` composes the k of them and validates one permutation per draw.
 
 Composition convention: the shuffle applied first is the *left* factor, so
 a k-fold shuffle is ``s1 * s2 * ... * sk``.  With this order, convolving an
@@ -23,6 +23,7 @@ lexicographic tensor of the two bias vectors (first shuffle = major digit);
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 import operator
@@ -39,7 +40,6 @@ from .permutations import (
     check_size,
     partial_sums,
     standard_permutation,
-    standard_ranks,
     symmetric_group_list,
     weak_compositions,
 )
@@ -77,12 +77,33 @@ def _weights(bias, k: int = 1) -> tuple[list[int], int]:
     return tensored, den**k
 
 
+# Largest exact answer built from power sums, in decimal digits: below
+# Python's 4300-digit limit on printing an int, with room for the small
+# factors (C(n,2), n!, cycle-type counts) the closed forms multiply in.
+MAX_ANSWER_DIGITS = 4000
+
+
 def _power_sums(bias, n: int, k: int = 1) -> tuple[list[int], int]:
     """Power sums P_e(bias)^k = N_e / D^e of the k-fold tensored bias, e = 0..n,
-    as ([N_0..N_n], D): N_e = (sum_i w_i^e)^k, D = den^k, zero letters dropped."""
+    as ([N_0..N_n], D): N_e = (sum_i w_i^e)^k, D = den^k, zero letters dropped.
+
+    Refused before any k-th power is taken when the answers built from them
+    could pass MAX_ANSWER_DIGITS.  With d_e the reduced denominator of P_e, a
+    product of power sums of total degree at most n, raised to the k-th
+    power, has a denominator of at most (max_e d_e^(1/e))^(k n): for
+    P_2^k of a fair bias that is 2^k, for P_n^k of 1/3,2/3 it is 3^(k n).
+    """
     weights, den = _weights(bias)
     weights = [w for w in weights if w]
-    return [sum(w**e for w in weights) ** k for e in range(n + 1)], den**k
+    sums = [sum(w**e for w in weights) for e in range(n + 1)]
+    # the sums are at most den^e, so the estimate needs no k-th power
+    digits = k * n * max((math.log10(den**e // math.gcd(s, den**e)) / e
+                          for e, s in enumerate(sums) if e), default=0)
+    if digits > MAX_ANSWER_DIGITS:
+        raise ValueError(f"an exact answer of up to {math.ceil(digits)} digits (power sums of "
+                         f"degree {n} at k={k}) is above the budget of "
+                         f"{MAX_ANSWER_DIGITS} digits")
+    return [x**k for x in sums], den**k
 
 
 def parse_bias(text: str) -> tuple[Fraction, ...]:
@@ -597,13 +618,17 @@ def lalley_lower_steps(n: int, p1) -> float:
 # --- samplers -----------------------------------------------------------
 
 def substream(seed: int, index: int) -> random.Random:
-    """Derive an independently seeded RNG stream from a 64-bit master seed.
+    """Derive an independently seeded RNG stream from a 64-bit master seed,
+    refusing a seed outside 0..2^64-1.
 
     Stream i is random.Random(splitmix64(seed + (i+1)*GOLDEN)); the
     SplitMix64 finalizer decorrelates nearby seeds, so parallel workers can
     use substream(seed, worker_index) reproducibly.
     """
     mask = (1 << 64) - 1
+    if not 0 <= seed <= mask:
+        # the mix is modulo 2^64, so -1 would draw the stream of 2^64 - 1
+        raise ValueError(f"seed {seed} is outside 0..2^64-1")
     z = (seed + (index + 1) * 0x9E3779B97F4A7C15) & mask
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
@@ -611,10 +636,10 @@ def substream(seed: int, index: int) -> random.Random:
     return random.Random(z)
 
 
-def _categorical(bias) -> tuple[list[int], int]:
+def _categorical(bias) -> tuple[tuple[int, ...], int]:
     """Integer thresholds for exact categorical sampling of a rational bias."""
     weights, denom = _weights(bias)
-    return list(itertools.accumulate(weights)), denom
+    return tuple(itertools.accumulate(weights)), denom
 
 
 def _randbelow(getrandbits, m: int) -> int:
@@ -622,9 +647,13 @@ def _randbelow(getrandbits, m: int) -> int:
 
     ``random.Random`` draws m.bit_length() bits and redraws while the value
     is m or more; ``getrandbits`` is the bound method of the generator.  The
-    category draws, run n times per shuffle, inline this loop: calling it
-    there costs ~9% of the ``sampling`` benchmark's wall time (median of ten
-    paired runs).
+    samplers run this loop once per card and inline it (``_shuffle``, the
+    drop and geometric loops, the per-call path of ``_draw_labels``):
+    calling it there costs ~9% of the ``sampling`` benchmark's wall time
+    (median of ten paired runs).  On CPython's generator a draw below
+    m <= 2^8 is the top byte of one 32-bit word, which ``_draw_labels``
+    decodes in batches; the shuffle and drop draws stay one call each, as
+    decoding their bytes in a Python loop measured slower than the calls.
     """
     bits = m.bit_length()
     r = getrandbits(bits)
@@ -636,13 +665,51 @@ def _randbelow(getrandbits, m: int) -> int:
 def _shuffle(x: list, getrandbits) -> None:
     """``rng.shuffle(x)`` in place, consuming the same bits of the stream."""
     for i in range(len(x) - 1, 0, -1):
-        j = _randbelow(getrandbits, i + 1)
+        bits = (i + 1).bit_length()
+        j = getrandbits(bits)
+        while j > i:
+            j = getrandbits(bits)
         x[i], x[j] = x[j], x[i]
 
 
+@functools.lru_cache(maxsize=32)
+def _label_table(cumulative: tuple[int, ...], denom: int) -> tuple[bytes, bytes]:
+    """For the top byte of a 32-bit generator word, with denom below 2^8 and
+    at most 256 letters: the category of each byte value (for
+    ``bytes.translate``), and the byte values whose draw is denom or more,
+    which are rejected.  Building it costs ~50-70 us, so it is kept per bias."""
+    shift = 8 - denom.bit_length()
+    rejected = bytes(b for b in range(256) if b >> shift >= denom)
+    # translate deletes the rejected bytes first, so their entry (0) is never read
+    table = bytes(bisect.bisect_right(cumulative, b >> shift) if b >> shift < denom else 0
+                  for b in range(256))
+    return table, rejected
+
+
 def _draw_labels(n: int, cumulative, denom: int, rng: random.Random) -> list[int]:
-    """Pile labels of n independent cards: category of a uniform draw below denom."""
+    """Pile labels of n independent cards: category of a uniform draw below
+    denom, drawn as ``rng.randrange(denom)`` would draw it.
+
+    ``getrandbits(b)`` for b <= 32 is one 32-bit word of CPython's Mersenne
+    Twister shifted right by 32 - b, and ``getrandbits(32 * m)`` is m
+    consecutive words, the first one lowest.  So on that generator, with
+    denom below 2^8 and at most 256 letters, each draw is the top byte of a
+    word and each label fits in a byte: the words still missing are drawn
+    at once, and one ``bytes.translate`` deletes the rejected top bytes and
+    maps the rest to their categories, until n labels are drawn.  That
+    takes the same words as one draw at a time.  Any other generator or
+    bias draws one ``getrandbits`` call at a time.
+    """
     getrandbits = rng.getrandbits
+    if (denom.bit_length() <= 8 and len(cumulative) <= 256
+            and type(rng).getrandbits is random.Random.getrandbits):
+        table, rejected = _label_table(tuple(cumulative), denom)
+        labels = b""
+        while len(labels) < n:
+            need = n - len(labels)
+            top = getrandbits(32 * need).to_bytes(4 * need, "little")[3::4]
+            labels += top.translate(table, rejected)
+        return list(labels)
     bits = denom.bit_length()
     labels = []
     for _ in range(n):
@@ -653,67 +720,67 @@ def _draw_labels(n: int, cumulative, denom: int, rng: random.Random) -> list[int
     return labels
 
 
-def _draw_counts(n: int, cumulative, denom, a: int, rng) -> list[int]:
-    # multinomial(n; p) pile sizes = category counts of n independent draws
-    counts = [0] * a
-    for label in _draw_labels(n, cumulative, denom, rng):
-        counts[label] += 1
-    return counts
-
-
-# Each single sampler returns the images of one shuffle as a list, unchecked:
-# ``sample`` composes the lists and validates the product once.
+# Each single sampler returns one shuffle pi as its inverse order, unchecked:
+# the list whose entry r is the 0-based position of card r + 1, which is
+# pi^{-1} - 1.  ``sample`` composes these and checks the product once.
 
 def _single_interleave(n, bias, cumulative, denom, rng) -> list[int]:
     # sorted labels are the pile word of the drawn cut, pile i once per card
     word = sorted(_draw_labels(n, cumulative, denom, rng))
     _shuffle(word, rng.getrandbits)  # uniform over distinct interleavings
-    return standard_ranks(word)
+    return sorted(range(n), key=word.__getitem__)
 
 
 def _single_drop(n, bias, cumulative, denom, rng) -> list[int]:
-    counts = _draw_counts(n, cumulative, denom, len(bias), rng)
-    tops = list(itertools.accumulate(counts))  # label of each pile's bottom card
-    remaining = list(counts)
-    arrangement = [0] * n
+    remaining = [0] * len(bias)
+    for label in _draw_labels(n, cumulative, denom, rng):
+        remaining[label] += 1  # multinomial(n; p) pile sizes
+    tops = list(itertools.accumulate(remaining))  # each pile's bottom card, 1-based
+    order = [0] * n
     getrandbits = rng.getrandbits
     for total in range(n, 0, -1):
-        r = _randbelow(getrandbits, total)
-        acc = 0
-        for i, left in enumerate(remaining):
-            acc += left
-            if r < acc:
-                break
-        arrangement[total - 1] = tops[i]
-        tops[i] -= 1
+        # the card at position total comes from pile i w.p. remaining[i] / total
+        bits = total.bit_length()
+        r = getrandbits(bits)
+        while r >= total:
+            r = getrandbits(bits)
+        i = 0
+        while r >= remaining[i]:
+            r -= remaining[i]
+            i += 1
         remaining[i] -= 1
-    return arrangement
+        tops[i] -= 1
+        order[tops[i]] = total - 1
+    return order
 
 
 def _single_geometric(n, bias, cumulative, denom, rng) -> list[int]:
     # n points in [0,1]: interval i w.p. p_i, uniform inside; x = (i-1+u)/a.
-    # Sorting by x is sorting by (i, u); the map x -> a*x mod 1 leaves u.
-    # Stable sorts break ties by point index.  Each point takes its category
-    # and then its u from the stream, so the category draws are inlined here
-    # rather than taken from _draw_labels.
+    # Sorting by x is sorting by (i, u); the map x -> a*x mod 1 leaves u, so
+    # pi reads the (i, u)-rank of each point in u order.  Each point takes
+    # its category and then its u from the stream, so the category draws are
+    # inlined here rather than taken from _draw_labels.
     getrandbits, uniform = rng.getrandbits, rng.random
     bits = denom.bit_length()
-    pts, us = [], []
+    cats, us = [], []
     for _ in range(n):
         r = getrandbits(bits)
         while r >= denom:
             r = getrandbits(bits)
-        u = uniform()
-        pts.append((bisect.bisect_right(cumulative, r), u))
-        us.append(u)
-    label = [0] * n
-    for rank, t in enumerate(sorted(range(n), key=pts.__getitem__), start=1):
-        label[t] = rank
-    return [label[t] for t in sorted(range(n), key=us.__getitem__)]
+        cats.append(bisect.bisect_right(cumulative, r))
+        us.append(uniform())
+    # one stable sort by u (ties to the point index), then a stable sort of
+    # the u ranks by category: (i, u)-rank r + 1 sits at u rank order[r]
+    by_u = sorted(range(n), key=us.__getitem__)
+    return sorted(range(n), key=list(map(cats.__getitem__, by_u)).__getitem__)
 
 
 def _single_inverse(n, bias, cumulative, denom, rng) -> list[int]:
-    return standard_ranks(_draw_labels(n, cumulative, denom, rng))
+    # stacking the piles in label order sorts the cards stably by label: the
+    # order it sorts them into is the inverse of the shuffle.  ``sample``
+    # takes the k factors of a draw from one run of k * n labels instead.
+    labels = _draw_labels(n, cumulative, denom, rng)
+    return sorted(range(n), key=labels.__getitem__)
 
 
 _SINGLE_SAMPLERS: dict[str, Callable] = {
@@ -729,13 +796,19 @@ def sample(spec: ShuffleSpec, method: str = "inverse", rng: random.Random | None
 
     The k single shuffles are sampled independently and composed with the
     first shuffle as the left factor.  Reproducible for a fixed (seeded)
-    ``rng`` and method.  The samplers take their bits from
-    ``rng.getrandbits`` exactly as ``rng.randrange`` and ``rng.shuffle``
-    would, so ``rng`` must be a ``random.Random`` whose ``randrange`` draws
-    from ``getrandbits`` (any that does not override ``random()`` alone).
-    The factors are composed as image lists and only the product is
-    validated: one check per draw, which a factor that repeats an image or
-    has the wrong length fails.
+    ``rng`` and method.  The samplers take their words from
+    ``rng.getrandbits`` exactly as ``rng.randrange``, ``rng.shuffle`` and
+    ``rng.random`` would, so ``rng`` must be a ``random.Random`` whose
+    ``randrange`` draws from ``getrandbits`` (any that does not override
+    ``random()`` alone).  On CPython's own generator the label draws take
+    their 32-bit words in batches (see ``_draw_labels``); a subclass that
+    overrides ``getrandbits`` gets one call per draw.  Either way the seeded
+    stream and the generator's state afterwards are the same.
+
+    Each factor comes as its inverse order, and the inverse of the product
+    is composed from them and inverted once at the end.  Only the product
+    is validated: one check per draw, which a factor that repeats an image
+    fails; a factor of the wrong length is refused as it comes.
     """
     if method not in _SINGLE_SAMPLERS:
         raise ValueError(f"unknown method {method!r}; pick one of {SAMPLE_METHODS}")
@@ -744,12 +817,20 @@ def sample(spec: ShuffleSpec, method: str = "inverse", rng: random.Random | None
     single = _SINGLE_SAMPLERS[method]
     n, bias = spec.n, spec.bias
     cumulative, denom = _categorical(bias)
-    images = list(range(1, n + 1))
-    for _ in range(spec.k):
-        # (images * factor)(i) = images(factor(i)), looked up 1-based
-        padded = [0, *images]
-        images = [padded[j] for j in single(n, bias, cumulative, denom, rng)]
-    perm = Permutation(images)
-    if perm.n != n:
-        raise ValueError(f"a {method} shuffle of {n} cards drew a permutation of {perm.n}")
-    return perm
+    k = spec.k
+    if single is _single_inverse:
+        # k calls of it draw k runs of n labels and nothing else: the same
+        # words as one run of k * n, which costs one batch loop, not k
+        labels = _draw_labels(k * n, cumulative, denom, rng)
+        orders = (sorted(range(n), key=labels[j * n:j * n + n].__getitem__) for j in range(k))
+    else:
+        orders = (single(n, bias, cumulative, denom, rng) for _ in range(k))
+    inv = list(range(n))  # (s1 * ... * sj)^{-1} = sj^{-1} * ... * s1^{-1}, 0-based
+    for order in orders:
+        if len(order) != n:
+            raise ValueError(f"a {method} shuffle of {n} cards drew {len(order)} of them")
+        inv = [order[x] for x in inv]
+    images = [0] * n
+    for card, position in enumerate(inv, start=1):
+        images[position] = card
+    return Permutation(images)

@@ -513,9 +513,48 @@ def test_bijection_refuses_a_negative_part(capsys):
         (2, "", "error: negative letter count in (3, -1)\n")
 
 
+@pytest.mark.parametrize("command", [
+    ["sample", "--n", "5", "--p", "1/2,1/2"],
+    ["verify", "--only", "lalley"],
+])
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_seeds_outside_64_bits_are_refused(capsys, command, seed):
+    # the seed is mixed modulo 2^64: -1 drew the stream of 2^64 - 1, 2^64 that of 0
+    assert run_cli(capsys, *command, "--seed", seed) == \
+        (2, "", f"error: seed {seed} is outside 0..2^64-1\n")
+
+
+@pytest.mark.parametrize("argv, digits", [
+    (["--n", "2", "--k", "1000000000", "--stat", "inversions"], "301029996"),
+    (["--n", "2", "--k", "1000000000", "--stat", "descents"], "301029996"),
+    (["--n", "52", "--k", "100000", "--stat", "fixed-points"], "1535253"),
+])
+def test_closed_forms_past_the_answer_budget_are_refused_at_once(capsys, argv, digits):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "stats", "--p", "1/2,1/2", *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert f"up to {digits} digits" in err and "budget of 4000 digits" in err
+
+
+def test_the_answer_budget_admits_what_it_estimates_to_fit(capsys):
+    # a fair P_2^k is 1/2^k: k = 13287 is 3999.8 digits, k = 13288 is 4000.1
+    code, out, _ = run_cli(capsys, "stats", "--n", "52", "--p", "1/2,1/2", "--k", "13287",
+                           "--stat", "inversions")
+    assert code == 0
+    assert Fraction(json.loads(out)["exact"]) == 663 * (1 - Fraction(1, 2**13287))
+    code, _, err = run_cli(capsys, "stats", "--n", "52", "--p", "1/2,1/2", "--k", "13288",
+                           "--stat", "inversions")
+    assert code == 2 and "4000 digits" in err
+
+
 def test_importing_the_cli_leaves_dataclasses_and_verify_unloaded():
+    # struct and array stay unloaded too: the sampler decodes bytes without them
     src = str(Path(riffle.__file__).resolve().parents[1])
-    probe = "import sys, riffle.cli; print(sorted({'dataclasses', 'riffle.verify'} & set(sys.modules)))"
+    probe = ("import sys, riffle.cli; "
+             "print(sorted({'array', 'dataclasses', 'riffle.verify', 'struct'} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-S", "-c", probe], env={**os.environ, "PYTHONPATH": src},
                          capture_output=True, text=True, check=True).stdout
     assert out == "[]\n"

@@ -45,6 +45,7 @@ GOLDEN_SHA256 = [
 ]
 
 METHODS = ("interleave", "drop", "geometric", "inverse")
+HUGE_DENOMINATOR = "0.333333333333333333333333333333,0.666666666666666666666666666667"
 
 # Seeded streams at the edges of the samplers' input, pinned for every method:
 # a zero bias entry, a denominator whose draws are rejected and redrawn
@@ -79,6 +80,20 @@ SAMPLE_EDGE_SHA256 = [
       "drop": "1edc9f297228a5a198a33dfc524e841ade8a0f8a8771b4848edbb772915ff500",
       "geometric": "3cf37a728368982f469b08230c529666c100054bfb1389d6d1cbfd22b36bcfda",
       "inverse": "8e9f6907bb94ce6eafc58dc1a1eb003ca4767bd78ac75bf6cd3cffa1c3c9f597"}),
+    # the draws the one-byte batch decoder does not take: a 100-bit
+    # denominator (10^30, rejected about one time in five) and 256 letters
+    (["sample", "--n", "13", "--p", HUGE_DENOMINATOR, "--k", "2", "--samples", "50",
+      "--seed", "15"],
+     {"interleave": "027108f39a9dc2cb55ba8641d9d33adad3663b01eb2233b1b89dec9d03457bb4",
+      "drop": "8a5f5ce1a64dcebdbd5ed11ca83f4847d538c851c203a74267ace60136cddf8c",
+      "geometric": "e4fe9f2d01282ab25b4c8682475e566d897d3ae910c46cbcc970e1908a30807c",
+      "inverse": "772dbf6f8cb0202903b967fd829d890fb53f0ee0b7893e05ca4b17f008f1eb1f"}),
+    (["sample", "--n", "13", "--p", ",".join(["1/256"] * 256), "--k", "2", "--samples", "50",
+      "--seed", "16"],
+     {"interleave": "1a66d8a893ed82c0c0e90b67c2cbbef02ffac514d0de2a84d853b0ef21f1d099",
+      "drop": "3c3ce6da4f85ff7824477a10294f8db13c8b0c2c8ce77dddce0d3c27300aa968",
+      "geometric": "e5147330f12c7cad90055ecd49442a95d9945395786e29f5784a44dfb8833238",
+      "inverse": "a3fe0d32899a70b7c35e920a0623cefaae59cc35d28009ebfcbc16eab4a5090b"}),
 ]
 GOLDEN_SHA256 += [
     (argv + ["--method", method], digests[method])

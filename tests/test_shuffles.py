@@ -9,7 +9,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from riffle.counting import count_descent_exact
-from riffle.permutations import Permutation, descent_set, symmetric_group_list
+from riffle.permutations import (
+    Permutation,
+    descent_set,
+    standard_permutation,
+    symmetric_group_list,
+)
 from riffle import shuffles
 from riffle.shuffles import (
     SAMPLE_METHODS,
@@ -522,6 +527,147 @@ def test_sample_validates_the_composed_draw(monkeypatch, method, k, bad):
     monkeypatch.setitem(shuffles._SINGLE_SAMPLERS, method, lambda n, *rest: bad(n))
     with pytest.raises(ValueError):
         sample(ShuffleSpec(5, FAIR, k), method, random.Random(1))
+
+
+def _reference_factor(method, n, bias, rng):
+    """One shuffle drawn as the samplers' docstrings describe it, from
+    ``rng.randrange``, ``rng.shuffle`` and ``rng.random`` alone."""
+    den = math.lcm(*(p.denominator for p in bias))
+    cumulative = list(itertools.accumulate(p.numerator * (den // p.denominator) for p in bias))
+
+    def label():
+        return bisect.bisect_right(cumulative, rng.randrange(den))
+
+    if method == "inverse":
+        return standard_permutation([label() for _ in range(n)])
+    if method == "interleave":
+        word = sorted(label() for _ in range(n))
+        rng.shuffle(word)
+        return standard_permutation(word)
+    if method == "drop":
+        left = [0] * len(bias)
+        for _ in range(n):
+            left[label()] += 1
+        tops = list(itertools.accumulate(left))
+        arrangement = [0] * n
+        for total in range(n, 0, -1):
+            r = rng.randrange(total)
+            i = next(i for i, acc in enumerate(itertools.accumulate(left)) if r < acc)
+            arrangement[total - 1] = tops[i]
+            tops[i] -= 1
+            left[i] -= 1
+        return Permutation(arrangement)
+    points = [(label(), rng.random()) for _ in range(n)]  # geometric
+    rank = {t: r for r, t in enumerate(sorted(range(n), key=points.__getitem__), start=1)}
+    return Permutation([rank[t] for t in sorted(range(n), key=lambda t: points[t][1])])
+
+
+def _reference_sample(method, n, bias, k, rng):
+    product = Permutation.identity(n)
+    for _ in range(k):
+        product = product * _reference_factor(method, n, bias, rng)
+    return product
+
+
+@st.composite
+def sampler_biases(draw):
+    """Rational biases whose common denominator has 1-8, 9-32 or over 32
+    bits, with zero letters, or halves on the first and last of 256, 257 or
+    300 letters."""
+    lo, hi = draw(st.sampled_from([(1, 8), (9, 32), (33, 100), (0, 0)]))
+    if lo == 0:
+        # label 255 still fits in a byte; 257 or 300 letters take one call per draw
+        letters = draw(st.sampled_from([256, 257, 300]))
+        return tuple(F(1, 2) if i in (0, letters - 1) else F(0) for i in range(letters))
+    den = draw(st.integers(2 ** (lo - 1), 2**hi - 1))
+    cuts = sorted(draw(st.lists(st.integers(0, den), max_size=5)))
+    weights = [b - a for a, b in zip([0, *cuts], [*cuts, den])]
+    for _ in range(draw(st.integers(0, 2))):
+        weights.insert(draw(st.integers(0, len(weights))), 0)
+    return tuple(F(w, den) for w in weights)
+
+
+class PerCallRandom(random.Random):
+    """A generator that overrides getrandbits, recording each width asked for."""
+
+    def getrandbits(self, k):
+        self.widths.append(k)
+        return super().getrandbits(k)
+
+
+@given(bias=sampler_biases(), n=st.sampled_from([0, 1, 2, 13, 52]),
+       k=st.sampled_from([0, 1, 3]), seed=st.integers(0, 2**32))
+@settings(max_examples=60, deadline=None)
+def test_samplers_draw_the_randrange_shuffle_and_random_stream(bias, n, k, seed):
+    # the batched words of CPython's generator and the one-call-per-draw
+    # path of a subclass both give the reference's draws and leave the
+    # generator where the reference leaves it
+    spec = ShuffleSpec(n, bias, k)
+    for method in SAMPLE_METHODS:
+        theirs = random.Random(seed)
+        want = [_reference_sample(method, n, bias, k, theirs) for _ in range(3)]
+        ours = random.Random(seed)
+        assert [sample(spec, method, ours) for _ in range(3)] == want
+        assert ours.getstate() == theirs.getstate()
+        per_call = PerCallRandom(seed)
+        per_call.widths = []
+        assert [sample(spec, method, per_call) for _ in range(3)] == want
+        assert per_call.getstate() == theirs.getstate()
+        den = math.lcm(*(p.denominator for p in bias))
+        assert max(per_call.widths, default=0) <= max(den.bit_length(), n.bit_length())
+
+
+@pytest.mark.parametrize("bias", ["0.4,0.6", "1/3,0,2/3", "1/1000003,1000002/1000003"])
+@pytest.mark.parametrize("k", [0, 1, 4])
+def test_inverse_draws_are_k_calls_of_its_single_sampler(bias, k):
+    # sample draws the inverse method's k * n labels in one run
+    bias = parse_bias(bias)
+    cumulative, denom = shuffles._categorical(bias)
+    ours, theirs = random.Random(k), random.Random(k)
+    for _ in range(5):
+        product = Permutation.identity(13)
+        for _ in range(k):
+            order = shuffles._SINGLE_SAMPLERS["inverse"](13, bias, cumulative, denom, theirs)
+            # order is pi^{-1} - 1, the inverse order of the factor pi
+            product = product * Permutation([x + 1 for x in order]).inverse()
+        assert sample(ShuffleSpec(13, bias, k), "inverse", ours) == product
+    assert ours.getstate() == theirs.getstate()
+
+
+def test_label_draws_take_words_in_batches_on_cpythons_generator(monkeypatch):
+    widths = []
+    draw = random.Random.getrandbits
+
+    def spy(self, k):
+        widths.append(k)
+        return draw(self, k)
+
+    # still `random.Random.getrandbits`, so the batch path is taken
+    monkeypatch.setattr(random.Random, "getrandbits", spy)
+    cumulative, denom = shuffles._categorical(parse_bias("0.4,0.6"))
+    ours = random.Random(5)
+    labels = shuffles._draw_labels(500, cumulative, denom, ours)
+    monkeypatch.undo()
+    theirs = random.Random(5)
+    assert labels == [bisect.bisect_right(cumulative, theirs.randrange(denom)) for _ in range(500)]
+    assert ours.getstate() == theirs.getstate()
+    # 500 words at first, then only the rejected ones again
+    assert widths[0] == 32 * 500 and len(widths) < 20
+    assert sum(widths) // 32 > 500
+
+
+def test_label_tables_are_kept_for_a_bounded_number_of_biases():
+    for den in range(2, 200):
+        shuffles._label_table(shuffles._categorical((F(1, den), F(den - 1, den)))[0], den)
+    info = shuffles._label_table.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize
+
+
+def test_substream_refuses_a_seed_outside_64_bits():
+    for seed in (-1, 2**64, 2**64 + 1):
+        with pytest.raises(ValueError, match="outside 0..2\\^64-1"):
+            substream(seed, 0)
+    assert substream(2**64 - 1, 0).random() != substream(0, 0).random()
 
 
 def test_substream_reproducible_and_distinct():
