@@ -287,10 +287,14 @@ def cmd_report(args) -> int:
     if ssq < 1 and n >= 2:
         suffices = 2 * math.log(n) / math.log(1 / ssq)
     letters = sum(1 for p in bias if p)
-    rows, refusal = [], None
+    rows, refusal, bound_refusal = [], None, None
     for k in range(1, args.k_max + 1):
-        bound = shuffles.suf_bound(ShuffleSpec(n, bias, k))
-        # the sweep grows with k, so the exact column ends at the first row over budget
+        # the bound's digits and the sweep grow with k, so each column ends
+        # at its first row over budget (a bound of 0 below n = 2 never does)
+        if n >= 2 and bound_refusal is None and (
+                bound_refusal := shuffles.answer_refusal(bias, 2, k)):
+            print(f"note: tv_bound omitted from k={k} on: {bound_refusal}", file=sys.stderr)
+        bound = None if bound_refusal else shuffles.suf_bound(ShuffleSpec(n, bias, k))
         if refusal is None and (refusal := shuffles.sweep_refusal(n, letters, k)):
             print(f"note: exact_tv omitted from k={k} on: {refusal}", file=sys.stderr)
         exact_tv = None if refusal else shuffles.tv_to_uniform(n, bias, k)
@@ -306,7 +310,7 @@ def cmd_report(args) -> int:
                     "rows": [
                         {
                             "k": k,
-                            "tv_bound": frac_str(bound),
+                            "tv_bound": frac_str(bound) if bound is not None else None,
                             "exact_tv": frac_str(tv) if tv is not None else None,
                         }
                         for k, bound, tv in rows
@@ -321,7 +325,8 @@ def cmd_report(args) -> int:
         print(f"# suffices_steps={suffices if suffices is not None else ''}")
         print("k,tv_bound,exact_tv")
         for k, bound, tv in rows:
-            print(f"{k},{frac_str(bound)},{frac_str(tv) if tv is not None else ''}")
+            print(f"{k},{frac_str(bound) if bound is not None else ''},"
+                  f"{frac_str(tv) if tv is not None else ''}")
     return 0
 
 

@@ -83,27 +83,37 @@ def _weights(bias, k: int = 1) -> tuple[list[int], int]:
 MAX_ANSWER_DIGITS = 4000
 
 
+def answer_refusal(bias, n: int, k: int = 1) -> str | None:
+    """Why exact answers built from the power sums P_e^k, e = 0..n, of a
+    bias are refused, or None when they fit in MAX_ANSWER_DIGITS.
+
+    With d_e the reduced denominator of P_e, a product of power sums of
+    total degree at most n, raised to the k-th power, has a denominator of
+    at most (max_e d_e^(1/e))^(k n): for P_2^k of a fair bias that is 2^k,
+    for P_n^k of 1/3,2/3 it is 3^(k n).  No k-th power is taken.
+    """
+    weights, den = _weights(bias)
+    # P_e = s_e / den^e with s_e at most den^e; zero letters add nothing
+    digits = k * n * max((math.log10(den**e // math.gcd(sum(w**e for w in weights), den**e)) / e
+                          for e in range(1, n + 1)), default=0)
+    if digits <= MAX_ANSWER_DIGITS:
+        return None
+    return (f"an exact answer of up to {math.ceil(digits)} digits (power sums of "
+            f"degree {n} at k={k}) is above the budget of {MAX_ANSWER_DIGITS} digits")
+
+
 def _power_sums(bias, n: int, k: int = 1) -> tuple[list[int], int]:
     """Power sums P_e(bias)^k = N_e / D^e of the k-fold tensored bias, e = 0..n,
     as ([N_0..N_n], D): N_e = (sum_i w_i^e)^k, D = den^k, zero letters dropped.
 
-    Refused before any k-th power is taken when the answers built from them
-    could pass MAX_ANSWER_DIGITS.  With d_e the reduced denominator of P_e, a
-    product of power sums of total degree at most n, raised to the k-th
-    power, has a denominator of at most (max_e d_e^(1/e))^(k n): for
-    P_2^k of a fair bias that is 2^k, for P_n^k of 1/3,2/3 it is 3^(k n).
+    Refused, before any k-th power is taken, by ``answer_refusal``.
     """
+    refusal = answer_refusal(bias, n, k)
+    if refusal is not None:
+        raise ValueError(refusal)
     weights, den = _weights(bias)
     weights = [w for w in weights if w]
-    sums = [sum(w**e for w in weights) for e in range(n + 1)]
-    # the sums are at most den^e, so the estimate needs no k-th power
-    digits = k * n * max((math.log10(den**e // math.gcd(s, den**e)) / e
-                          for e, s in enumerate(sums) if e), default=0)
-    if digits > MAX_ANSWER_DIGITS:
-        raise ValueError(f"an exact answer of up to {math.ceil(digits)} digits (power sums of "
-                         f"degree {n} at k={k}) is above the budget of "
-                         f"{MAX_ANSWER_DIGITS} digits")
-    return [x**k for x in sums], den**k
+    return [sum(w**e for w in weights) ** k for e in range(n + 1)], den**k
 
 
 def parse_bias(text: str) -> tuple[Fraction, ...]:
@@ -777,8 +787,7 @@ def _single_geometric(n, bias, cumulative, denom, rng) -> list[int]:
 
 def _single_inverse(n, bias, cumulative, denom, rng) -> list[int]:
     # stacking the piles in label order sorts the cards stably by label: the
-    # order it sorts them into is the inverse of the shuffle.  ``sample``
-    # takes the k factors of a draw from one run of k * n labels instead.
+    # order it sorts them into is the inverse of the shuffle
     labels = _draw_labels(n, cumulative, denom, rng)
     return sorted(range(n), key=labels.__getitem__)
 
@@ -806,9 +815,10 @@ def sample(spec: ShuffleSpec, method: str = "inverse", rng: random.Random | None
     stream and the generator's state afterwards are the same.
 
     Each factor comes as its inverse order, and the inverse of the product
-    is composed from them and inverted once at the end.  Only the product
-    is validated: one check per draw, which a factor that repeats an image
-    fails; a factor of the wrong length is refused as it comes.
+    is composed from them and inverted once at the end, so memory stays
+    O(n) at any k.  A factor of the wrong length or with an entry outside
+    0..n-1 is refused as it comes; a factor that repeats an entry fails
+    the one validation of the product.
     """
     if method not in _SINGLE_SAMPLERS:
         raise ValueError(f"unknown method {method!r}; pick one of {SAMPLE_METHODS}")
@@ -817,18 +827,16 @@ def sample(spec: ShuffleSpec, method: str = "inverse", rng: random.Random | None
     single = _SINGLE_SAMPLERS[method]
     n, bias = spec.n, spec.bias
     cumulative, denom = _categorical(bias)
-    k = spec.k
-    if single is _single_inverse:
-        # k calls of it draw k runs of n labels and nothing else: the same
-        # words as one run of k * n, which costs one batch loop, not k
-        labels = _draw_labels(k * n, cumulative, denom, rng)
-        orders = (sorted(range(n), key=labels[j * n:j * n + n].__getitem__) for j in range(k))
-    else:
-        orders = (single(n, bias, cumulative, denom, rng) for _ in range(k))
     inv = list(range(n))  # (s1 * ... * sj)^{-1} = sj^{-1} * ... * s1^{-1}, 0-based
-    for order in orders:
+    for _ in range(spec.k):
+        order = single(n, bias, cumulative, denom, rng)
         if len(order) != n:
             raise ValueError(f"a {method} shuffle of {n} cards drew {len(order)} of them")
+        # a negative entry would index from the end and could compose to a
+        # valid product, so the range is checked per factor, not once
+        if n and not 0 <= min(order) <= max(order) < n:
+            raise ValueError(f"a {method} shuffle of {n} cards drew a position "
+                             f"outside 0..{n - 1}")
         inv = [order[x] for x in inv]
     images = [0] * n
     for card, position in enumerate(inv, start=1):

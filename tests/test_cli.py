@@ -421,6 +421,26 @@ def test_report_ends_the_exact_column_at_the_sweep_budget(capsys):
     assert [row["exact_tv"] is None for row in rows] == [False] * 8 + [True] * 2
 
 
+def test_report_ends_the_bound_column_at_the_answer_budget(capsys):
+    # P_2 of this bias has a denominator of 10^200 / 2: k = 20 is 3994 digits, k = 21 is 4194
+    third = 10**100 // 3
+    bias = f"{third}/{10**100},{10**100 - third}/{10**100}"
+    code, out, err = run_cli(capsys, "report", "--n", "52", "--p", bias, "--k-max", "22",
+                             "--format", "json")
+    assert code == 0
+    notes = err.splitlines()
+    assert len(notes) == 2 and notes[0].startswith("note: exact_tv omitted from k=1 on:")
+    assert notes[1] == ("note: tv_bound omitted from k=21 on: an exact answer of up to 4194 "
+                        "digits (power sums of degree 2 at k=21) is above the budget of "
+                        "4000 digits")
+    rows = json.loads(out)["rows"]
+    assert [row["tv_bound"] is None for row in rows] == [False] * 20 + [True] * 2
+    assert Fraction(rows[19]["tv_bound"]) == shuffles.suf_bound(
+        ShuffleSpec(52, shuffles.parse_bias(bias), 20))
+    code, out, _ = run_cli(capsys, "report", "--n", "52", "--p", bias, "--k-max", "22")
+    assert code == 0 and out.splitlines()[-1] == "22,,"
+
+
 def test_verify_filtered_suites(capsys):
     code, out, err = run_cli(capsys, "verify", "--only", "lalley")
     assert code == 0

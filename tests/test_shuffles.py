@@ -2,6 +2,7 @@ import bisect
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -529,6 +530,32 @@ def test_sample_validates_the_composed_draw(monkeypatch, method, k, bad):
         sample(ShuffleSpec(5, FAIR, k), method, random.Random(1))
 
 
+@pytest.mark.parametrize("method", SAMPLE_METHODS)
+@pytest.mark.parametrize("bad", [
+    lambda n: [-1, *range(n - 1)],  # indexes from the end: composes to a valid product
+    lambda n: [*range(1, n), n],  # one position past the deck
+], ids=["negative", "past-the-end"])
+def test_sample_refuses_a_factor_entry_outside_the_deck(monkeypatch, method, bad):
+    monkeypatch.setitem(shuffles._SINGLE_SAMPLERS, method, lambda n, *rest: bad(n))
+    with pytest.raises(ValueError, match="outside 0..4"):
+        sample(ShuffleSpec(5, FAIR, 1), method, random.Random(1))
+
+
+@pytest.mark.parametrize("method", SAMPLE_METHODS)
+def test_sample_memory_does_not_grow_with_k(method):
+    # the factors are drawn and composed one at a time: 52 * 3000 labels at
+    # once would take several MB, one factor a few KB
+    spec = ShuffleSpec(52, parse_bias("0.4,0.6"), 3000)
+    sample(ShuffleSpec(52, spec.bias, 1), method, random.Random(0))  # warm the caches
+    tracemalloc.start()
+    try:
+        sample(spec, method, random.Random(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
 def _reference_factor(method, n, bias, rng):
     """One shuffle drawn as the samplers' docstrings describe it, from
     ``rng.randrange``, ``rng.shuffle`` and ``rng.random`` alone."""
@@ -620,7 +647,7 @@ def test_samplers_draw_the_randrange_shuffle_and_random_stream(bias, n, k, seed)
 @pytest.mark.parametrize("bias", ["0.4,0.6", "1/3,0,2/3", "1/1000003,1000002/1000003"])
 @pytest.mark.parametrize("k", [0, 1, 4])
 def test_inverse_draws_are_k_calls_of_its_single_sampler(bias, k):
-    # sample draws the inverse method's k * n labels in one run
+    # sample composes k calls of the table's entry, the first one on the left
     bias = parse_bias(bias)
     cumulative, denom = shuffles._categorical(bias)
     ours, theirs = random.Random(k), random.Random(k)
