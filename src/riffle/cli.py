@@ -285,7 +285,7 @@ def cmd_report(args) -> int:
     ssq = Fraction(sums[2], scale**2)
     suffices = None
     if ssq < 1 and n >= 2:
-        suffices = 2 * math.log(n) / math.log(1 / ssq)
+        suffices = 2 * shuffles._collision_steps(n, 1 - ssq, 1 / ssq)
     letters = sum(1 for p in bias if p)
     rows, refusal, bound_refusal = [], None, None
     for k in range(1, args.k_max + 1):

@@ -16,12 +16,10 @@ is what makes the shuffle-measure cycle counting work.
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 import operator
 from collections import Counter
 from collections.abc import Iterable
-from functools import lru_cache
 
 from .permutations import (
     Permutation,
@@ -153,7 +151,7 @@ def ubar_forward(perm: Permutation, parts: Iterable[int]) -> NecklaceMultiset:
 def _letter_counts(parts: Iterable[int]) -> tuple[int, ...]:
     """``parts`` as a tuple of letter counts, refused if one is negative."""
     parts = tuple(parts)
-    if any(r < 0 for r in parts):
+    if parts and min(parts) < 0:
         raise ValueError(f"negative letter count in {parts}")
     return parts
 
@@ -202,49 +200,71 @@ def primitive_count(parts: Iterable[int]) -> int:
     return total // n
 
 
+def _lyndon_walk(parts: tuple[int, ...], every_prefix: bool) -> list[Necklace]:
+    """Lyndon words with at most parts[i-1] copies of letter i, in
+    lexicographic order: every such word when ``every_prefix``, else only
+    those with exactly that content.
+
+    The Fredricksen-Kessler-Maiorana walk over prenecklaces, bounded by the
+    letter counts: with p the length of the longest Lyndon prefix of
+    word[1..t-1], letter t is at least word[t-p]; p stays on equality and
+    becomes t otherwise, and word[1..t] is a Lyndon word exactly when p = t.
+    The walk is depth first with letters in increasing order, so words come
+    out sorted, each prefix before its extensions.
+    """
+    counts = [0, *parts]  # copies left of each letter; 0 is no letter
+    n, top = sum(parts), len(parts)
+    word = [0] * (n + 1)  # the word is word[1..t]; word[0] = 0 is below every letter
+    out: list[Necklace] = []
+
+    def walk(t: int, p: int):
+        if t > n:
+            if p == n and not every_prefix:
+                out.append(tuple(word[1:]))
+            return
+        low = word[t - p]
+        for letter in range(low or 1, top + 1):
+            if not counts[letter]:
+                continue
+            counts[letter] -= 1
+            word[t] = letter
+            if letter == low:
+                walk(t + 1, p)
+            else:
+                if every_prefix:
+                    out.append(tuple(word[1:t + 1]))
+                walk(t + 1, t)
+            counts[letter] += 1
+
+    walk(1, 1)
+    return out
+
+
 def enumerate_primitive_necklaces(parts: Iterable[int]) -> list[Necklace]:
     """All primitive necklaces with the given letter content, canonical and
-    sorted; the brute-force counterpart of ``primitive_count``.  Contents
-    longer than MAX_NECKLACE_LENGTH are refused.
+    sorted; the brute-force counterpart of ``primitive_count``.
+
+    A primitive necklace's least rotation is a Lyndon word, so this lists
+    the Lyndon words of the content by the prenecklace walk of
+    ``_lyndon_walk``, which never forms a word that is not a prenecklace
+    and shares nothing with the Moebius count it checks.  Contents longer
+    than MAX_NECKLACE_LENGTH are refused.
     """
     parts = _letter_counts(parts)
     n = sum(parts)
     check_size(n, cap=MAX_NECKLACE_LENGTH)
     if n == 0:
         raise ValueError("all letter counts are zero")
-    found: set[Necklace] = set()
-
-    counts = list(parts)
-
-    def extend(prefix: list[int]):
-        if len(prefix) == n:
-            canon = min_rotation(prefix)
-            if tuple(prefix) == canon and is_primitive(canon):
-                found.add(canon)
-            return
-        for letter in range(1, len(counts) + 1):
-            if counts[letter - 1] == 0:
-                continue
-            counts[letter - 1] -= 1
-            prefix.append(letter)
-            extend(prefix)
-            prefix.pop()
-            counts[letter - 1] += 1
-
-    extend([])
-    return sorted(found)
+    return _lyndon_walk(parts, every_prefix=False)
 
 
-@lru_cache(maxsize=None)
-def _necklaces_below(parts: tuple[int, ...]) -> tuple[Necklace, ...]:
-    """All primitive necklaces whose content fits inside ``parts``."""
-    ranges = [range(r + 1) for r in parts]
-    out: set[Necklace] = set()
-    for content in itertools.product(*ranges):
-        if sum(content) == 0:
-            continue
-        out.update(enumerate_primitive_necklaces(content))
-    return tuple(sorted(out))
+def _necklaces_below(parts: tuple[int, ...]) -> list[Necklace]:
+    """All primitive necklaces whose content fits inside ``parts``, sorted:
+    one prenecklace walk bounded by ``parts`` that keeps every Lyndon prefix.
+    Contents longer than MAX_NECKLACE_LENGTH are refused."""
+    parts = _letter_counts(parts)
+    check_size(sum(parts), cap=MAX_NECKLACE_LENGTH)
+    return _lyndon_walk(parts, every_prefix=True)
 
 
 def enumerate_primitive_multisets(parts: Iterable[int]) -> list[NecklaceMultiset]:

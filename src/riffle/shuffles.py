@@ -28,6 +28,7 @@ import itertools
 import math
 import operator
 import random
+import sys
 from fractions import Fraction
 from typing import Callable, Iterator
 
@@ -40,6 +41,7 @@ from .permutations import (
     check_size,
     partial_sums,
     standard_permutation,
+    standard_ranks,
     symmetric_group_list,
     weak_compositions,
 )
@@ -324,21 +326,27 @@ def exact_distribution(
     the uniform choice among interleavings cancels the multinomial factor
     of the cut law.  An interleaving is a pile word: position j receives
     the next card of pile word[j], so the deck reading is the word's
-    standard permutation.
+    standard permutation.  Masses are summed as integer numerators
+    w1^b1 * ... * wa^ba over den^n (``_weights``), keyed by the standard
+    ranks, and read back as one Fraction per permutation in the order the
+    permutations are first reached.
     """
     bias = validate_bias(bias)
     check_size(n, cap=max_n)
-    masses: dict[Permutation, Fraction] = {}
+    weights, den = _weights(bias)
+    numerators: dict[tuple[int, ...], int] = {}
     for parts in weak_compositions(n, len(bias)):
-        mass = _content_mass(bias, parts)
+        mass = math.prod(map(pow, weights, parts))
         if mass == 0:
             continue
         # standardization sees only the order of the letters, so unused
         # letters are dropped before the words are listed
         for word in _words_with_content(list(filter(None, parts))):
-            perm = standard_permutation(word)
-            masses[perm] = masses.get(perm, Fraction(0)) + mass
-    return ExactDistribution(n, masses)
+            ranks = tuple(standard_ranks(word))
+            numerators[ranks] = numerators.get(ranks, 0) + mass
+    scale = den**n
+    return ExactDistribution(n, {Permutation._unchecked(ranks): Fraction(m, scale)
+                                 for ranks, m in numerators.items()})
 
 
 def exact_distribution_drops(n: int, bias) -> ExactDistribution:
@@ -580,23 +588,50 @@ def suf_bound(spec: ShuffleSpec) -> Fraction:
     return Fraction(math.comb(spec.n, 2) * sums[2], scale**2)
 
 
+def _collision_steps(n: int, gap, inverse) -> float:
+    """log(n) / log(1/ssq): the shuffles over which ssq^k falls by a factor
+    n, for ssq = sum p_i^2 of a bias with exact complement gap = 1 - ssq,
+    0 < gap <= 1, and ``inverse`` the caller's rounded 1/ssq.
+
+    Below gap = 1/4 the log is -log1p(-gap): 1/ssq would round to a float
+    near 1 (to 1 itself within about 1e-16 of a one-letter bias), whose log
+    keeps few digits or is 0.  Above, it is log(inverse), so the step counts
+    print as they always have.  The count overflows to inf once gap is
+    below about 1e-308, and stays inf where gap rounds to 0.
+    """
+    if gap >= Fraction(1, 4):
+        return math.log(n) / math.log(inverse)
+    base = -math.log1p(-float(gap))
+    return math.log(n) / base if base else math.inf
+
+
 def lalley_theta(p1) -> float:
     """Exponent theta solving p1^theta + p2^theta = (p1^2 + p2^2)^2.
 
     The left side is strictly decreasing in theta for 0 < p1 < 1, so the
     root is unique; found by bisection to width 1e-12 and validated by
-    residual, not by a citation.
+    residual, not by a citation.  The equation is symmetric in p1 and p2,
+    so it is solved for s = min(p1, p2) and q = 1 - (p1^2 + p2^2) = 2 s (1 - s),
+    both exact before they are rounded, as
+    s^theta + expm1(theta log1p(-s)) = expm1(2 log1p(-q)): 1 - s is never
+    rounded, so a bias within 1e-16 of a one-letter bias keeps its root,
+    which tends to 4 as s tends to 0.  Below the normal float range of s
+    the root is 4 to double precision (it is 4 - 2s + O(s^2)).
     """
-    p1 = float(p1)
-    if not 0.0 < p1 < 1.0:
-        raise ValueError(f"p1 must be strictly between 0 and 1: {p1}")
-    p2 = 1.0 - p1
-    rhs = (p1 * p1 + p2 * p2) ** 2
+    if not 0 < p1 < 1:
+        raise ValueError(f"p1 must be strictly between 0 and 1: {float(p1)}")
+    p1 = Fraction(p1)
+    small = min(p1, 1 - p1)
+    s = float(small)
+    if s < sys.float_info.min:
+        return 4.0
+    log_s = math.log1p(-s)
+    rhs = math.expm1(2.0 * math.log1p(-float(2 * small * (1 - small))))
 
     def f(theta: float) -> float:
-        return p1 ** theta + p2 ** theta - rhs
+        return s ** theta + math.expm1(theta * log_s) - rhs
 
-    lo = 0.0  # f(0) = 2 - rhs > 0
+    lo = 0.0  # f(0) = 1 - rhs > 0
     hi = 1.0
     while f(hi) > 0.0:
         hi *= 2.0
@@ -618,11 +653,10 @@ def lalley_lower_steps(n: int, p1) -> float:
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    p1 = float(p1)
     theta = lalley_theta(p1)
-    p2 = 1.0 - p1
-    r = p1 * p1 + p2 * p2
-    return (3.0 + theta) / 4.0 * (math.log(n) / math.log(1.0 / r))
+    p, p2 = float(p1), 1.0 - float(p1)
+    gap = 2 * Fraction(p1) * (1 - Fraction(p1))  # 1 - (p1^2 + p2^2), exact
+    return (3.0 + theta) / 4.0 * _collision_steps(n, gap, 1.0 / (p * p + p2 * p2))
 
 
 # --- samplers -----------------------------------------------------------

@@ -268,15 +268,17 @@ def check_gessel_bijection(config: VerifyConfig) -> CheckResult:
     for n in range(1, config.n_max + 1):
         perms = symmetric_group_list(n)
         inverse_descents = [descent_set(p.inverse()) for p in perms]
+        cycle_types = [cycle_type(p) for p in perms]
         for parts in compositions(n):
             allowed = set(partial_sums(parts))
-            domain = [p for p, des in zip(perms, inverse_descents) if des <= allowed]
+            domain = [(p, cycles) for p, des, cycles in zip(perms, inverse_descents, cycle_types)
+                      if des <= allowed]
             if len(domain) != counting.count_descent_subset(parts):
                 return _fail(name, f"domain size off at n={n}, parts={parts}")
             seen = set()
-            for p in domain:
+            for p, cycles in domain:
                 image = necklaces.ubar_forward(p, parts)
-                if necklaces.length_multiset(image) != cycle_type(p):
+                if necklaces.length_multiset(image) != cycles:
                     return _fail(name, f"cycle type broken at {p}, parts={parts}")
                 if any(not necklaces.is_primitive(neck) for neck in image):
                     return _fail(name, f"imprimitive image at {p}, parts={parts}")

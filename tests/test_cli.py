@@ -1,4 +1,7 @@
 import argparse
+import ast
+import hashlib
+import importlib
 import inspect
 import itertools
 import json
@@ -113,6 +116,14 @@ def test_dist_refuses_a_bad_class_table(capsys, monkeypatch, table, message):
 def test_dist_above_s9_is_refused_on_the_class_route(capsys):
     assert run_cli(capsys, "dist", "--n", "10", "--p", "1/2,1/2", "--k", "2",
                    "--n-max", "10") == (2, "", "error: n=10 above cap 9\n")
+
+
+def test_dist_of_one_shuffle_by_pile_words_keeps_its_digest(capsys):
+    # k = 1 with 2^8 <= 8! goes through exact_distribution's integer masses
+    code, out, _ = run_cli(capsys, "dist", "--n", "8", "--p", "1/3,2/3")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "90cf4788b98c5d8679b391e780219b25e2ecf6708e2d62f6fba27b135d9efd97"
 
 
 def test_dist_csv(capsys):
@@ -441,6 +452,22 @@ def test_report_ends_the_bound_column_at_the_answer_budget(capsys):
     assert code == 0 and out.splitlines()[-1] == "22,,"
 
 
+def test_report_near_a_one_letter_bias_prints_finite_step_counts(capsys):
+    # 1 - sum p^2 = 2e-20 is lost in a float sum p^2, which rounded to 1 and
+    # divided by log(1) = 0; the two step counts now come from 1 - sum p^2
+    big = 10**20
+    for bias in (f"1/{big},{big - 1}/{big}", f"{big - 1}/{big},1/{big}"):
+        code, out, err = run_cli(capsys, "report", "--n", "52", "--p", bias, "--k-max", "1",
+                                 "--format", "json")
+        assert code == 0, err
+        obj = json.loads(out)
+        lalley, suffices = obj["lalley_lower_steps"], obj["suffices_steps"]
+        assert math.isfinite(lalley) and math.isfinite(suffices)
+        # log(1/sum p^2) is 2e-20 to first order, and theta is 4
+        assert suffices == pytest.approx(2 * math.log(52) / 2e-20, rel=1e-12)
+        assert lalley == pytest.approx(7 / 4 * math.log(52) / 2e-20, rel=1e-11)
+
+
 def test_verify_filtered_suites(capsys):
     code, out, err = run_cli(capsys, "verify", "--only", "lalley")
     assert code == 0
@@ -578,3 +605,17 @@ def test_importing_the_cli_leaves_dataclasses_and_verify_unloaded():
     out = subprocess.run([sys.executable, "-S", "-c", probe], env={**os.environ, "PYTHONPATH": src},
                          capture_output=True, text=True, check=True).stdout
     assert out == "[]\n"
+
+
+def test_every_benchmark_span_names_a_riffle_function():
+    # perfbench/tracer.py wraps each (module, function) of SPANS by name, so a
+    # rename in riffle would stop the benchmark's traced runs
+    tracer = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spans = next(node.value for node in ast.parse(tracer.read_text()).body
+                 if isinstance(node, ast.Assign)
+                 and getattr(node.targets[0], "id", None) == "SPANS")
+    names = [ast.literal_eval(key) for key in spans.keys]
+    assert len(names) >= 19
+    for module, function in names:
+        assert callable(getattr(importlib.import_module(f"riffle.{module}"), function, None)), \
+            f"riffle.{module}.{function}"

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from riffle.counting import count_descent_subset
 from riffle.necklaces import (
+    _necklaces_below,
     enumerate_primitive_multisets,
     enumerate_primitive_necklaces,
     is_primitive,
@@ -216,3 +217,50 @@ def test_zero_parts_are_dropped_cleanly():
     assert primitive_count((2, 0, 1)) == primitive_count((2, 1)) == 1
     necks = enumerate_primitive_necklaces((2, 0, 1))
     assert necks == [(1, 1, 3)]
+
+
+def _necklaces_by_filter(parts):
+    # the reference: every word of the content, kept when it is its own least
+    # rotation and primitive
+    counts, n, found = list(parts), sum(parts), []
+
+    def extend(prefix):
+        if len(prefix) == n:
+            word = tuple(prefix)
+            if word == min_rotation(word) and is_primitive(word):
+                found.append(word)
+            return
+        for letter, left in enumerate(counts, start=1):
+            if left:
+                counts[letter - 1] -= 1
+                prefix.append(letter)
+                extend(prefix)
+                prefix.pop()
+                counts[letter - 1] += 1
+
+    extend([])
+    return sorted(found)
+
+
+@pytest.mark.parametrize("a", [1, 2, 3])
+def test_prenecklace_walk_matches_the_filter_over_all_words(a):
+    for total in range(1, 11):
+        for parts in weak_compositions(total, a):
+            assert enumerate_primitive_necklaces(parts) == _necklaces_by_filter(parts), parts
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_necklaces_below_are_the_union_over_sub_contents(n):
+    for parts in compositions(n):
+        want = set()
+        for content in itertools.product(*(range(r + 1) for r in parts)):
+            if any(content):
+                want.update(enumerate_primitive_necklaces(content))
+        assert _necklaces_below(parts) == sorted(want), parts
+
+
+def test_necklaces_below_refuses_what_enumeration_refuses():
+    with pytest.raises(ValueError, match="negative letter count"):
+        _necklaces_below((2, -1))
+    with pytest.raises(ValueError, match="n=17 above cap 16"):
+        _necklaces_below((9, 8))

@@ -1,4 +1,5 @@
 import bisect
+import decimal
 import itertools
 import math
 import random
@@ -15,6 +16,7 @@ from riffle.permutations import (
     descent_set,
     standard_permutation,
     symmetric_group_list,
+    weak_compositions,
 )
 from riffle import shuffles
 from riffle.shuffles import (
@@ -354,6 +356,30 @@ def test_per_permutation_routes_agree_on_random_biases(bias, n):
     assert dist == exact_distribution_pile_words(n, bias)
 
 
+def _cut_masses_by_fractions(n, bias):
+    # the reference: each cut's mass as a product of Fractions, summed per
+    # permutation in the order the permutations are first reached
+    masses = {}
+    for parts in weak_compositions(n, len(bias)):
+        mass = F(1)
+        for p, b in zip(bias, parts):
+            mass *= p**b
+        if mass:
+            for word in shuffles._words_with_content(list(filter(None, parts))):
+                perm = standard_permutation(word)
+                masses[perm] = masses.get(perm, F(0)) + mass
+    return masses
+
+
+@given(bias=random_bias, n=st.integers(0, 6))
+@settings(max_examples=40, deadline=None)
+def test_integer_cut_masses_match_fraction_sums_and_pile_words(bias, n):
+    dist = exact_distribution(n, bias)
+    assert list(dist.masses.items()) == list(_cut_masses_by_fractions(n, bias).items())
+    assert all(type(m) is F for m in dist.masses.values())
+    assert dist == exact_distribution_pile_words(n, bias)
+
+
 @given(bias=random_bias, n=st.integers(0, 5), k=st.integers(0, 2))
 @settings(max_examples=40, deadline=None)
 def test_class_tv_matches_sn_tv_on_random_biases(bias, n, k):
@@ -405,6 +431,36 @@ def test_lalley_theta_residual():
         theta = lalley_theta(p1)
         p2 = 1 - p1
         assert abs(p1**theta + p2**theta - (p1**2 + p2**2) ** 2) < 1e-10
+
+
+def _theta_by_decimal_bisection(p1):
+    # the root of p1^t + p2^t = (p1^2 + p2^2)^2 at 50 digits, p2 = 1 - p1 exact
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        p1 = decimal.Decimal(p1.numerator) / p1.denominator
+        p2 = 1 - p1
+        rhs = (p1 * p1 + p2 * p2) ** 2
+        lo, hi = decimal.Decimal(0), decimal.Decimal(8)
+        while hi - lo > decimal.Decimal("1e-30"):
+            mid = (lo + hi) / 2
+            if (mid * p1.ln()).exp() + (mid * p2.ln()).exp() > rhs:
+                lo = mid
+            else:
+                hi = mid
+        return float(lo)
+
+
+@pytest.mark.parametrize("p1", [1e-20, 1e-12, 1e-9, F(1, 3)])
+def test_lalley_theta_near_a_one_letter_bias(p1):
+    # p2 = 1 - p1 rounds to 1.0 at 1e-20, where a float equation had its root at 0.798
+    want = _theta_by_decimal_bisection(F(p1))
+    assert abs(lalley_theta(p1) - want) < 2e-12
+    assert abs(lalley_theta(1 - F(p1)) - want) < 2e-12
+
+
+def test_lalley_theta_below_the_float_range_is_four():
+    assert lalley_theta(F(1, 10**400)) == 4.0
+    assert lalley_lower_steps(52, F(1, 10**400)) == math.inf
 
 
 def test_lalley_theta_rejects_degenerate():
