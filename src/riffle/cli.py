@@ -281,21 +281,22 @@ def cmd_report(args) -> int:
     lalley = None
     if len(bias) == 2 and 0 < bias[0] < 1 and n >= 2:
         lalley = shuffles.lalley_lower_steps(n, bias[0])
-    sums, scale = shuffles._power_sums(bias, 2)
-    ssq = Fraction(sums[2], scale**2)
+    # exact, with no answer budget: only the float step count is printed
+    ssq = sum(p * p for p in bias)
     suffices = None
     if ssq < 1 and n >= 2:
         suffices = 2 * shuffles._collision_steps(n, 1 - ssq, 1 / ssq)
     letters = sum(1 for p in bias if p)
     rows, refusal, bound_refusal = [], None, None
     for k in range(1, args.k_max + 1):
-        # the bound's digits and the sweep grow with k, so each column ends
+        # the answers' digits and the sweep grow with k, so each column ends
         # at its first row over budget (a bound of 0 below n = 2 never does)
         if n >= 2 and bound_refusal is None and (
                 bound_refusal := shuffles.answer_refusal(bias, 2, k)):
             print(f"note: tv_bound omitted from k={k} on: {bound_refusal}", file=sys.stderr)
         bound = None if bound_refusal else shuffles.suf_bound(ShuffleSpec(n, bias, k))
-        if refusal is None and (refusal := shuffles.sweep_refusal(n, letters, k)):
+        if refusal is None and (refusal := shuffles.sweep_refusal(n, letters, k) or
+                                shuffles.mass_refusal(bias, n, k, to_uniform=True)):
             print(f"note: exact_tv omitted from k={k} on: {refusal}", file=sys.stderr)
         exact_tv = None if refusal else shuffles.tv_to_uniform(n, bias, k)
         rows.append((k, bound, exact_tv))

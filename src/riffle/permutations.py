@@ -340,6 +340,25 @@ def compositions(n: int) -> Iterator[tuple[int, ...]]:
         parts.extend([1] * rest)
 
 
+def words_with_content(counts: list[int]) -> Iterator[tuple[int, ...]]:
+    """Distinct words with counts[i] copies of letter i (0-based), in
+    lexicographic order, by a loop, so any length works: the one generator
+    of the words of a content."""
+    word = [letter for letter, c in enumerate(counts) for _ in range(c)]
+    while True:
+        yield tuple(word)
+        # next permutation: reverse the longest non-increasing tail, then swap
+        # the entry before it with the first tail entry above that entry
+        i = len(word) - 2
+        while i >= 0 and word[i] >= word[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        word[i + 1:] = reversed(word[i + 1:])
+        j = bisect.bisect_right(word, word[i], i + 1)
+        word[i], word[j] = word[j], word[i]
+
+
 if __name__ == "__main__":
     import doctest
 

@@ -44,6 +44,7 @@ from .permutations import (
     standard_ranks,
     symmetric_group_list,
     weak_compositions,
+    words_with_content,
 )
 
 SAMPLE_METHODS = ("interleave", "drop", "geometric", "inverse")
@@ -104,6 +105,27 @@ def answer_refusal(bias, n: int, k: int = 1) -> str | None:
             f"degree {n} at k={k}) is above the budget of {MAX_ANSWER_DIGITS} digits")
 
 
+def mass_refusal(bias, n: int, k: int = 1, *, to_uniform: bool = False) -> str | None:
+    """Why exact masses of the k-fold shuffle of n cards are refused, or None
+    when they fit in MAX_ANSWER_DIGITS.
+
+    Each mass is a numerator over den^(kn), with den the common denominator
+    of the bias (a zero letter's is 1), so it has at most k n log10(den)
+    digits; the distance to uniform (``to_uniform``) is over den^(kn) n!,
+    log10 n! digits more.  Estimated before any letter is tensored.
+    """
+    den = math.lcm(*(p.denominator for p in bias))
+    # den = 1 takes any k: k * n is never made a float
+    digits = k * n * math.log10(den) if den > 1 else 0
+    if to_uniform:
+        digits += math.lgamma(n + 1) / math.log(10)
+    if digits <= MAX_ANSWER_DIGITS:
+        return None
+    what = "distance to uniform" if to_uniform else "masses"
+    return (f"an exact answer of up to {math.ceil(digits)} digits ({what} of {n} cards "
+            f"at k={k}) is above the budget of {MAX_ANSWER_DIGITS} digits")
+
+
 def _power_sums(bias, n: int, k: int = 1) -> tuple[list[int], int]:
     """Power sums P_e(bias)^k = N_e / D^e of the k-fold tensored bias, e = 0..n,
     as ([N_0..N_n], D): N_e = (sum_i w_i^e)^k, D = den^k, zero letters dropped.
@@ -153,13 +175,15 @@ class ShuffleSpec(Immutable):
     """Deck size, bias vector, and number of repeated shuffles; immutable,
     equal and hashable by (n, bias, k)."""
 
-    __slots__ = ("n", "bias", "k")
+    __slots__ = ("n", "bias", "k", "_thresholds")
 
     def __init__(self, n: int, bias, k: int = 1):
         check_size(n, k=k)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "bias", validate_bias(bias))
         object.__setattr__(self, "k", k)
+        # the integer thresholds ``sample`` draws against, built once per spec
+        object.__setattr__(self, "_thresholds", _categorical(self.bias))
 
     def _key(self) -> tuple:
         return (self.n, self.bias, self.k)
@@ -249,7 +273,7 @@ def sweep_refusal(n: int, letters: int, k: int) -> str | None:
             f"the budget of {MAX_SWEEP_CELLS} cells")
 
 
-def _kfold_classes(n: int, bias, k: int) -> tuple[list[int], int]:
+def _kfold_classes(n: int, bias, k: int, *, to_uniform: bool = False) -> tuple[list[int], int]:
     """Numerators N_D over den^(kn) of the k-fold masses of the 2^(n-1)
     inverse-descent classes D of S_n ([1] over 1 at n = 0).
 
@@ -262,15 +286,18 @@ def _kfold_classes(n: int, bias, k: int) -> tuple[list[int], int]:
     counted word uses them.  Classes are the leaves of a depth-first trie
     over positions 1..n-1, so classes that agree on {1..j-1} share their
     first j steps: about 2^n * a'^k list cells for a' nonzero letters, which
-    is refused over MAX_SWEEP_CELLS before any letter is built.  A class of
-    d >= a'^k descents needs d + 1 letters, so its subtree is filled with 0.
+    is refused over MAX_SWEEP_CELLS before any letter is built, as are
+    masses (with the n! of the distance when ``to_uniform``) over
+    MAX_ANSWER_DIGITS.  A class of d >= a'^k descents needs d + 1 letters,
+    so its subtree is filled with 0.
     """
     probs = validate_bias(bias)
     check_size(n, k=k)
     if n == 0:
         return [1], 1  # an empty deck has one arrangement whatever the letters
     letters = [p for p in probs if p]
-    refusal = sweep_refusal(n, len(letters), k)
+    refusal = (sweep_refusal(n, len(letters), k)
+               or mass_refusal(letters, n, k, to_uniform=to_uniform))
     if refusal is not None:
         raise ValueError(refusal)
     weights, den = _weights(letters, k)
@@ -299,24 +326,6 @@ def _content_mass(bias, parts) -> Fraction:
     return mass
 
 
-def _words_with_content(counts: list[int]) -> Iterator[tuple[int, ...]]:
-    """Distinct words (tuples of 0-based letters) with the given letter
-    counts, in lexicographic order, by a loop, so any length works."""
-    word = [letter for letter, c in enumerate(counts) for _ in range(c)]
-    while True:
-        yield tuple(word)
-        # next permutation: reverse the longest non-increasing tail, then swap
-        # the entry before it with the first tail entry above that entry
-        i = len(word) - 2
-        while i >= 0 and word[i] >= word[i + 1]:
-            i -= 1
-        if i < 0:
-            return
-        word[i + 1:] = reversed(word[i + 1:])
-        j = bisect.bisect_right(word, word[i], i + 1)
-        word[i], word[j] = word[j], word[i]
-
-
 def exact_distribution(
     n: int, bias, *, max_n: int = DEFAULT_MAX_N
 ) -> ExactDistribution:
@@ -333,6 +342,9 @@ def exact_distribution(
     """
     bias = validate_bias(bias)
     check_size(n, cap=max_n)
+    refusal = mass_refusal(bias, n)
+    if refusal is not None:
+        raise ValueError(refusal)
     weights, den = _weights(bias)
     numerators: dict[tuple[int, ...], int] = {}
     for parts in weak_compositions(n, len(bias)):
@@ -341,7 +353,7 @@ def exact_distribution(
             continue
         # standardization sees only the order of the letters, so unused
         # letters are dropped before the words are listed
-        for word in _words_with_content(list(filter(None, parts))):
+        for word in words_with_content(list(filter(None, parts))):
             ranks = tuple(standard_ranks(word))
             numerators[ranks] = numerators.get(ranks, 0) + mass
     scale = den**n
@@ -535,7 +547,7 @@ def tv_to_uniform(n: int, bias, k: int = 1) -> Fraction:
     >>> tv_to_uniform(3, (Fraction(1, 2), Fraction(1, 2)))
     Fraction(1, 3)
     """
-    numerators, scale = _kfold_classes(n, bias, k)
+    numerators, scale = _kfold_classes(n, bias, k, to_uniform=True)
     fact = math.factorial(n)
     most = max(index.bit_count() for index, m in enumerate(numerators) if m)
     excess = (m * fact - scale for m in numerators)
@@ -686,26 +698,6 @@ def _categorical(bias) -> tuple[tuple[int, ...], int]:
     return tuple(itertools.accumulate(weights)), denom
 
 
-def _randbelow(getrandbits, m: int) -> int:
-    """``rng.randrange(m)`` for m >= 1, consuming the same bits of the stream.
-
-    ``random.Random`` draws m.bit_length() bits and redraws while the value
-    is m or more; ``getrandbits`` is the bound method of the generator.  The
-    samplers run this loop once per card and inline it (``_shuffle``, the
-    drop and geometric loops, the per-call path of ``_draw_labels``):
-    calling it there costs ~9% of the ``sampling`` benchmark's wall time
-    (median of ten paired runs).  On CPython's generator a draw below
-    m <= 2^8 is the top byte of one 32-bit word, which ``_draw_labels``
-    decodes in batches; the shuffle and drop draws stay one call each, as
-    decoding their bytes in a Python loop measured slower than the calls.
-    """
-    bits = m.bit_length()
-    r = getrandbits(bits)
-    while r >= m:
-        r = getrandbits(bits)
-    return r
-
-
 def _shuffle(x: list, getrandbits) -> None:
     """``rng.shuffle(x)`` in place, consuming the same bits of the stream."""
     for i in range(len(x) - 1, 0, -1):
@@ -743,6 +735,14 @@ def _draw_labels(n: int, cumulative, denom: int, rng: random.Random) -> list[int
     maps the rest to their categories, until n labels are drawn.  That
     takes the same words as one draw at a time.  Any other generator or
     bias draws one ``getrandbits`` call at a time.
+
+    That per-call path is ``rng.randrange(denom)``'s loop (draw
+    denom.bit_length() bits, redraw while the value is denom or more)
+    written out in place, as are the draws of ``_shuffle``, ``_single_drop``
+    and ``_single_geometric``: calling a helper for it once per card cost
+    ~9% of the ``sampling`` benchmark's wall time (median of ten paired
+    runs).  The shuffle and drop draws stay one call each, as decoding
+    their bytes in a Python loop measured slower than the calls.
     """
     getrandbits = rng.getrandbits
     if (denom.bit_length() <= 8 and len(cumulative) <= 256
@@ -860,7 +860,7 @@ def sample(spec: ShuffleSpec, method: str = "inverse", rng: random.Random | None
         raise ValueError("a seeded random.Random is required")
     single = _SINGLE_SAMPLERS[method]
     n, bias = spec.n, spec.bias
-    cumulative, denom = _categorical(bias)
+    cumulative, denom = spec._thresholds
     inv = list(range(n))  # (s1 * ... * sj)^{-1} = sj^{-1} * ... * s1^{-1}, 0-based
     for _ in range(spec.k):
         order = single(n, bias, cumulative, denom, rng)

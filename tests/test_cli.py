@@ -597,6 +597,61 @@ def test_the_answer_budget_admits_what_it_estimates_to_fit(capsys):
     assert code == 2 and "4000 digits" in err
 
 
+def _tiny_bias(exponent):
+    # 1/10^e and its complement, written out in full
+    return f"1/{10**exponent},{10**exponent - 1}/{10**exponent}"
+
+
+@pytest.mark.parametrize("argv, digits", [
+    (["tv", "--n", "6", "--p", _tiny_bias(300), "--k", "3"], "5403"),
+    (["dist", "--n", "3", "--p", _tiny_bias(1500), "--k", "1"], "4500"),
+    (["dist", "--n", "3", "--p", _tiny_bias(1500), "--k", "2"], "9000"),
+    (["dist", "--n", "4", "--p", _tiny_bias(1001), "--k", "1"], "4004"),  # by pile words
+], ids=["tv", "dist-k1", "dist-k2", "dist-pile-words"])
+def test_class_answers_past_the_answer_budget_are_refused_at_once(capsys, argv, digits):
+    # these printed Python's own 4300-digit error after building the answer
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert f"up to {digits} digits" in err and "budget of 4000 digits" in err
+
+
+def test_report_ends_the_exact_column_at_the_answer_budget(capsys):
+    # the distance has up to 3603 digits at k = 2 and 5403 at k = 3
+    bias = _tiny_bias(300)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "report", "--n", "6", "--p", bias, "--k-max", "4")
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    assert err == ("note: exact_tv omitted from k=3 on: an exact answer of up to 5403 digits "
+                   "(distance to uniform of 6 cards at k=3) is above the budget of 4000 digits\n")
+    rows = [line.split(",") for line in out.splitlines()[5:]]
+    assert [k for k, _, _ in rows] == ["1", "2", "3", "4"]
+    assert all(bound for _, bound, _ in rows)
+    assert [bool(tv) for _, _, tv in rows] == [True, True, False, False]
+    assert Fraction(rows[1][2]) == shuffles.tv_to_uniform(6, shuffles.parse_bias(bias), 2)
+
+
+def test_report_past_both_answer_budgets_prints_its_whole_table(capsys):
+    # sum p^2 alone has 4002 digits: the step counts come from it as floats
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "report", "--n", "6", "--p", _tiny_bias(2001),
+                             "--k-max", "2")
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    notes = err.splitlines()
+    assert len(notes) == 2
+    assert notes[0].startswith("note: tv_bound omitted from k=1 on: an exact answer of up "
+                               "to 4002 digits")
+    assert notes[1].startswith("note: exact_tv omitted from k=1 on: an exact answer of up "
+                               "to 12009 digits")
+    assert out.splitlines()[2:] == ["# lalley_lower_steps=inf", "# suffices_steps=inf",
+                                    "k,tv_bound,exact_tv", "1,,", "2,,"]
+
+
 def test_importing_the_cli_leaves_dataclasses_and_verify_unloaded():
     # struct and array stay unloaded too: the sampler decodes bytes without them
     src = str(Path(riffle.__file__).resolve().parents[1])
@@ -619,3 +674,29 @@ def test_every_benchmark_span_names_a_riffle_function():
     for module, function in names:
         assert callable(getattr(importlib.import_module(f"riffle.{module}"), function, None)), \
             f"riffle.{module}.{function}"
+
+
+def test_every_riffle_name_the_digest_recorder_calls_exists():
+    # perfbench/record.py rebuilds the benchmark's digests through these
+    # names and keywords, so a rename in riffle would stop the recorder
+    recorder = Path(__file__).resolve().parents[1] / "perfbench" / "record.py"
+    tree = ast.parse(recorder.read_text())
+    modules = {name: importlib.import_module(f"riffle.{name}")
+               for name in ("shuffles", "genfuncs", "counting")}
+    read, keywords = set(), []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            read.add((node.value.id, node.attr))
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name) and node.func.value.id in modules):
+            keywords += [(node.func.value.id, node.func.attr, kw.arg) for kw in node.keywords]
+    assert len(read) >= 15
+    for module, name in sorted(read):
+        assert hasattr(modules[module], name), f"riffle.{module}.{name}"
+    assert {("shuffles", "exact_distribution", "max_n"),
+            ("shuffles", "exact_distribution_pile_words", "max_n"),
+            ("genfuncs", "inversion_pgf_from_compositions", "max_n")} <= set(keywords)
+    for module, name, keyword in keywords:
+        parameters = inspect.signature(getattr(modules[module], name)).parameters
+        assert keyword in parameters, f"riffle.{module}.{name}({keyword}=...)"

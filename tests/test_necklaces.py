@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riffle.counting import count_descent_subset
+from riffle.counting import count_descent_subset, multinomial
 from riffle.necklaces import (
-    _necklaces_below,
     enumerate_primitive_multisets,
     enumerate_primitive_necklaces,
     is_primitive,
     length_multiset,
     letters,
+    lyndon_factors,
     min_rotation,
     multiset_key,
     necklace_decomposition,
@@ -207,8 +207,7 @@ def test_ubar_bijective_with_cycle_structure(n):
 
 
 def test_primitive_multisets_of_seven_distinct_letters():
-    # one multiset per permutation of S_7; the enumeration used to recurse
-    # once per candidate necklace (2,372 here) and overflow the stack
+    # one multiset per permutation of S_7
     assert len(enumerate_primitive_multisets((1,) * 7)) == 5040
 
 
@@ -249,18 +248,67 @@ def test_prenecklace_walk_matches_the_filter_over_all_words(a):
             assert enumerate_primitive_necklaces(parts) == _necklaces_by_filter(parts), parts
 
 
+@given(st.lists(st.integers(1, 4), max_size=12).map(tuple))
+def test_lyndon_factors_are_a_non_increasing_lyndon_product(word):
+    factors = lyndon_factors(word)
+    assert sum(factors, ()) == word
+    assert all(f == min_rotation(f) and is_primitive(f) for f in factors)
+    assert all(f >= g for f, g in zip(factors, factors[1:]))
+
+
+def _multisets_by_search(parts):
+    # the reference: Lyndon words of every nonzero sub-content, picked in
+    # non-decreasing order until the content is used up; the least necklace
+    # left to pick starts with the least letter left, as Lyndon words start
+    # with their least letter
+    by_first = {}
+    for content in itertools.product(*(range(r + 1) for r in parts)):
+        if any(content):
+            for neck in enumerate_primitive_necklaces(content):
+                by_first.setdefault(neck[0], []).append((neck, content))
+    for group in by_first.values():
+        group.sort()
+    found = []
+
+    def pick(chosen, remaining, start):
+        # start: where the group of the last necklace chosen resumes
+        least = next((i for i, r in enumerate(remaining, start=1) if r), None)
+        if least is None:
+            found.append(multiset_key(Counter(chosen)))
+            return
+        group = by_first[least]
+        if not chosen or chosen[-1][0] != least:
+            start = 0
+        for idx in range(start, len(group)):
+            neck, content = group[idx]
+            if all(map(int.__le__, content, remaining)):
+                pick(chosen + [neck], tuple(map(int.__sub__, remaining, content)), idx)
+
+    pick([], tuple(parts), 0)
+    return found
+
+
+def _check_multisets_against_search(parts):
+    keys = [multiset_key(m) for m in enumerate_primitive_multisets(parts)]
+    assert len(keys) == len(set(keys)) == multinomial(parts), parts
+    assert set(keys) == set(_multisets_by_search(parts)), parts
+
+
 @pytest.mark.parametrize("n", range(1, 8))
-def test_necklaces_below_are_the_union_over_sub_contents(n):
+def test_primitive_multisets_match_the_search_over_compositions(n):
     for parts in compositions(n):
-        want = set()
-        for content in itertools.product(*(range(r + 1) for r in parts)):
-            if any(content):
-                want.update(enumerate_primitive_necklaces(content))
-        assert _necklaces_below(parts) == sorted(want), parts
+        _check_multisets_against_search(parts)
 
 
-def test_necklaces_below_refuses_what_enumeration_refuses():
+@pytest.mark.parametrize("a", [1, 2, 3])
+def test_primitive_multisets_match_the_search_over_weak_compositions(a):
+    for total in range(8):
+        for parts in weak_compositions(total, a):
+            _check_multisets_against_search(parts)
+
+
+def test_primitive_multisets_refuse_what_enumeration_refuses():
     with pytest.raises(ValueError, match="negative letter count"):
-        _necklaces_below((2, -1))
+        enumerate_primitive_multisets((2, -1))
     with pytest.raises(ValueError, match="n=17 above cap 16"):
-        _necklaces_below((9, 8))
+        enumerate_primitive_multisets((9, 8))

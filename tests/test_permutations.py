@@ -22,6 +22,7 @@ from riffle.permutations import (
     symmetric_group,
     symmetric_group_list,
     weak_compositions,
+    words_with_content,
 )
 from riffle.qpoly import QPolynomial, q_factorial, q_multinomial
 
@@ -192,6 +193,25 @@ def test_compositions_have_no_depth_limit():
     assert len(ones) == 1024
     assert ones[0] == (0,) * 1023 + (1,) and ones[-1] == (1,) + (0,) * 1023
     assert next(compositions(1500)) == (1,) * 1500
+
+
+def _words_by_recursion(counts):
+    if not any(counts):
+        yield ()
+        return
+    for letter, c in enumerate(counts):
+        if c:
+            counts[letter] -= 1
+            for rest in _words_by_recursion(counts):
+                yield (letter,) + rest
+            counts[letter] += 1
+
+
+@pytest.mark.parametrize("counts", [
+    *itertools.product(range(4), repeat=3), (0, 2, 0, 3), (1, 1, 1, 1, 1), (5,), ()])
+def test_words_with_content_keep_lexicographic_order(counts):
+    assert list(words_with_content(list(counts))) == list(
+        _words_by_recursion(list(counts)))
 
 
 # --- the one size guard ---------------------------------------------------

@@ -17,6 +17,7 @@ from riffle.permutations import (
     standard_permutation,
     symmetric_group_list,
     weak_compositions,
+    words_with_content,
 )
 from riffle import shuffles
 from riffle.shuffles import (
@@ -89,25 +90,6 @@ def test_shuffle_spec_is_an_immutable_value():
 
 
 # --- exact measures ------------------------------------------------------
-
-def _words_by_recursion(counts):
-    if not any(counts):
-        yield ()
-        return
-    for letter, c in enumerate(counts):
-        if c:
-            counts[letter] -= 1
-            for rest in _words_by_recursion(counts):
-                yield (letter,) + rest
-            counts[letter] += 1
-
-
-@pytest.mark.parametrize("counts", [
-    *itertools.product(range(4), repeat=3), (0, 2, 0, 3), (1, 1, 1, 1, 1), (5,), ()])
-def test_words_with_content_keep_lexicographic_order(counts):
-    assert list(shuffles._words_with_content(list(counts))) == list(
-        _words_by_recursion(list(counts)))
-
 
 @pytest.mark.parametrize("p1", [F(1, 2), F(1, 3), F(1, 5)])
 def test_three_card_masses(p1):
@@ -314,6 +296,22 @@ def test_kfold_sweep_is_refused_over_budget_before_tensoring():
         tv_to_uniform(1, FAIR, 21)
 
 
+def test_exact_masses_past_the_answer_budget_are_refused_before_tensoring():
+    # masses over (10^500)^(kn): 4000 digits at n = 4, k = 2 is the budget
+    tiny = (F(1, 10**500), 1 - F(1, 10**500))
+    assert mass_by_inverse_descents(8, tiny)[frozenset({8})] > 0
+    assert sum(exact_kfold_distribution(4, tiny, 2).masses.values()) == 1
+    for call in (lambda: exact_kfold_distribution(3, tiny, 3),
+                 lambda: mass_by_inverse_descents(9, tiny),
+                 lambda: exact_distribution(9, tiny, max_n=9)):
+        with pytest.raises(ValueError, match="4500 digits .masses of"):
+            call()
+    # the distance to uniform has the log10 n! digits of its n! on top
+    with pytest.raises(ValueError, match=r"4002 digits \(distance to uniform of 4 cards at k=2\)"):
+        tv_to_uniform(4, tiny, 2)
+    assert shuffles.mass_refusal(tiny, 4, 2) is None
+
+
 def test_kfold_sweep_counts_only_nonzero_letters():
     # one nonzero letter of ten: 2^3 * 1^30 cells, the identity at every k
     bias = (F(1),) + (F(0),) * 9
@@ -365,7 +363,7 @@ def _cut_masses_by_fractions(n, bias):
         for p, b in zip(bias, parts):
             mass *= p**b
         if mass:
-            for word in shuffles._words_with_content(list(filter(None, parts))):
+            for word in words_with_content(list(filter(None, parts))):
                 perm = standard_permutation(word)
                 masses[perm] = masses.get(perm, F(0)) + mass
     return masses
@@ -541,14 +539,6 @@ def test_composed_samples_match_tensored_distribution():
         assert abs(counts.get(perm, 0) / trials - want) < 4 * sigma
 
 
-@pytest.mark.parametrize("m", [1, 2, 5, 7, 2**32, 2**32 + 1, 10**30])
-def test_randbelow_consumes_the_randrange_stream(m):
-    ours, theirs = random.Random(m), random.Random(m)
-    assert [shuffles._randbelow(ours.getrandbits, m) for _ in range(300)] == \
-        [theirs.randrange(m) for _ in range(300)]
-    assert ours.getstate() == theirs.getstate()
-
-
 @pytest.mark.parametrize("length", [0, 1, 2, 5, 52, 300])
 def test_shuffle_consumes_the_shuffle_stream(length):
     ours, theirs = random.Random(length), random.Random(length)
@@ -569,6 +559,21 @@ def test_inlined_category_draws_consume_the_randrange_stream(bias):
     labels = shuffles._draw_labels(500, cumulative, denom, ours)
     assert labels == [bisect.bisect_right(cumulative, theirs.randrange(denom)) for _ in range(500)]
     assert ours.getstate() == theirs.getstate()
+
+
+@pytest.mark.parametrize("method", SAMPLE_METHODS)
+def test_sample_reads_the_thresholds_built_with_the_spec(monkeypatch, method):
+    # the spec builds the bias's integer thresholds once; no draw rebuilds them
+    spec = ShuffleSpec(6, tensor_power(parse_bias("1/3,2/3"), 3), 2)
+    rng = random.Random(5)
+    want = [sample(spec, method, rng) for _ in range(3)]
+
+    def rebuilt(bias):
+        raise AssertionError("sample rebuilt the thresholds")
+
+    monkeypatch.setattr(shuffles, "_categorical", rebuilt)
+    rng = random.Random(5)
+    assert [sample(spec, method, rng) for _ in range(3)] == want
 
 
 @pytest.mark.parametrize("method", SAMPLE_METHODS)
