@@ -296,7 +296,7 @@ def cmd_report(args) -> int:
             print(f"note: tv_bound omitted from k={k} on: {bound_refusal}", file=sys.stderr)
         bound = None if bound_refusal else shuffles.suf_bound(ShuffleSpec(n, bias, k))
         if refusal is None and (refusal := shuffles.sweep_refusal(n, letters, k) or
-                                shuffles.mass_refusal(bias, n, k, to_uniform=True)):
+                                shuffles.mass_refusal(bias, n, k)):
             print(f"note: exact_tv omitted from k={k} on: {refusal}", file=sys.stderr)
         exact_tv = None if refusal else shuffles.tv_to_uniform(n, bias, k)
         rows.append((k, bound, exact_tv))

@@ -54,6 +54,13 @@ SAMPLE_METHODS = ("interleave", "drop", "geometric", "inverse")
 
 def validate_bias(bias) -> tuple[Fraction, ...]:
     """Check a probability vector: entries >= 0 summing to exactly 1."""
+    return _categorical(bias)[0]
+
+
+def _categorical(bias) -> tuple[tuple[Fraction, ...], tuple[int, ...], int]:
+    """``validate_bias``'s vector with its integer thresholds for exact
+    categorical sampling: the cumulative numerators over den, the least
+    common denominator."""
     probs = tuple(p if type(p) is Fraction else Fraction(p) for p in bias)
     if not probs:
         raise ValueError("bias vector is empty")
@@ -61,10 +68,11 @@ def validate_bias(bias) -> tuple[Fraction, ...]:
     weights, den = _weights(probs)
     if min(weights) < 0:
         raise ValueError(f"negative bias entry in {probs}")
-    if sum(weights) != den:
-        total = Fraction(sum(weights), den)
+    cumulative = tuple(itertools.accumulate(weights))
+    if cumulative[-1] != den:
+        total = Fraction(cumulative[-1], den)
         raise ValueError(f"bias sums to {total}, not 1 (no silent renormalization)")
-    return probs
+    return probs, cumulative, den
 
 
 def _weights(bias, k: int = 1) -> tuple[list[int], int]:
@@ -105,24 +113,16 @@ def answer_refusal(bias, n: int, k: int = 1) -> str | None:
             f"degree {n} at k={k}) is above the budget of {MAX_ANSWER_DIGITS} digits")
 
 
-def mass_refusal(bias, n: int, k: int = 1, *, to_uniform: bool = False) -> str | None:
+def mass_refusal(bias, n: int, k: int = 1) -> str | None:
     """Why exact masses of the k-fold shuffle of n cards are refused, or None
-    when they fit in MAX_ANSWER_DIGITS.
-
-    Each mass is a numerator over den^(kn), with den the common denominator
-    of the bias (a zero letter's is 1), so it has at most k n log10(den)
-    digits; the distance to uniform (``to_uniform``) is over den^(kn) n!,
-    log10 n! digits more.  Estimated before any letter is tensored.
-    """
+    when they fit in MAX_ANSWER_DIGITS: each is a numerator over den^(kn),
+    den the bias's common denominator, so k n log10(den) digits at most."""
     den = math.lcm(*(p.denominator for p in bias))
     # den = 1 takes any k: k * n is never made a float
     digits = k * n * math.log10(den) if den > 1 else 0
-    if to_uniform:
-        digits += math.lgamma(n + 1) / math.log(10)
     if digits <= MAX_ANSWER_DIGITS:
         return None
-    what = "distance to uniform" if to_uniform else "masses"
-    return (f"an exact answer of up to {math.ceil(digits)} digits ({what} of {n} cards "
+    return (f"an exact answer of up to {math.ceil(digits)} digits (masses of {n} cards "
             f"at k={k}) is above the budget of {MAX_ANSWER_DIGITS} digits")
 
 
@@ -179,11 +179,12 @@ class ShuffleSpec(Immutable):
 
     def __init__(self, n: int, bias, k: int = 1):
         check_size(n, k=k)
+        probs, cumulative, denom = _categorical(bias)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "bias", validate_bias(bias))
+        object.__setattr__(self, "bias", probs)
         object.__setattr__(self, "k", k)
         # the integer thresholds ``sample`` draws against, built once per spec
-        object.__setattr__(self, "_thresholds", _categorical(self.bias))
+        object.__setattr__(self, "_thresholds", (cumulative, denom))
 
     def _key(self) -> tuple:
         return (self.n, self.bias, self.k)
@@ -273,7 +274,7 @@ def sweep_refusal(n: int, letters: int, k: int) -> str | None:
             f"the budget of {MAX_SWEEP_CELLS} cells")
 
 
-def _kfold_classes(n: int, bias, k: int, *, to_uniform: bool = False) -> tuple[list[int], int]:
+def _kfold_classes(n: int, bias, k: int) -> tuple[list[int], int]:
     """Numerators N_D over den^(kn) of the k-fold masses of the 2^(n-1)
     inverse-descent classes D of S_n ([1] over 1 at n = 0).
 
@@ -287,17 +288,15 @@ def _kfold_classes(n: int, bias, k: int, *, to_uniform: bool = False) -> tuple[l
     over positions 1..n-1, so classes that agree on {1..j-1} share their
     first j steps: about 2^n * a'^k list cells for a' nonzero letters, which
     is refused over MAX_SWEEP_CELLS before any letter is built, as are
-    masses (with the n! of the distance when ``to_uniform``) over
-    MAX_ANSWER_DIGITS.  A class of d >= a'^k descents needs d + 1 letters,
-    so its subtree is filled with 0.
+    masses over MAX_ANSWER_DIGITS.  A class of d >= a'^k descents needs
+    d + 1 letters, so its subtree is filled with 0.
     """
     probs = validate_bias(bias)
     check_size(n, k=k)
     if n == 0:
         return [1], 1  # an empty deck has one arrangement whatever the letters
     letters = [p for p in probs if p]
-    refusal = (sweep_refusal(n, len(letters), k)
-               or mass_refusal(letters, n, k, to_uniform=to_uniform))
+    refusal = sweep_refusal(n, len(letters), k) or mass_refusal(letters, n, k)
     if refusal is not None:
         raise ValueError(refusal)
     weights, den = _weights(letters, k)
@@ -547,7 +546,7 @@ def tv_to_uniform(n: int, bias, k: int = 1) -> Fraction:
     >>> tv_to_uniform(3, (Fraction(1, 2), Fraction(1, 2)))
     Fraction(1, 3)
     """
-    numerators, scale = _kfold_classes(n, bias, k, to_uniform=True)
+    numerators, scale = _kfold_classes(n, bias, k)
     fact = math.factorial(n)
     most = max(index.bit_count() for index, m in enumerate(numerators) if m)
     excess = (m * fact - scale for m in numerators)
@@ -690,12 +689,6 @@ def substream(seed: int, index: int) -> random.Random:
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
     z ^= z >> 31
     return random.Random(z)
-
-
-def _categorical(bias) -> tuple[tuple[int, ...], int]:
-    """Integer thresholds for exact categorical sampling of a rational bias."""
-    weights, denom = _weights(bias)
-    return tuple(itertools.accumulate(weights)), denom
 
 
 def _shuffle(x: list, getrandbits) -> None:

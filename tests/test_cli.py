@@ -603,7 +603,7 @@ def _tiny_bias(exponent):
 
 
 @pytest.mark.parametrize("argv, digits", [
-    (["tv", "--n", "6", "--p", _tiny_bias(300), "--k", "3"], "5403"),
+    (["tv", "--n", "6", "--p", _tiny_bias(300), "--k", "3"], "5400"),
     (["dist", "--n", "3", "--p", _tiny_bias(1500), "--k", "1"], "4500"),
     (["dist", "--n", "3", "--p", _tiny_bias(1500), "--k", "2"], "9000"),
     (["dist", "--n", "4", "--p", _tiny_bias(1001), "--k", "1"], "4004"),  # by pile words
@@ -620,14 +620,14 @@ def test_class_answers_past_the_answer_budget_are_refused_at_once(capsys, argv, 
 
 
 def test_report_ends_the_exact_column_at_the_answer_budget(capsys):
-    # the distance has up to 3603 digits at k = 2 and 5403 at k = 3
+    # the masses have up to 3600 digits at k = 2 and 5400 at k = 3
     bias = _tiny_bias(300)
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "report", "--n", "6", "--p", bias, "--k-max", "4")
     assert time.perf_counter() - start < 1
     assert code == 0
-    assert err == ("note: exact_tv omitted from k=3 on: an exact answer of up to 5403 digits "
-                   "(distance to uniform of 6 cards at k=3) is above the budget of 4000 digits\n")
+    assert err == ("note: exact_tv omitted from k=3 on: an exact answer of up to 5400 digits "
+                   "(masses of 6 cards at k=3) is above the budget of 4000 digits\n")
     rows = [line.split(",") for line in out.splitlines()[5:]]
     assert [k for k, _, _ in rows] == ["1", "2", "3", "4"]
     assert all(bound for _, bound, _ in rows)
@@ -647,7 +647,7 @@ def test_report_past_both_answer_budgets_prints_its_whole_table(capsys):
     assert notes[0].startswith("note: tv_bound omitted from k=1 on: an exact answer of up "
                                "to 4002 digits")
     assert notes[1].startswith("note: exact_tv omitted from k=1 on: an exact answer of up "
-                               "to 12009 digits")
+                               "to 12006 digits")
     assert out.splitlines()[2:] == ["# lalley_lower_steps=inf", "# suffices_steps=inf",
                                     "k,tv_bound,exact_tv", "1,,", "2,,"]
 

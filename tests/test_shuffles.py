@@ -306,10 +306,9 @@ def test_exact_masses_past_the_answer_budget_are_refused_before_tensoring():
                  lambda: exact_distribution(9, tiny, max_n=9)):
         with pytest.raises(ValueError, match="4500 digits .masses of"):
             call()
-    # the distance to uniform has the log10 n! digits of its n! on top
-    with pytest.raises(ValueError, match=r"4002 digits \(distance to uniform of 4 cards at k=2\)"):
-        tv_to_uniform(4, tiny, 2)
+    # the distance to uniform, over den^(kn) n!, still prints below 4300 digits
     assert shuffles.mass_refusal(tiny, 4, 2) is None
+    assert len(str(tv_to_uniform(4, tiny, 2).denominator)) > 4000
 
 
 def test_kfold_sweep_counts_only_nonzero_letters():
@@ -554,7 +553,7 @@ def test_shuffle_consumes_the_shuffle_stream(length):
                                   f"1/{10**30},{10**30 - 1}/{10**30}"])
 def test_inlined_category_draws_consume_the_randrange_stream(bias):
     # the inlined rejection loop of the category draws against randrange
-    cumulative, denom = shuffles._categorical(parse_bias(bias))
+    _, cumulative, denom = shuffles._categorical(parse_bias(bias))
     ours, theirs = random.Random(3), random.Random(3)
     labels = shuffles._draw_labels(500, cumulative, denom, ours)
     assert labels == [bisect.bisect_right(cumulative, theirs.randrange(denom)) for _ in range(500)]
@@ -710,7 +709,7 @@ def test_samplers_draw_the_randrange_shuffle_and_random_stream(bias, n, k, seed)
 def test_inverse_draws_are_k_calls_of_its_single_sampler(bias, k):
     # sample composes k calls of the table's entry, the first one on the left
     bias = parse_bias(bias)
-    cumulative, denom = shuffles._categorical(bias)
+    _, cumulative, denom = shuffles._categorical(bias)
     ours, theirs = random.Random(k), random.Random(k)
     for _ in range(5):
         product = Permutation.identity(13)
@@ -732,7 +731,7 @@ def test_label_draws_take_words_in_batches_on_cpythons_generator(monkeypatch):
 
     # still `random.Random.getrandbits`, so the batch path is taken
     monkeypatch.setattr(random.Random, "getrandbits", spy)
-    cumulative, denom = shuffles._categorical(parse_bias("0.4,0.6"))
+    _, cumulative, denom = shuffles._categorical(parse_bias("0.4,0.6"))
     ours = random.Random(5)
     labels = shuffles._draw_labels(500, cumulative, denom, ours)
     monkeypatch.undo()
@@ -746,7 +745,7 @@ def test_label_draws_take_words_in_batches_on_cpythons_generator(monkeypatch):
 
 def test_label_tables_are_kept_for_a_bounded_number_of_biases():
     for den in range(2, 200):
-        shuffles._label_table(shuffles._categorical((F(1, den), F(den - 1, den)))[0], den)
+        shuffles._label_table(shuffles._categorical((F(1, den), F(den - 1, den)))[1], den)
     info = shuffles._label_table.cache_info()
     assert info.maxsize is not None and info.currsize <= info.maxsize
 
