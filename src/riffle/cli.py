@@ -220,7 +220,7 @@ def cmd_stats(args) -> int:
 def cmd_count(args) -> int:
     max_n = _n_max(args)
     n = args.n
-    deset = frozenset(int(t) for t in args.j.split(","))
+    deset = counting._validate_descent_set(n, (int(t) for t in args.j.split(",")))
     if args.method == "ie":
         exact = counting.count_descent_exact(n, deset)
         ncyc = counting.ncycles_descent_ie(n, deset)

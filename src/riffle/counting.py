@@ -9,6 +9,7 @@ exercised in its native indexing.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections.abc import Callable, Iterable
 
 from .necklaces import _mobius, primitive_count
@@ -85,8 +86,16 @@ def count_descent_subset(parts: Iterable[int]) -> int:
     return multinomial(parts)
 
 
-# Largest number of inclusion-exclusion terms, 2^(|J|-1), the ie routes walk.
+# Largest number of inclusion-exclusion terms, 2^(|J|-1), the ie routes sum.
+# The grouped sum holds at most one group per subset of the points of J it
+# has passed, so the same budget bounds its work and its memory.
 MAX_IE_TERMS = 2**18
+
+
+def _with_part(parts: tuple[int, ...], part: int) -> tuple[int, ...]:
+    """The sorted tuple ``parts`` with ``part`` inserted in order."""
+    i = bisect_right(parts, part)
+    return parts[:i] + (part,) + parts[i:]
 
 
 def _descent_inclusion_exclusion(
@@ -96,10 +105,16 @@ def _descent_inclusion_exclusion(
     gap composition of K: inverts a count over descent sets inside K into
     a count over descent set exactly J.
 
-    The 2^(|J|-1) sets K are walked depth first over the points of J in
-    order, keeping or merging each one, on one list of gaps, so each term
-    costs one ``term`` call; the walk is refused above MAX_IE_TERMS terms
-    before it starts.
+    One forward pass over the points of J groups the 2^(|J|-1) sets K by
+    their last cut and their sorted gaps so far, and counts the sets in each
+    group: cutting at a point inserts its gap, skipping it changes nothing.
+    The cut at n then closes each group with one ``term`` call, weighted by
+    its count and signed by its number of gaps.  So ``term`` gets the gaps
+    sorted, not in the order of K, and must be symmetric in its parts (the
+    multinomial and the primitive-necklace count are).  For J = {1..16}
+    that is 684 calls instead of 2^15.  Groups that close to the same gaps
+    are not merged: that would take a second table as large as the first.
+    The sum is refused above MAX_IE_TERMS terms before it starts.
     """
     js = _validate_descent_set(n, deset)
     if 2 ** (len(js) - 1) > MAX_IE_TERMS:
@@ -107,24 +122,24 @@ def _descent_inclusion_exclusion(
             f"inclusion-exclusion over 2^{len(js) - 1} subsets of J is above "
             f"the budget of {MAX_IE_TERMS} terms"
         )
-    points = sorted(js)
-    last = len(points) - 1
-    parts: list[int] = []
-
-    def walk(i: int, start: int) -> int:
-        # signed sum over the choices for points[i:], the last cut at ``start``
-        if i == last:
-            parts.append(n - start)
-            value = term(tuple(parts))
-            parts.pop()
-            return value
-        cut = points[i]
-        parts.append(cut - start)
-        kept = walk(i + 1, cut)
-        parts.pop()
-        return kept - walk(i + 1, start)
-
-    return walk(0, 0)
+    *inner, _ = sorted(js)
+    # tables[c][gaps]: how many subsets of the points passed so far have
+    # last cut c and these sorted gaps; a skipped point leaves them as they are
+    tables: dict[int, dict[tuple[int, ...], int]] = {0: {(): 1}}
+    for cut in inner:
+        made: dict[tuple[int, ...], int] = {}
+        for start, table in tables.items():
+            gap = cut - start
+            for gaps, count in table.items():
+                key = _with_part(gaps, gap)
+                made[key] = made.get(key, 0) + count
+        tables[cut] = made
+    total = 0
+    for start, table in tables.items():
+        for gaps, count in table.items():
+            value = count * term(_with_part(gaps, n - start))
+            total += -value if (len(inner) - len(gaps)) % 2 else value
+    return total
 
 
 def _binomial_det(n: int, positions: list[int], d: int) -> int:
@@ -142,6 +157,10 @@ def count_descent_exact(n: int, deset: Iterable[int]) -> int:
     contain n), by inclusion-exclusion over subsets:
 
         sum_{K subseteq J, n in K} (-1)^(|J|-|K|) multinomial(C(K))
+
+    summed with one multinomial per group of sets K that agree on their
+    last point below n and, up to order, on their gaps below it (see
+    ``_descent_inclusion_exclusion``).
 
     >>> count_descent_exact(4, {2, 4}), count_descent_exact(4, {1, 2, 3, 4})
     (5, 1)
@@ -164,7 +183,12 @@ def count_descent_det(n: int, j_positions: Iterable[int]) -> int:
 
 def ncycles_descent_ie(n: int, deset: Iterable[int]) -> int:
     """n-cycles with descent set exactly ``deset``, by inclusion-exclusion
-    with the primitive-necklace count in place of the multinomial."""
+    with the primitive-necklace count in place of the multinomial, one per
+    group of sets K, as in ``count_descent_exact``.
+
+    >>> ncycles_descent_ie(3, {1, 3}), ncycles_descent_ie(4, {1, 3, 4})
+    (1, 1)
+    """
     return _descent_inclusion_exclusion(n, deset, primitive_count)
 
 

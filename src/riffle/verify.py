@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from collections import Counter
 from fractions import Fraction
@@ -517,7 +518,7 @@ def sample_statistics(
     for _ in range(samples):
         perm = shuffles.sample(spec, "inverse", rng)
         values = {
-            "fixed_points": sum(1 for i in range(1, n + 1) if perm(i) == i),
+            "fixed_points": sum(map(operator.eq, perm.images, range(1, n + 1))),
             "inversions": count_inversions(perm.images),
             "descents": len(descent_set(perm)),
         }

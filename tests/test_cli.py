@@ -377,6 +377,28 @@ def test_count_names_a_negative_deck_size(capsys, method):
         (2, "", "error: negative deck size\n")
 
 
+@pytest.mark.parametrize("method", ["ie", "det", "brute"])
+@pytest.mark.parametrize("j, message", [
+    ("1", "descent set must contain n=3: [1]"),
+    ("4,3", "descent set not within 1..3: [3, 4]"),
+    ("0,3", "descent set not within 1..3: [0, 3]"),
+], ids=["without-n", "above-n", "zero"])
+def test_count_refuses_a_malformed_descent_set_on_every_method(capsys, method, j, message):
+    assert run_cli(capsys, "count", "--n", "3", "--j", j, "--method", method) == \
+        (2, "", f"error: {message}\n")
+
+
+def test_count_ie_at_the_edge_of_its_term_budget(capsys):
+    # 2^18 subsets of J = {1..19}, the largest J that MAX_IE_TERMS admits
+    j = ",".join(str(i) for i in range(1, 20))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "count", "--n", "19", "--j", j, "--method", "ie")
+    assert time.perf_counter() - start < 1
+    assert (code, err) == (0, "")
+    want = {"J": list(range(1, 20)), "n": 19, "exact": 1, "ncycles": 0, "method": "ie"}
+    assert out == json.dumps(want) + "\n"
+
+
 def test_count_json_all_methods(capsys):
     want = {"J": [1, 3], "n": 3, "exact": 2, "ncycles": 1}
     for method in ("ie", "det", "brute"):

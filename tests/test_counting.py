@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from riffle.counting import (
     MAX_IE_TERMS,
+    _descent_inclusion_exclusion,
     brute_count,
     count_descent_det,
     count_descent_exact,
@@ -14,6 +15,7 @@ from riffle.counting import (
     count_symmetric_matrices,
     int_det,
     involutions_descent_subset,
+    multinomial,
     ncycles_descent_det,
     ncycles_descent_ie,
 )
@@ -201,6 +203,50 @@ def test_inclusion_exclusion_is_refused_over_its_term_budget():
         count_descent_exact(n, range(1, n + 1))
     with pytest.raises(ValueError, match="budget"):
         ncycles_descent_ie(n, range(1, n + 1))
+
+
+def _subset_walk(n, deset, term):
+    """The plain inclusion-exclusion: one ``term`` call per subset K of J
+    with n in K, walked depth first over the points of J in order."""
+    points = sorted(deset)
+    last = len(points) - 1
+    parts = []
+
+    def walk(i, start):
+        if i == last:
+            parts.append(n - start)
+            value = term(tuple(parts))
+            parts.pop()
+            return value
+        cut = points[i]
+        parts.append(cut - start)
+        kept = walk(i + 1, cut)
+        parts.pop()
+        return kept - walk(i + 1, start)
+
+    return walk(0, 0)
+
+
+@given(st.integers(1, 12).flatmap(lambda n: st.tuples(st.just(n), st.sets(st.integers(1, n)))))
+@settings(max_examples=200)
+def test_grouped_inclusion_exclusion_matches_the_subset_walk(case):
+    n, points = case
+    deset = points | {n}
+    for term in (multinomial, primitive_count):
+        assert _descent_inclusion_exclusion(n, deset, term) == _subset_walk(n, deset, term)
+
+
+def test_grouped_inclusion_exclusion_calls_term_once_per_group():
+    calls = []
+
+    def term(parts):
+        calls.append(parts)
+        return multinomial(parts)
+
+    deset = range(1, 17)
+    assert _descent_inclusion_exclusion(16, deset, term) == _subset_walk(16, deset, multinomial)
+    assert len(calls) <= 1000  # against 2^15 = 32,768 subsets
+    assert all(list(parts) == sorted(parts) for parts in calls)
 
 
 # --- universal oracle --------------------------------------------------------
