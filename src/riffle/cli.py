@@ -9,8 +9,10 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -112,14 +114,14 @@ def cmd_sample(args) -> int:
         raise ValueError("--samples must be at least 1")
     spec = ShuffleSpec(args.n, parse_bias(args.p), args.k)
     rng = shuffles.substream(args.seed, 0)
+    labels = list(map(str, range(args.n + 1)))
+    # the JSON line is the text json.dumps gives a list of ints
+    head, sep, close = {"json": ("[", ", ", "]\n"), "csv": ("", ",", "\n"),
+                        "lines": ("", " ", "\n")}[args.format]
+    write = sys.stdout.write
     for _ in range(args.samples):
         perm = shuffles.sample(spec, args.method, rng)
-        if args.format == "json":
-            print(json.dumps(list(perm.images)))
-        elif args.format == "csv":
-            print(",".join(map(str, perm.images)))
-        else:
-            print(" ".join(map(str, perm.images)))
+        write(head + sep.join(map(labels.__getitem__, perm.images)) + close)
     return 0
 
 
@@ -132,16 +134,30 @@ def _n_max(args) -> int:
     return args.n_max
 
 
-def _print_masses(n: int, fmt: str, rows) -> None:
-    """Print the (card labels as strings, mass text) rows of a distribution
-    on S_n as one JSON object or as CSV; json.dumps would print the same."""
+# Rows per stdout write: output memory stays a few chunks, not n! rows.
+_CHUNK_ROWS = 512
+
+
+def _print_masses(n: int, fmt: str, texts: list[str], rows) -> None:
+    """Write a distribution on S_n as one JSON object or as CSV, the text
+    json.dumps would give.  ``texts`` are the mass texts and ``rows`` the
+    (card labels as strings, index into ``texts``) of each permutation; the
+    rows are written a chunk at a time as they are walked."""
     if fmt == "csv":
-        text = "\n".join(["perm,p", *[" ".join(labels) + "," + p for labels, p in rows]])
+        head, opener, comma, sep, close = "perm,p\n", "", " ", "", ""
+        tails = ["," + m + "\n" for m in texts]
     else:
-        entries = ", ".join(['{"perm": [' + ", ".join(labels) + '], "p": "' + p + '"}'
-                             for labels, p in rows])
-        text = f'{{"n": {n}, "masses": [{entries}]}}'
-    print(text)
+        head, opener, comma, sep, close = (
+            f'{{"n": {n}, "masses": [', '{"perm": [', ", ", ", ", "]}\n")
+        tails = ['], "p": "' + m + '"}' for m in texts]
+    write = sys.stdout.write
+    write(head)
+    rows, lead = iter(rows), ""
+    while chunk := list(itertools.islice(rows, _CHUNK_ROWS)):
+        write(lead + sep.join([opener + comma.join(labels) + tails[index]
+                               for labels, index in chunk]))
+        lead = sep
+    write(close)
 
 
 def cmd_dist(args) -> int:
@@ -152,16 +168,16 @@ def cmd_dist(args) -> int:
     # route, which refuses it.
     letters = sum(1 for p in bias if p)
     if k == 1 and n >= 0 and (n > MAX_CACHED_N or letters**n <= math.factorial(n)):
-        dist = shuffles.exact_distribution(n, bias, max_n=max_n)
-        rows = [(tuple(map(str, perm.images)), frac_str(mass))
-                for perm, mass in sorted(dist.masses.items())]
+        masses = sorted(shuffles.exact_distribution(n, bias, max_n=max_n).masses.items())
+        texts = [frac_str(mass) for _, mass in masses]
+        rows = ((map(str, perm.images), index)
+                for index, (perm, _) in enumerate(masses))
     else:
         # one mass text per class; S_n is walked only to place each permutation
-        numerators, scale, walk = shuffles._kfold_walk(
+        numerators, scale, rows = shuffles._kfold_walk(
             n, bias, k, max_n=max_n, labels=[str(card) for card in range(1, n + 1)])
         texts = [frac_str(Fraction(m, scale)) for m in numerators]
-        rows = ((labels, texts[index]) for labels, index in walk)
-    _print_masses(n, args.format, rows)
+    _print_masses(n, args.format, texts, rows)
     return 0
 
 
@@ -365,7 +381,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader stopped early: send what is still buffered to devnull,
+        # so that the flush at exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: stdout was closed before the output was written", file=sys.stderr)
+        return 1
     except (ValueError, ArithmeticError) as exc:
         # refused input exits 2; a failed invariant (ArithmeticError) exits 3
         print(f"error: {exc}", file=sys.stderr)

@@ -8,11 +8,12 @@ exercised in its native indexing.
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_right
 from collections.abc import Callable, Iterable
 
-from .necklaces import _mobius, primitive_count
+from .necklaces import _mobius, _primitive_count
 from .permutations import (
     DEFAULT_MAX_N,
     Permutation,
@@ -165,7 +166,9 @@ def count_descent_exact(n: int, deset: Iterable[int]) -> int:
     >>> count_descent_exact(4, {2, 4}), count_descent_exact(4, {1, 2, 3, 4})
     (5, 1)
     """
-    return _descent_inclusion_exclusion(n, deset, multinomial)
+    factorial = functools.cache(math.factorial)  # n! and each gap's, once per sum
+    return _descent_inclusion_exclusion(
+        n, deset, lambda gaps: factorial(n) // math.prod(map(factorial, gaps)))
 
 
 def count_descent_det(n: int, j_positions: Iterable[int]) -> int:
@@ -189,7 +192,9 @@ def ncycles_descent_ie(n: int, deset: Iterable[int]) -> int:
     >>> ncycles_descent_ie(3, {1, 3}), ncycles_descent_ie(4, {1, 3, 4})
     (1, 1)
     """
-    return _descent_inclusion_exclusion(n, deset, primitive_count)
+    factorial = functools.cache(math.factorial)  # as in count_descent_exact
+    return _descent_inclusion_exclusion(
+        n, deset, lambda gaps: _primitive_count(gaps, factorial))
 
 
 def ncycles_descent_det(n: int, deset: Iterable[int]) -> int:

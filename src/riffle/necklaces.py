@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 
 from .permutations import (
     Permutation,
@@ -181,11 +181,16 @@ def primitive_count(parts: Iterable[int]) -> int:
     >>> primitive_count((2, 2)), primitive_count((1, 1, 1))
     (1, 2)
     """
-    parts = _letter_counts(parts)
+    return _primitive_count(_letter_counts(parts), math.factorial)
+
+
+def _primitive_count(parts: tuple[int, ...], factorial: Callable[[int], int]) -> int:
+    """``primitive_count`` of the letter counts ``parts``, taking each
+    factorial from ``factorial``, which a caller summing many counts over
+    one n can make remember its values."""
     n = sum(parts)
     if n == 0:
         raise ValueError("all letter counts are zero")
-    factorial = math.factorial
     total = factorial(n) // math.prod(map(factorial, parts))  # the d = 1 term
     g = math.gcd(*parts)
     for d in range(2, g + 1):

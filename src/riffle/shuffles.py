@@ -489,12 +489,12 @@ def _kfold_walk(
         if m < 0:
             raise ValueError(f"negative mass for inverse-descent class {index}")
     indices = _inverse_descent_indices(n)
-    per_perm = list(map(numerators.__getitem__, indices))
-    total = sum(per_perm)
+    total = sum(map(numerators.__getitem__, indices))
     if total != scale:
         raise ValueError(f"masses sum to {Fraction(total, scale)}, not 1")
     perms = itertools.permutations(range(1, n + 1) if labels is None else labels)
-    return numerators, scale, itertools.compress(zip(perms, indices), per_perm)
+    return numerators, scale, itertools.compress(
+        zip(perms, indices), map(numerators.__getitem__, indices))
 
 
 def exact_kfold_distribution(n: int, bias, k: int) -> ExactDistribution:

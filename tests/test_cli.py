@@ -1,5 +1,6 @@
 import argparse
 import ast
+import contextlib
 import hashlib
 import importlib
 import inspect
@@ -11,6 +12,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -101,6 +103,46 @@ def test_dist_prints_the_kfold_distribution(capsys, text, k, fmt):
         want = _dist_text(exact_kfold_distribution(n, shuffles.parse_bias(text), k), fmt)
         assert run_cli(capsys, "dist", "--n", str(n), "--p", text, "--k", str(k),
                        "--format", fmt) == (0, want, "")
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("n", [7, 8])
+@pytest.mark.parametrize("text, k", [("1/3,2/3", 2), ("1/2,1/4,1/4", 1)],
+                         ids=["classes", "pile-words"])
+def test_dist_prints_the_same_text_across_chunks(capsys, text, k, n, fmt):
+    # 1,312 to 40,320 rows: the writer's chunks must join without a seam
+    want = _dist_text(exact_kfold_distribution(n, shuffles.parse_bias(text), k), fmt)
+    assert run_cli(capsys, "dist", "--n", str(n), "--p", text, "--k", str(k),
+                   "--format", fmt) == (0, want, "")
+
+
+def test_dist_memory_does_not_hold_the_output():
+    # the output is 6.4 MB of JSON; the rows are written as they are walked
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            code = main(["dist", "--n", "9", "--n-max", "9", "--p", "1/3,2/3", "--k", "2"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("argv", [
+    ["dist", "--n", "8", "--p", "1/3,2/3", "--k", "2", "--format", "csv"],
+    ["sample", "--n", "52", "--p", "1/2,1/2", "--k", "7", "--samples", "100000", "--seed", "1"],
+], ids=["dist", "sample"])
+def test_a_reader_that_stops_early_gets_one_error_line(argv):
+    src = str(Path(riffle.__file__).resolve().parents[1])
+    with subprocess.Popen([sys.executable, "-m", "riffle.cli", *argv],
+                          env={**os.environ, "PYTHONPATH": src}, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True) as proc:
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert (code, err) == (1, "error: stdout was closed before the output was written\n")
 
 
 @pytest.mark.parametrize("table, message", [
