@@ -17,18 +17,12 @@ import sys
 from fractions import Fraction
 
 from . import counting, genfuncs, necklaces, shuffles
-from .permutations import DEFAULT_MAX_N, MAX_CACHED_N, Permutation, descent_set, is_n_cycle
+from .permutations import MAX_CACHED_N, Permutation, descent_set, is_n_cycle
 from .shuffles import ShuffleSpec, parse_bias
 
 
 def frac_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
-
-
-def _add_n_max(parser: argparse.ArgumentParser):
-    parser.add_argument(
-        "--n-max", type=int, default=None, help="override the exact-enumeration cap"
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -56,7 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", required=True)
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--format", choices=("json", "csv"), default="json", help="output format")
-    _add_n_max(p)
     p.set_defaults(handler=cmd_dist)
 
     p = sub.add_parser("tv", help="exact distance to uniform, with the upper bound")
@@ -74,14 +67,14 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("fixed-points", "inversions", "descents", "cycle-pgf", "inv-pgf"),
         required=True,
     )
-    _add_n_max(p)
+    p.add_argument("--n-max", type=int, default=MAX_CACHED_N,
+                   help=f"raise the cycle-pgf cap on n (default {MAX_CACHED_N})")
     p.set_defaults(handler=cmd_stats)
 
     p = sub.add_parser("count", help="permutations and n-cycles by descent set")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--j", required=True, help="descent set containing n, e.g. 1,3")
     p.add_argument("--method", choices=("ie", "det", "brute"), default="ie")
-    _add_n_max(p)
     p.set_defaults(handler=cmd_count)
 
     p = sub.add_parser("bijection", help="standardize a word / map a permutation to necklaces")
@@ -101,7 +94,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--only", default=None, help="run suites whose name contains this string")
     p.add_argument("--samples", type=int, default=20000)
     p.add_argument("--seed", type=int, default=None, help="64-bit RNG seed")
-    _add_n_max(p)
+    p.add_argument("--n-max", type=int, default=None,
+                   help="largest deck size the suites check (at most 8)")
     p.set_defaults(handler=cmd_verify)
 
     return parser
@@ -126,9 +120,7 @@ def cmd_sample(args) -> int:
 
 
 def _n_max(args) -> int:
-    """The --n-max cap: the default when the flag is absent, refused below 1."""
-    if args.n_max is None:
-        return DEFAULT_MAX_N
+    """The --n-max cap, refused below 1."""
     if args.n_max < 1:
         raise ValueError("--n-max must be at least 1")
     return args.n_max
@@ -161,21 +153,21 @@ def _print_masses(n: int, fmt: str, texts: list[str], rows) -> None:
 
 
 def cmd_dist(args) -> int:
-    n, bias, k, max_n = args.n, parse_bias(args.p), args.k, _n_max(args)
+    n, bias, k = args.n, parse_bias(args.p), args.k
     # One shuffle can be listed as its a'^n pile words over the a' nonzero
     # letters or as S_n read off the descent classes (which stops at
     # MAX_CACHED_N): take the shorter list.  A negative n goes to the class
     # route, which refuses it.
     letters = sum(1 for p in bias if p)
     if k == 1 and n >= 0 and (n > MAX_CACHED_N or letters**n <= math.factorial(n)):
-        masses = sorted(shuffles.exact_distribution(n, bias, max_n=max_n).masses.items())
+        masses = sorted(shuffles.exact_distribution(n, bias).masses.items())
         texts = [frac_str(mass) for _, mass in masses]
         rows = ((map(str, perm.images), index)
                 for index, (perm, _) in enumerate(masses))
     else:
         # one mass text per class; S_n is walked only to place each permutation
         numerators, scale, rows = shuffles._kfold_walk(
-            n, bias, k, max_n=max_n, labels=[str(card) for card in range(1, n + 1)])
+            n, bias, k, labels=[str(card) for card in range(1, n + 1)])
         texts = [frac_str(Fraction(m, scale)) for m in numerators]
     _print_masses(n, args.format, texts, rows)
     return 0
@@ -203,7 +195,7 @@ def cmd_tv(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    max_n = _n_max(args)
+    max_n = _n_max(args)  # validated for every stat, read by cycle-pgf alone
     bias = parse_bias(args.p)
     spec = ShuffleSpec(args.n, bias, args.k)
     out: dict = {
@@ -227,14 +219,13 @@ def cmd_stats(args) -> int:
             for key, c in sorted(pgf.terms.items())
         ]
     else:  # inv-pgf
-        pgf = genfuncs.inversion_pgf(args.n, bias, args.k, max_n=max_n)
+        pgf = genfuncs.inversion_pgf(args.n, bias, args.k)
         out["coeffs"] = [frac_str(c) for c in pgf.coeffs]
     print(json.dumps(out))
     return 0
 
 
 def cmd_count(args) -> int:
-    max_n = _n_max(args)
     n = args.n
     deset = counting._validate_descent_set(n, (int(t) for t in args.j.split(",")))
     if args.method == "ie":
@@ -244,10 +235,8 @@ def cmd_count(args) -> int:
         exact = counting.count_descent_det(n, sorted(deset - {n}))
         ncyc = counting.ncycles_descent_det(n, deset)
     else:
-        exact = counting.brute_count(n, lambda p: descent_set(p) == deset, max_n=max_n)
-        ncyc = counting.brute_count(
-            n, lambda p: is_n_cycle(p) and descent_set(p) == deset, max_n=max_n
-        )
+        exact = counting.brute_count(n, lambda p: descent_set(p) == deset)
+        ncyc = counting.brute_count(n, lambda p: is_n_cycle(p) and descent_set(p) == deset)
     print(
         json.dumps(
             {"J": sorted(deset), "n": n, "exact": exact, "ncycles": ncyc, "method": args.method}
@@ -302,7 +291,6 @@ def cmd_report(args) -> int:
     suffices = None
     if ssq < 1 and n >= 2:
         suffices = 2 * shuffles._collision_steps(n, 1 - ssq, 1 / ssq)
-    letters = sum(1 for p in bias if p)
     rows, refusal, bound_refusal = [], None, None
     for k in range(1, args.k_max + 1):
         # the answers' digits and the sweep grow with k, so each column ends
@@ -311,8 +299,7 @@ def cmd_report(args) -> int:
                 bound_refusal := shuffles.answer_refusal(bias, 2, k)):
             print(f"note: tv_bound omitted from k={k} on: {bound_refusal}", file=sys.stderr)
         bound = None if bound_refusal else shuffles.suf_bound(ShuffleSpec(n, bias, k))
-        if refusal is None and (refusal := shuffles.sweep_refusal(n, letters, k) or
-                                shuffles.mass_refusal(bias, n, k)):
+        if refusal is None and (refusal := shuffles.class_refusal(n, bias, k)):
             print(f"note: exact_tv omitted from k={k} on: {refusal}", file=sys.stderr)
         exact_tv = None if refusal else shuffles.tv_to_uniform(n, bias, k)
         rows.append((k, bound, exact_tv))
@@ -355,9 +342,8 @@ def cmd_verify(args) -> int:
     config = verify.VerifyConfig(samples=args.samples)
     if args.n_max is not None:
         n_max = _n_max(args)
-        if n_max > DEFAULT_MAX_N:
-            # the suites build exact distributions at the default enumeration cap
-            raise ValueError(f"--n-max must be at most {DEFAULT_MAX_N} for verify")
+        if n_max > 8:  # mixing-bound's 2^n * 3^8 sweep is within MAX_SWEEP_CELLS to n = 8
+            raise ValueError("--n-max must be at most 8 for verify")
         config.n_max = config.count_n_max = n_max
     if args.seed is not None:
         shuffles.substream(args.seed, 0)  # refuses a seed out of range before any suite runs

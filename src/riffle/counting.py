@@ -15,7 +15,6 @@ from collections.abc import Callable, Iterable
 
 from .necklaces import _mobius, _primitive_count
 from .permutations import (
-    DEFAULT_MAX_N,
     Permutation,
     check_size,
     descent_composition,
@@ -63,11 +62,8 @@ def int_det(matrix: list[list[int]]) -> int:
     return sign * m[size - 1][size - 1] if size else 1
 
 
-def brute_count(
-    n: int, predicate: Callable[[Permutation], bool], *, max_n: int = DEFAULT_MAX_N
-) -> int:
-    """Count permutations in S_n satisfying a predicate, by full iteration."""
-    check_size(n, cap=max_n)
+def brute_count(n: int, predicate: Callable[[Permutation], bool]) -> int:
+    """Count permutations in S_n (n <= MAX_CACHED_N) satisfying a predicate, by full iteration."""
     return sum(1 for p in symmetric_group_list(n) if predicate(p))
 
 

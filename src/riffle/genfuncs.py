@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .necklaces import _mobius, enumerate_primitive_multisets, length_multiset
 from .permutations import (
-    DEFAULT_MAX_N,
+    MAX_CACHED_N,
     Immutable,
     check_size,
     cycle_type,
@@ -33,6 +33,7 @@ from .permutations import (
 )
 from .qpoly import QPolynomial, q_multinomial
 from .shuffles import (
+    MAX_SWEEP_CELLS,
     ExactDistribution,
     ShuffleSpec,
     _content_mass,
@@ -89,9 +90,7 @@ class CyclePolynomial(Immutable):
         return f"CyclePolynomial(n={self.n}, types={len(self.terms)})"
 
 
-def cycle_structure_pgf(
-    n: int, bias, k: int = 1, *, max_n: int = DEFAULT_MAX_N
-) -> CyclePolynomial:
+def cycle_structure_pgf(n: int, bias, k: int = 1, *, max_n: int = MAX_CACHED_N) -> CyclePolynomial:
     """Expand the product formula for the joint cycle-count PGF to order n.
 
     The generating function over all deck sizes is a product, over cycle
@@ -187,7 +186,7 @@ def fixed_point_pgf_from_distribution(dist: ExactDistribution) -> tuple[Fraction
     return tuple(coeffs)
 
 
-def inversion_pgf(n: int, bias, k: int = 1, *, max_n: int = DEFAULT_MAX_N) -> QPolynomial:
+def inversion_pgf(n: int, bias, k: int = 1) -> QPolynomial:
     """E q^Inv after k shuffles, from the power sums P_m of the tensored bias.
 
     E_n = sum_b p^b [n; b]_q is [n]! times the u^n coefficient of
@@ -204,17 +203,20 @@ def inversion_pgf(n: int, bias, k: int = 1, *, max_n: int = DEFAULT_MAX_N) -> QP
     and E_n = f_n (q;q)_n / (D^n n!).  E_n has degree C(n,2), so every
     series is truncated above q^C(n,2); dividing by 1 - q^m is then a
     running sum of stride m and multiplying by 1 - q^j a running
-    difference.  That is O(n^2 C(n,2)) integer additions, with no
-    polynomial product.
+    difference.  That is C(n+1,2) * (C(n,2)+1) list cells, with no
+    polynomial product, refused over ``shuffles.MAX_SWEEP_CELLS`` (n > 53).
 
     >>> half = Fraction(1, 2)
     >>> inversion_pgf(3, (half, half), 2) == QPolynomial([5/16, 5/16, 5/16, 1/16])
     True
     """
     bias = validate_bias(bias)
-    check_size(n, k=k, cap=max_n)
-    sums, scale = _power_sums(bias, n, k)
+    check_size(n, k=k)
     top = math.comb(n, 2) + 1
+    if (cells := math.comb(n + 1, 2) * top) > MAX_SWEEP_CELLS:
+        raise ValueError(f"inversion series of C({n + 1},2) * (C({n},2)+1) = {cells} cells "
+                         f"is above the budget of {MAX_SWEEP_CELLS} cells")
+    sums, scale = _power_sums(bias, n, k)
     # f[s] = integer coefficients of q^0..q^(top-1) in f_s
     f = [[1] + [0] * (top - 1)]
     for s in range(1, n + 1):
@@ -234,9 +236,7 @@ def inversion_pgf(n: int, bias, k: int = 1, *, max_n: int = DEFAULT_MAX_N) -> QP
     return QPolynomial(Fraction(x, den) for x in e)
 
 
-def inversion_pgf_from_compositions(
-    n: int, bias, *, max_n: int = DEFAULT_MAX_N
-) -> QPolynomial:
+def inversion_pgf_from_compositions(n: int, bias, *, max_n: int = MAX_CACHED_N) -> QPolynomial:
     """E q^Inv as the cut-weighted sum of q-multinomial coefficients.
 
     An independent route to the same polynomial: each cut (b1..ba)
@@ -320,7 +320,6 @@ def translate_identity_check(n: int, a: int) -> bool:
     Both sides are enumerated independently: permutations on the left,
     necklace multisets on the right.
     """
-    check_size(n, cap=DEFAULT_MAX_N)
     perms = symmetric_group_list(n)
     stats = [(descent_set(p), cycle_type_key(cycle_type(p))) for p in perms]
     for parts in weak_compositions(n, a):

@@ -21,6 +21,7 @@ from collections.abc import Callable, Iterable
 
 from .permutations import (
     Permutation,
+    check_listing,
     check_size,
     partial_sums,
     standard_permutation,
@@ -28,7 +29,7 @@ from .permutations import (
     words_with_content,
 )
 
-# Longest necklace enumerate_primitive_necklaces lists.
+# Longest content the necklace listings take: the depth of ``_lyndon_walk``.
 MAX_NECKLACE_LENGTH = 16
 
 Word = tuple[int, ...]
@@ -247,15 +248,23 @@ def enumerate_primitive_necklaces(parts: Iterable[int]) -> list[Necklace]:
     A primitive necklace's least rotation is a Lyndon word, so this lists
     the Lyndon words of the content by the prenecklace walk of
     ``_lyndon_walk``, which never forms a word that is not a prenecklace
-    and shares nothing with the Moebius count it checks.  Contents longer
-    than MAX_NECKLACE_LENGTH are refused.
+    and shares nothing with the Moebius count it checks.  Contents are
+    refused by ``_check_content``.
     """
+    parts = _check_content(parts)
+    if not sum(parts):
+        raise ValueError("all letter counts are zero")
+    return _lyndon_walk(parts)
+
+
+def _check_content(parts: Iterable[int]) -> tuple[int, ...]:
+    """``parts`` as letter counts, refused by length, then by ``check_listing``."""
     parts = _letter_counts(parts)
     n = sum(parts)
     check_size(n, cap=MAX_NECKLACE_LENGTH)
-    if n == 0:
-        raise ValueError("all letter counts are zero")
-    return _lyndon_walk(parts)
+    words = math.factorial(n) // math.prod(map(math.factorial, parts))
+    check_listing(n, words, 1, f"{words} words of content {parts}")
+    return parts
 
 
 def lyndon_factors(word: Iterable[int]) -> list[Necklace]:
@@ -291,10 +300,9 @@ def enumerate_primitive_multisets(parts: Iterable[int]) -> list[NecklaceMultiset
     so the words of a content and these multisets correspond one to one
     through ``lyndon_factors``.  That map uses neither standardization nor
     cycles, so it shares nothing with the Gessel map it checks.  Contents
-    longer than MAX_NECKLACE_LENGTH are refused.
+    are refused by ``_check_content``.
     """
-    parts = _letter_counts(parts)
-    check_size(sum(parts), cap=MAX_NECKLACE_LENGTH)
+    parts = _check_content(parts)
     # letter 0 gets no copies, so the words run over the letters 1..len(parts)
     return [Counter(lyndon_factors(word)) for word in words_with_content([0, *parts])]
 

@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import math
 from collections.abc import Iterable, Iterator
 from functools import lru_cache
 
-# Default cap on n for commands that enumerate S_n or its n! masses.
-DEFAULT_MAX_N = 8
-# symmetric_group_list refuses to build S_n above this, whatever the caller's cap.
+# The one cap on n for what lists S_n or is sized like it; no flag raises it.
 MAX_CACHED_N = 9
 
 
@@ -27,10 +26,10 @@ def check_size(n: int = 0, *, k: int = 0, cap: int | None = None) -> None:
     """Refuse a negative deck size n, a negative shuffle count k, or n above
     ``cap``: the one check of these limits in the package.
 
-    >>> check_size(9, cap=DEFAULT_MAX_N)
+    >>> check_size(10, cap=MAX_CACHED_N)
     Traceback (most recent call last):
     ...
-    ValueError: n=9 above cap 8
+    ValueError: n=10 above cap 9
     """
     if n < 0:
         raise ValueError("negative deck size")
@@ -38,6 +37,14 @@ def check_size(n: int = 0, *, k: int = 0, cap: int | None = None) -> None:
         raise ValueError("negative k")
     if cap is not None and n > cap:
         raise ValueError(f"n={n} above cap {cap}")
+
+
+def check_listing(n: int, base: int, exponent: int, estimate: str) -> None:
+    """Refuse base^exponent words of n cards, named ``estimate``, holding more cards
+    than S_MAX_CACHED_N (9 * 9!); a huge exponent is clipped at the budget's bits."""
+    budget = MAX_CACHED_N * math.factorial(MAX_CACHED_N)
+    if n * base ** min(exponent, budget.bit_length()) > budget:
+        raise ValueError(f"{n} cards * {estimate} is above the budget of {budget} listed cards")
 
 
 class Immutable:

@@ -34,10 +34,10 @@ from typing import Callable, Iterator
 
 from .counting import multinomial
 from .permutations import (
-    DEFAULT_MAX_N,
     MAX_CACHED_N,
     Immutable,
     Permutation,
+    check_listing,
     check_size,
     partial_sums,
     standard_permutation,
@@ -258,20 +258,26 @@ class ExactDistribution(Immutable):
 # nonzero letters).  2^21 cells take 0.3-0.35 s at n = 6..9 (CPython 3.11, a
 # 2-vCPU Xeon) and admit the largest sweep of `verify --n-max 8` (n = 8,
 # a' = 3, k = 8).  The letters are tensored as integers, so the budget also
-# bounds n = 1: its 2^20 letters take ~0.15 s and 31 MB max RSS.  It bounds
-# the class-size walk of ``tv_to_uniform`` too, which stays within the sweep's trie.
+# bounds n = 1: its 2^20 letters take ~0.15 s and 31 MB max RSS.  It bounds the
+# class-size walk of ``tv_to_uniform`` and the series of ``genfuncs.inversion_pgf``.
 MAX_SWEEP_CELLS = 2**21
 
 
 def sweep_refusal(n: int, letters: int, k: int) -> str | None:
     """Why a k-fold class sweep over ``letters`` nonzero letters is refused,
-    or None when its 2^n * letters^k cells are within MAX_SWEEP_CELLS."""
+    or None when its 2^n * letters^k cells are within MAX_SWEEP_CELLS or n = 0."""
     # exponents clipped at the budget's bit length keep huge n or k cheap to refuse
     bits = MAX_SWEEP_CELLS.bit_length()
-    if 2 ** min(n, bits) * letters ** min(k, bits) <= MAX_SWEEP_CELLS:
+    if not n or 2 ** min(n, bits) * letters ** min(k, bits) <= MAX_SWEEP_CELLS:
         return None
     return (f"class sweep of 2^{n} * {letters}^{k} cells is above "
             f"the budget of {MAX_SWEEP_CELLS} cells")
+
+
+def class_refusal(n: int, bias, k: int) -> str | None:
+    """Why the k-fold class table of n cards is refused: sweep or masses over budget."""
+    letters = [p for p in bias if p]
+    return sweep_refusal(n, len(letters), k) or mass_refusal(letters, n, k)
 
 
 def _kfold_classes(n: int, bias, k: int) -> tuple[list[int], int]:
@@ -293,13 +299,12 @@ def _kfold_classes(n: int, bias, k: int) -> tuple[list[int], int]:
     """
     probs = validate_bias(bias)
     check_size(n, k=k)
-    if n == 0:
-        return [1], 1  # an empty deck has one arrangement whatever the letters
-    letters = [p for p in probs if p]
-    refusal = sweep_refusal(n, len(letters), k) or mass_refusal(letters, n, k)
+    refusal = class_refusal(n, probs, k)
     if refusal is not None:
         raise ValueError(refusal)
-    weights, den = _weights(letters, k)
+    if n == 0:
+        return [1], 1  # an empty deck has one arrangement whatever the letters
+    weights, den = _weights([p for p in probs if p], k)
     out: list[int] = []
 
     def visit(words: list[int], j: int, descents: int):
@@ -325,31 +330,30 @@ def _content_mass(bias, parts) -> Fraction:
     return mass
 
 
-def exact_distribution(
-    n: int, bias, *, max_n: int = DEFAULT_MAX_N
-) -> ExactDistribution:
+def exact_distribution(n: int, bias, *, max_n: int | None = None) -> ExactDistribution:
     """The exact single-shuffle measure, by enumerating cuts x interleavings.
 
     Each interleaving of a cut (b1..ba) carries mass p1^b1 * ... * pa^ba:
     the uniform choice among interleavings cancels the multinomial factor
     of the cut law.  An interleaving is a pile word: position j receives
     the next card of pile word[j], so the deck reading is the word's
-    standard permutation.  Masses are summed as integer numerators
-    w1^b1 * ... * wa^ba over den^n (``_weights``), keyed by the standard
+    standard permutation.  Only the a' nonzero letters are cut, and their a'^n
+    words are refused by ``check_listing``.  Masses are summed as integer
+    numerators w1^b1 * ... * wa'^ba' over den^n (``_weights``), keyed by the standard
     ranks, and read back as one Fraction per permutation in the order the
     permutations are first reached.
     """
     bias = validate_bias(bias)
     check_size(n, cap=max_n)
-    refusal = mass_refusal(bias, n)
+    letters = [p for p in bias if p]
+    check_listing(n, len(letters), n, f"{len(letters)}^{n} pile words")
+    refusal = mass_refusal(letters, n)
     if refusal is not None:
         raise ValueError(refusal)
-    weights, den = _weights(bias)
+    weights, den = _weights(letters)
     numerators: dict[tuple[int, ...], int] = {}
-    for parts in weak_compositions(n, len(bias)):
+    for parts in weak_compositions(n, len(letters)):
         mass = math.prod(map(pow, weights, parts))
-        if mass == 0:
-            continue
         # standardization sees only the order of the letters, so unused
         # letters are dropped before the words are listed
         for word in words_with_content(list(filter(None, parts))):
@@ -368,7 +372,7 @@ def exact_distribution_drops(n: int, bias) -> ExactDistribution:
     the cards left in pile i.  Drops fill the new deck bottom-up.
     """
     bias = validate_bias(bias)
-    check_size(n, cap=DEFAULT_MAX_N)
+    check_size(n, cap=MAX_CACHED_N)
     a = len(bias)
     masses: dict[Permutation, Fraction] = {}
     arrangement = [0] * n
@@ -398,9 +402,7 @@ def exact_distribution_drops(n: int, bias) -> ExactDistribution:
     return ExactDistribution(n, masses)
 
 
-def exact_distribution_pile_words(
-    n: int, bias, *, max_n: int = DEFAULT_MAX_N
-) -> ExactDistribution:
+def exact_distribution_pile_words(n: int, bias, *, max_n: int = MAX_CACHED_N) -> ExactDistribution:
     """Same measure via the inverse description.
 
     Each card is dealt independently into pile w_c with probability
@@ -443,10 +445,11 @@ def mass_by_inverse_descents(n: int, bias) -> dict[frozenset[int], Fraction]:
     }
 
 
-def _inverse_descent_indices(n: int) -> list[int]:
+def _inverse_descent_indices(n: int) -> Iterator[int]:
     """The class index of ``_kfold_classes`` of each pi in S_n, in
     lexicographic order: i in Des(pi^{-1}), i.e. i+1 sits left of i in pi,
-    sets the bit 2^(n-1-i).
+    sets the bit 2^(n-1-i).  Those of S_n are mapped lazily from a list of
+    those of S_(n-1), so (n-1)! of them are held, not n!.
 
     Built up from S_1 by the leading card: in pi = (a, rest), card a sits
     leftmost, so a-1 is a descent of pi^{-1} and a is not; every other pair
@@ -458,19 +461,19 @@ def _inverse_descent_indices(n: int) -> list[int]:
     """
     indices = [0]
     for m in range(2, n + 1):
-        merged: list[int] = []
+        tables = []
         for a in range(1, m + 1):
             shift = m - a  # place of the bit of the pair (a-1, a) in S_m
             low = (1 << max(shift - 1, 0)) - 1  # bits of the pairs (i, i+1), i > a
-            table = [x >> shift << (shift + 1) | (a > 1) << shift | x & low
-                     for x in range(2 ** (m - 2))]
-            merged.extend(map(table.__getitem__, indices))
-        indices = merged
-    return indices
+            tables.append([x >> shift << (shift + 1) | (a > 1) << shift | x & low
+                           for x in range(2 ** (m - 2))].__getitem__)
+        merged = itertools.chain.from_iterable(map(map, tables, itertools.repeat(indices)))
+        indices = merged if m == n else list(merged)
+    return iter(indices)
 
 
 def _kfold_walk(
-    n: int, bias, k: int, *, max_n: int = DEFAULT_MAX_N, labels=None
+    n: int, bias, k: int, *, labels=None
 ) -> tuple[list[int], int, Iterator[tuple[tuple, int]]]:
     """The k-fold class table (numerators, scale) of ``_kfold_classes`` and a
     walk over S_n in lexicographic order that yields each permutation pi
@@ -480,21 +483,21 @@ def _kfold_walk(
     default to the cards 1..n, which yields pi's images.  The table is
     refused when a numerator is negative or when the masses of S_n,
     sum_D |D| * N_D / scale, do not sum to 1.  S_n is walked as plain
-    tuples, so n is capped at MAX_CACHED_N as well as at ``max_n``.
+    tuples, so n is capped at MAX_CACHED_N first.  The class indices are
+    read twice: for that sum and for the walk.
     """
-    check_size(n, cap=max_n)
-    numerators, scale = _kfold_classes(n, bias, k)
     check_size(n, cap=MAX_CACHED_N)
+    numerators, scale = _kfold_classes(n, bias, k)
     for index, m in enumerate(numerators):
         if m < 0:
             raise ValueError(f"negative mass for inverse-descent class {index}")
-    indices = _inverse_descent_indices(n)
-    total = sum(map(numerators.__getitem__, indices))
+    total = sum(map(numerators.__getitem__, _inverse_descent_indices(n)))
     if total != scale:
         raise ValueError(f"masses sum to {Fraction(total, scale)}, not 1")
     perms = itertools.permutations(range(1, n + 1) if labels is None else labels)
+    indices, selected = itertools.tee(_inverse_descent_indices(n))
     return numerators, scale, itertools.compress(
-        zip(perms, indices), map(numerators.__getitem__, indices))
+        zip(perms, indices), map(numerators.__getitem__, selected))
 
 
 def exact_kfold_distribution(n: int, bias, k: int) -> ExactDistribution:

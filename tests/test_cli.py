@@ -8,6 +8,7 @@ import itertools
 import json
 import math
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -117,16 +118,17 @@ def test_dist_prints_the_same_text_across_chunks(capsys, text, k, n, fmt):
 
 
 def test_dist_memory_does_not_hold_the_output():
-    # the output is 6.4 MB of JSON; the rows are written as they are walked
+    # the output is 6.4 MB of JSON; the rows are written as they are walked,
+    # and the class indices of S_9 are yielded from the 8! of S_8
     with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
         tracemalloc.start()
         try:
-            code = main(["dist", "--n", "9", "--n-max", "9", "--p", "1/3,2/3", "--k", "2"])
+            code = main(["dist", "--n", "9", "--p", "1/3,2/3", "--k", "2"])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
     assert code == 0
-    assert peak < 8 * 2**20
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("argv", [
@@ -156,8 +158,8 @@ def test_dist_refuses_a_bad_class_table(capsys, monkeypatch, table, message):
 
 
 def test_dist_above_s9_is_refused_on_the_class_route(capsys):
-    assert run_cli(capsys, "dist", "--n", "10", "--p", "1/2,1/2", "--k", "2",
-                   "--n-max", "10") == (2, "", "error: n=10 above cap 9\n")
+    assert run_cli(capsys, "dist", "--n", "10", "--p", "1/3,2/3", "--k", "2") == \
+        (2, "", "error: n=10 above cap 9\n")
 
 
 def test_dist_of_one_shuffle_by_pile_words_keeps_its_digest(capsys):
@@ -197,7 +199,7 @@ def test_report_past_s9_fills_the_exact_column(capsys):
 def _timed_cli(*argv) -> tuple[float, subprocess.CompletedProcess]:
     src = str(Path(riffle.__file__).resolve().parents[1])
     start = time.perf_counter()
-    done = subprocess.run([sys.executable, "-m", "riffle.cli", *argv],
+    done = subprocess.run([sys.executable, "-m", "riffle.cli", *argv], timeout=60,
                           env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
     return time.perf_counter() - start, done
 
@@ -220,9 +222,53 @@ def test_tv_of_one_letter_at_the_budget_prints_within_three_seconds():
 
 def test_dist_of_a_thousand_cards_one_pile(capsys):
     # the word listing nested once per card and overflowed the stack at n = 1000
-    code, out, err = run_cli(capsys, "dist", "--n", "1000", "--n-max", "1000", "--p", "1")
+    code, out, err = run_cli(capsys, "dist", "--n", "1000", "--p", "1")
     assert (code, err) == (0, "")
     assert json.loads(out) == {"n": 1000, "masses": [{"perm": list(range(1, 1001)), "p": "1/1"}]}
+
+
+def test_brute_counts_reach_s9_with_no_flag():
+    elapsed, done = _timed_cli("count", "--n", "9", "--j", "1,9", "--method", "brute")
+    assert (done.returncode, done.stderr) == (0, "")
+    # a descent at 1 alone: a first card above 1, then the rest rising
+    assert json.loads(done.stdout) == {"J": [1, 9], "n": 9, "exact": 8, "ncycles": 1,
+                                       "method": "brute"}
+    assert elapsed < 15
+
+
+@pytest.mark.parametrize("argv, estimate", [
+    (["stats", "--n", "54", "--p", "1/2,1/2", "--stat", "inv-pgf"],
+     "C(55,2) * (C(54,2)+1) = 2126520 cells is above the budget of 2097152 cells"),
+    (["stats", "--n", "150", "--n-max", "150", "--p", "1/2,1/2", "--stat", "inv-pgf"],
+     "C(151,2) * (C(150,2)+1) = 126568200 cells"),
+    (["dist", "--n", "999", "--p", "1/2,1/2"],
+     "999 cards * 2^999 pile words is above the budget of 3265920 listed cards"),
+    (["dist", "--n", "100000000", "--p", "1"], "100000000 cards * 1^100000000 pile words"),
+], ids=["inv-pgf-54", "inv-pgf-n-max-150", "dist-999", "dist-one-letter-1e8"])
+def test_work_over_budget_is_refused_with_its_estimate(argv, estimate):
+    elapsed, done = _timed_cli(*argv)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("error: ") and len(done.stderr.splitlines()) == 1
+    assert estimate in done.stderr
+    assert elapsed < 1
+
+
+@pytest.mark.parametrize("n, want", [("5", "1"), ("4", "1/2,1/2")],
+                         ids=["one-letter", "two-letters"])
+def test_dist_cuts_only_the_nonzero_letters(capsys, n, want):
+    # all C(n + a - 1, a - 1) cuts of the a letters were walked, the zero-mass ones skipped
+    elapsed, done = _timed_cli("dist", "--n", n, "--p", ",".join([want] + ["0"] * 200))
+    assert elapsed < 1
+    assert (done.returncode, done.stdout, done.stderr) == run_cli(capsys, "dist", "--n", n,
+                                                                   "--p", want)
+
+
+def test_report_of_an_empty_deck_fills_every_row(capsys):
+    # the one class of n = 0 needs no letter, so no k is over the sweep budget
+    code, out, err = run_cli(capsys, "report", "--n", "0", "--p", "1/2,1/2", "--k-max", "23",
+                             "--format", "json")
+    assert (code, err) == (0, "")
+    assert [row["exact_tv"] for row in json.loads(out)["rows"]] == ["0/1"] * 23
 
 
 @pytest.mark.parametrize("argv, detail", [
@@ -284,7 +330,7 @@ def test_dist_with_a_1024_letter_bias(capsys):
 
 def test_dist_of_one_shuffle_lists_pile_words_above_s9(capsys):
     # k=1 above MAX_CACHED_N is listed by its 2^10 pile words, not from S_10
-    code, out, _ = run_cli(capsys, "dist", "--n", "10", "--n-max", "10", "--p", "1/2,1/2")
+    code, out, _ = run_cli(capsys, "dist", "--n", "10", "--p", "1/2,1/2")
     assert code == 0
     masses = {tuple(m["perm"]): Fraction(m["p"]) for m in json.loads(out)["masses"]}
     # every binary word standardizes to a distinct permutation except the
@@ -353,8 +399,8 @@ def test_inv_pgf_of_forty_fair_shuffles(capsys):
 
 def test_inv_pgf_of_a_52_card_deck(capsys):
     start = time.perf_counter()
-    code, out, _ = run_cli(capsys, "stats", "--n", "52", "--n-max", "52", "--p", "1/2,1/2",
-                           "--k", "7", "--stat", "inv-pgf")
+    code, out, _ = run_cli(capsys, "stats", "--n", "52", "--p", "1/2,1/2", "--k", "7",
+                           "--stat", "inv-pgf")
     assert time.perf_counter() - start < 3
     assert code == 0
     coeffs = [Fraction(c) for c in json.loads(out)["coeffs"]]
@@ -560,15 +606,12 @@ def test_verify_unknown_suite(capsys):
     ["verify", "--only", "equivalence", "--n-max", "-2"],
     ["verify", "--only", "equivalence", "--n-max", "9"],
     ["verify", "--only", "equivalence", "--n-max", "10"],
-    ["dist", "--n", "3", "--p", "1/2,1/2", "--n-max", "0"],
     ["stats", "--n", "3", "--p", "1/2,1/2", "--stat", "inv-pgf", "--n-max", "0"],
-    ["count", "--n", "3", "--j", "1,3", "--method", "brute", "--n-max", "0"],
     ["dist", "--n", "-1", "--p", "1/2,1/2", "--k", "2"],
     ["dist", "--n", "-1", "--p", "1/2,1/2"],
 ], ids=["report-k-max-negative", "report-k-max-zero", "verify-samples-zero",
         "verify-samples-negative", "verify-n-max-negative", "verify-n-max-9",
-        "verify-n-max-10", "dist-n-max-zero", "stats-n-max-zero", "count-n-max-zero",
-        "dist-n-negative-k2", "dist-n-negative"])
+        "verify-n-max-10", "stats-n-max-zero", "dist-n-negative-k2", "dist-n-negative"])
 def test_bad_counts_are_refused(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
@@ -604,8 +647,11 @@ def test_every_flag_is_read_by_its_handler():
     # tv and report are limited by the sweep budget alone
     ["tv", "--n", "3", "--p", "1/2,1/2", "--n-max", "0"],
     ["report", "--n", "3", "--p", "1/2,1/2", "--n-max", "0"],
+    # dist and count list S_n up to its one cap, which no flag raises
+    ["dist", "--n", "3", "--p", "1/2,1/2", "--n-max", "0"],
+    ["count", "--n", "3", "--j", "1,3", "--method", "brute", "--n-max", "0"],
 ], ids=["tv-seed", "bijection-n-max", "dist-format-lines", "report-format-lines",
-        "tv-n-max-zero", "report-n-max-zero"])
+        "tv-n-max-zero", "report-n-max-zero", "dist-n-max-zero", "count-n-max-zero"])
 def test_flags_a_command_does_not_read_are_refused(capsys, argv):
     with pytest.raises(SystemExit) as raised:
         main(argv)
@@ -764,3 +810,25 @@ def test_every_riffle_name_the_digest_recorder_calls_exists():
     for module, name, keyword in keywords:
         parameters = inspect.signature(getattr(modules[module], name)).parameters
         assert keyword in parameters, f"riffle.{module}.{name}({keyword}=...)"
+
+
+def test_max_n_is_a_keyword_only_where_a_caller_passes_it():
+    # the one S_n cap is MAX_CACHED_N; a function takes max_n only when the
+    # CLI or the digest recorder sets it
+    declared = set()
+    for module in pkgutil.iter_modules(riffle.__path__):
+        loaded = importlib.import_module(f"riffle.{module.name}")
+        for name, value in vars(loaded).items():
+            if (inspect.isfunction(value) and value.__module__ == loaded.__name__
+                    and "max_n" in inspect.signature(value).parameters):
+                declared.add(name)
+    assert declared == {"exact_distribution", "exact_distribution_pile_words",
+                        "inversion_pgf_from_compositions", "cycle_structure_pgf"}
+    root = Path(__file__).resolve().parents[1]
+    passed = set()
+    for path in (root / "src" / "riffle" / "cli.py", root / "perfbench" / "record.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and any(kw.arg == "max_n" for kw in node.keywords)):
+                passed.add(node.func.attr)
+    assert passed == declared

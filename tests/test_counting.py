@@ -257,7 +257,7 @@ def test_brute_count_examples():
     assert brute_count(0, lambda p: True) == 1
     assert brute_count(1, lambda p: True) == 1
     with pytest.raises(ValueError):
-        brute_count(9, is_n_cycle)
+        brute_count(10, is_n_cycle)
 
 
 @pytest.mark.parametrize("n", range(1, 7))

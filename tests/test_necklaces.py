@@ -1,4 +1,5 @@
 import itertools
+import time
 from collections import Counter
 
 import pytest
@@ -312,3 +313,17 @@ def test_primitive_multisets_refuse_what_enumeration_refuses():
         enumerate_primitive_multisets((2, -1))
     with pytest.raises(ValueError, match="n=17 above cap 16"):
         enumerate_primitive_multisets((9, 8))
+
+
+@pytest.mark.parametrize("listing, parts, estimate", [
+    (enumerate_primitive_multisets, (1,) * 12, "12 cards * 479001600 words"),
+    (enumerate_primitive_necklaces, (2,) * 8, "16 cards * 81729648000 words"),
+], ids=["multisets-12-letters", "necklaces-8-pairs"])
+def test_necklace_listings_are_refused_past_the_cards_of_s9(listing, parts, estimate):
+    # under the 16-letter cap, but their n * multinomial(parts) letters of
+    # words are more than the 9 * 9! cards of S_9
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="above the budget of 3265920 listed cards") as raised:
+        listing(parts)
+    assert time.perf_counter() - start < 1
+    assert str(raised.value).startswith(estimate)

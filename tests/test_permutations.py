@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from riffle import counting, genfuncs, necklaces, shuffles, verify
 from riffle.permutations import (
-    DEFAULT_MAX_N,
     MAX_CACHED_N,
     Permutation,
     compositions,
@@ -222,22 +221,24 @@ HALF = (Fraction(1, 2), Fraction(1, 2))
 SIZE_GUARDED = {
     "ShuffleSpec": (lambda n: shuffles.ShuffleSpec(n, HALF), None),
     "_kfold_classes": (lambda n: shuffles._kfold_classes(n, HALF, 1), None),
-    "exact_distribution": (lambda n: shuffles.exact_distribution(n, HALF), DEFAULT_MAX_N),
+    # limited by the listed cards (n * a'^n), not by a cap on n
+    "exact_distribution": (lambda n: shuffles.exact_distribution(n, HALF), None),
     "exact_distribution_drops": (
-        lambda n: shuffles.exact_distribution_drops(n, HALF), DEFAULT_MAX_N),
+        lambda n: shuffles.exact_distribution_drops(n, HALF), MAX_CACHED_N),
     "exact_distribution_pile_words": (
-        lambda n: shuffles.exact_distribution_pile_words(n, HALF), DEFAULT_MAX_N),
+        lambda n: shuffles.exact_distribution_pile_words(n, HALF), MAX_CACHED_N),
     "exact_kfold_distribution": (
-        lambda n: shuffles.exact_kfold_distribution(n, HALF, 2), DEFAULT_MAX_N),
+        lambda n: shuffles.exact_kfold_distribution(n, HALF, 2), MAX_CACHED_N),
     "tv_to_uniform": (lambda n: shuffles.tv_to_uniform(n, HALF), None),
-    "cycle_structure_pgf": (lambda n: genfuncs.cycle_structure_pgf(n, HALF), DEFAULT_MAX_N),
-    "fixed_point_pgf": (lambda n: genfuncs.fixed_point_pgf(n, HALF), DEFAULT_MAX_N),
-    "inversion_pgf": (lambda n: genfuncs.inversion_pgf(n, HALF), DEFAULT_MAX_N),
+    "cycle_structure_pgf": (lambda n: genfuncs.cycle_structure_pgf(n, HALF), MAX_CACHED_N),
+    "fixed_point_pgf": (lambda n: genfuncs.fixed_point_pgf(n, HALF), MAX_CACHED_N),
+    # limited by the cells of its series, C(n+1,2) * (C(n,2)+1)
+    "inversion_pgf": (lambda n: genfuncs.inversion_pgf(n, HALF), None),
     "inversion_pgf_from_compositions": (
-        lambda n: genfuncs.inversion_pgf_from_compositions(n, HALF), DEFAULT_MAX_N),
+        lambda n: genfuncs.inversion_pgf_from_compositions(n, HALF), MAX_CACHED_N),
     "translate_identity_check": (
-        lambda n: genfuncs.translate_identity_check(n, 2), DEFAULT_MAX_N),
-    "brute_count": (lambda n: counting.brute_count(n, bool), DEFAULT_MAX_N),
+        lambda n: genfuncs.translate_identity_check(n, 2), MAX_CACHED_N),
+    "brute_count": (lambda n: counting.brute_count(n, bool), MAX_CACHED_N),
     "count_descent_det": (lambda n: counting.count_descent_det(n, []), None),
     "symmetric_group_list": (symmetric_group_list, MAX_CACHED_N),
     "_descent_table": (verify._descent_table, MAX_CACHED_N),

@@ -139,9 +139,15 @@ def test_masses_are_stored_as_fractions_without_copies():
 
 
 def test_enumeration_cap():
-    with pytest.raises(ValueError):
-        exact_distribution(9, FAIR)
-    exact_distribution(9, FAIR, max_n=9)  # override allowed
+    # n * a'^n listed cards against 9 * 9!: 17 * 2^17 is within it, 18 * 2^18 is not
+    assert shuffles.mass_refusal(FAIR, 18) is None
+    with pytest.raises(ValueError, match=r"^18 cards \* 2\^18 pile words is above the "
+                                         r"budget of 3265920 listed cards$"):
+        exact_distribution(18, FAIR)
+    # zero letters list no words, and max_n is an optional ceiling
+    assert exact_distribution(9, FAIR + (F(0),) * 5) == exact_distribution(9, FAIR)
+    with pytest.raises(ValueError, match="^n=9 above cap 8$"):
+        exact_distribution(9, FAIR, max_n=8)
 
 
 @pytest.mark.parametrize(
@@ -171,7 +177,7 @@ def test_json_roundtrip():
 def test_inverse_descent_indices_match_descent_sets(n):
     want = [sum(2 ** (n - 1 - i) for i in descent_set(p.inverse()) if i < n)
             for p in symmetric_group_list(n)]
-    assert shuffles._inverse_descent_indices(n) == want
+    assert list(shuffles._inverse_descent_indices(n)) == want
 
 
 # --- convolution ---------------------------------------------------------
