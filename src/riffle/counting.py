@@ -9,12 +9,14 @@ exercised in its native indexing.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from bisect import bisect_right
 from collections.abc import Callable, Iterable
 
 from .necklaces import _mobius, _primitive_count
 from .permutations import (
+    MAX_CACHED_N,
     Permutation,
     check_size,
     descent_composition,
@@ -65,6 +67,36 @@ def int_det(matrix: list[list[int]]) -> int:
 def brute_count(n: int, predicate: Callable[[Permutation], bool]) -> int:
     """Count permutations in S_n (n <= MAX_CACHED_N) satisfying a predicate, by full iteration."""
     return sum(1 for p in symmetric_group_list(n) if predicate(p))
+
+
+@functools.cache
+def _descent_table(n: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """Brute force over all of S_n: how many permutations, n-cycles and
+    involutions have each descent set, as three tuples indexed by the set's
+    bitmask (position i is bit i-1, so bit n-1 is always set)."""
+    check_size(n, cap=MAX_CACHED_N)
+    counts, ncycles, involutions = ([0] * 2**n for _ in range(3))
+    top = 1 << (n - 1)
+    for images in itertools.permutations(range(n)):  # images 0..n-1
+        mask = top
+        for i in range(n - 1):
+            if images[i] > images[i + 1]:
+                mask |= 1 << i
+        counts[mask] += 1
+        # an n-cycle is one whose cycle through 0 has length n
+        length, j = 1, images[0]
+        while j:
+            j = images[j]
+            length += 1
+        if length == n:
+            ncycles[mask] += 1
+        # an involution sends each image back: p(p(i)) = i
+        for i, x in enumerate(images):
+            if images[x] != i:
+                break
+        else:
+            involutions[mask] += 1
+    return tuple(counts), tuple(ncycles), tuple(involutions)
 
 
 def _validate_descent_set(n: int, deset: Iterable[int]) -> frozenset[int]:

@@ -14,6 +14,7 @@ series kernel takes k and never builds the a^k tensored letters.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from fractions import Fraction
@@ -90,7 +91,23 @@ class CyclePolynomial(Immutable):
         return f"CyclePolynomial(n={self.n}, types={len(self.terms)})"
 
 
-def cycle_structure_pgf(n: int, bias, k: int = 1, *, max_n: int = MAX_CACHED_N) -> CyclePolynomial:
+def _partition_numbers():
+    """p(0), p(1), ...: the partition numbers, by Euler's pentagonal recurrence
+
+        p(m) = sum_{j >= 1} (-1)^(j+1) (p(m - j(3j-1)/2) + p(m - j(3j+1)/2)).
+    """
+    parts: list[int] = []
+    for m in itertools.count():
+        p, j = (0 if m else 1), 1
+        while (g := j * (3 * j - 1) // 2) <= m:
+            term = parts[m - g] + (parts[m - g - j] if g + j <= m else 0)
+            p += term if j % 2 else -term
+            j += 1
+        parts.append(p)
+        yield p
+
+
+def cycle_structure_pgf(n: int, bias, k: int = 1) -> CyclePolynomial:
     """Expand the product formula for the joint cycle-count PGF to order n.
 
     The generating function over all deck sizes is a product, over cycle
@@ -111,12 +128,24 @@ def cycle_structure_pgf(n: int, bias, k: int = 1, *, max_n: int = MAX_CACHED_N) 
     m g_m c_{s-m}, and collecting the u^n coefficient by dynamic
     programming over the n factors gives the PGF of the n-card shuffle.
 
+    The table holds one state per partition of each m <= n and is copied
+    once per cycle length, so its work is n * (p(0) + ... + p(n)) cells,
+    p the partition numbers.  That is refused over
+    ``shuffles.MAX_SWEEP_CELLS`` (n > 33) before any power sum is taken;
+    the sum stops once it is over, so a huge n is refused at once.
+
     >>> half = Fraction(1, 2)
     >>> cycle_structure_pgf(3, (half, half)).coefficient({3: 1})
     Fraction(1, 4)
     """
     bias = validate_bias(bias)
-    check_size(n, k=k, cap=max_n)
+    check_size(n, k=k)
+    cells = 0
+    for m, p in zip(range(n + 1), _partition_numbers()):
+        if (cells := cells + n * p) > MAX_SWEEP_CELLS:
+            raise ValueError(f"cycle-type table of {n} * (p(0) + ... + p({n})) cells is above "
+                             f"the budget of {MAX_SWEEP_CELLS} cells: the terms to p({m}) "
+                             f"give {cells}")
     sums, scale = _power_sums(bias, n, k)
     psum = [Fraction(x, scale**e) for e, x in enumerate(sums)]
 
@@ -170,8 +199,9 @@ def fixed_point_pgf(n: int, bias, k: int = 1) -> tuple[Fraction, ...]:
     """PGF of the fixed-point count after k shuffles; entry m is P(N_1 = m).
 
     Fixed points are 1-cycles, so this is the N_1 marginal of
-    cycle_structure_pgf: the y^n coefficient of
-    1/(1-y) * prod_i (1 - p_i y) / (1 - p_i x y) over the tensored letters.
+    cycle_structure_pgf, and is refused where that is (n > 33): the y^n
+    coefficient of 1/(1-y) * prod_i (1 - p_i y) / (1 - p_i x y) over the
+    tensored letters.
     """
     coeffs = [Fraction(0)] * (n + 1)
     for key, c in cycle_structure_pgf(n, bias, k).terms.items():
@@ -269,6 +299,8 @@ def expected_inversions(spec: ShuffleSpec) -> Fraction:
     Each pair of cards is inverted with probability half the chance their
     pile-assignment histories differ.
     """
+    if spec.n < 2:
+        return Fraction(0)  # before P_2^k, as in shuffles.suf_bound
     sums, scale = _power_sums(spec.bias, 2, spec.k)
     return Fraction(math.comb(spec.n, 2), 2) * (1 - Fraction(sums[2], scale**2))
 
@@ -279,10 +311,10 @@ def expected_descents(spec: ShuffleSpec) -> Fraction:
 
         1 + (n-1)/2 * (1 - (sum p_i^2)^k)
 
-    for n >= 1; the empty deck has no descents.
+    for n >= 1; the empty deck has no descents and one card has one.
     """
-    if spec.n == 0:
-        return Fraction(0)
+    if spec.n < 2:
+        return Fraction(spec.n)  # before P_2^k, as in shuffles.suf_bound
     sums, scale = _power_sums(spec.bias, 2, spec.k)
     return 1 + Fraction(spec.n - 1, 2) * (1 - Fraction(sums[2], scale**2))
 

@@ -127,17 +127,21 @@ def mass_refusal(bias, n: int, k: int = 1) -> str | None:
 
 
 def _power_sums(bias, n: int, k: int = 1) -> tuple[list[int], int]:
-    """Power sums P_e(bias)^k = N_e / D^e of the k-fold tensored bias, e = 0..n,
-    as ([N_0..N_n], D): N_e = (sum_i w_i^e)^k, D = den^k, zero letters dropped.
+    """Power sums P_e(bias)^k = N_e / D^e of the k-fold tensored bias, e = 1..n,
+    as ([1, N_1..N_n], D): N_e = (sum_i w_i^e)^k, D = den^k, zero letters
+    dropped.  Entry 0 is a placeholder that no caller reads.
 
-    Refused, before any k-th power is taken, by ``answer_refusal``.
+    Below n = 2 the one sum is P_1 = 1, returned as ([1, 1], 1) at any k.
+    Above, refused, before any k-th power is taken, by ``answer_refusal``.
     """
+    if n < 2:
+        return [1] * (n + 1), 1
     refusal = answer_refusal(bias, n, k)
     if refusal is not None:
         raise ValueError(refusal)
     weights, den = _weights(bias)
     weights = [w for w in weights if w]
-    return [sum(w**e for w in weights) ** k for e in range(n + 1)], den**k
+    return [1] + [sum(w**e for w in weights) ** k for e in range(1, n + 1)], den**k
 
 
 def parse_bias(text: str) -> tuple[Fraction, ...]:
@@ -259,7 +263,8 @@ class ExactDistribution(Immutable):
 # 2-vCPU Xeon) and admit the largest sweep of `verify --n-max 8` (n = 8,
 # a' = 3, k = 8).  The letters are tensored as integers, so the budget also
 # bounds n = 1: its 2^20 letters take ~0.15 s and 31 MB max RSS.  It bounds the
-# class-size walk of ``tv_to_uniform`` and the series of ``genfuncs.inversion_pgf``.
+# class-size walk of ``tv_to_uniform``, the series of ``genfuncs.inversion_pgf``
+# and the cycle-type table of ``genfuncs.cycle_structure_pgf``.
 MAX_SWEEP_CELLS = 2**21
 
 

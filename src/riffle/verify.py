@@ -17,13 +17,10 @@ import operator
 import random
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
 
 from . import counting, genfuncs, necklaces, shuffles
 from .permutations import (
-    MAX_CACHED_N,
     Permutation,
-    check_size,
     compositions,
     count_inversions,
     cycle_type,
@@ -355,36 +352,6 @@ def check_fixed_points(config: VerifyConfig) -> CheckResult:
     return _ok(name, f"fixed-point PGFs exact for n <= {config.n_max}")
 
 
-@lru_cache(maxsize=None)
-def _descent_table(n: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """Brute force over all of S_n: how many permutations, n-cycles and
-    involutions have each descent set, as three tuples indexed by the set's
-    bitmask (position i is bit i-1, so bit n-1 is always set)."""
-    check_size(n, cap=MAX_CACHED_N)
-    counts, ncycles, involutions = ([0] * 2**n for _ in range(3))
-    top = 1 << (n - 1)
-    for images in itertools.permutations(range(n)):  # images 0..n-1
-        mask = top
-        for i in range(n - 1):
-            if images[i] > images[i + 1]:
-                mask |= 1 << i
-        counts[mask] += 1
-        # an n-cycle is one whose cycle through 0 has length n
-        length, j = 1, images[0]
-        while j:
-            j = images[j]
-            length += 1
-        if length == n:
-            ncycles[mask] += 1
-        # an involution sends each image back: p(p(i)) = i
-        for i, x in enumerate(images):
-            if images[x] != i:
-                break
-        else:
-            involutions[mask] += 1
-    return tuple(counts), tuple(ncycles), tuple(involutions)
-
-
 def _descent_subsets(n: int):
     """(J, bitmask of J) for every descent set J of S_n, each containing n."""
     for r in range(n):
@@ -398,7 +365,7 @@ def check_descent_counts(config: VerifyConfig) -> CheckResult:
     """Inclusion-exclusion and determinant descent counts against brute force."""
     name = "descent-counts"
     for n in range(1, config.count_n_max + 1):
-        buckets = _descent_table(n)[0]
+        buckets = counting._descent_table(n)[0]
         total = 0
         for deset, mask in _descent_subsets(n):
             want = buckets[mask]
@@ -417,7 +384,7 @@ def check_ncycle_counts(config: VerifyConfig) -> CheckResult:
     """Both n-cycle descent formulas against brute force."""
     name = "ncycle-counts"
     for n in range(1, config.count_n_max + 1):
-        buckets = _descent_table(n)[1]
+        buckets = counting._descent_table(n)[1]
         total = 0
         for deset, mask in _descent_subsets(n):
             want = buckets[mask]
@@ -437,7 +404,7 @@ def check_involution_counts(config: VerifyConfig) -> CheckResult:
     name = "involution-counts"
     for n in range(1, config.count_n_max + 1):
         involutions = [
-            (mask, count) for mask, count in enumerate(_descent_table(n)[2]) if count
+            (mask, count) for mask, count in enumerate(counting._descent_table(n)[2]) if count
         ]
         for kset, kmask in _descent_subsets(n):
             want = sum(count for mask, count in involutions if not mask & ~kmask)

@@ -21,7 +21,7 @@ from pathlib import Path
 import pytest
 
 import riffle
-from riffle import counting, shuffles
+from riffle import counting, genfuncs, permutations, shuffles
 from riffle.cli import build_parser, main
 from riffle.genfuncs import expected_inversions
 from riffle.shuffles import ShuffleSpec, exact_kfold_distribution
@@ -236,6 +236,33 @@ def test_brute_counts_reach_s9_with_no_flag():
     assert elapsed < 15
 
 
+def test_brute_counts_list_no_permutation_objects(capsys, monkeypatch):
+    def listed(n):
+        raise AssertionError(f"S_{n} listed as Permutation objects")
+
+    monkeypatch.setattr(counting, "symmetric_group_list", listed)
+    monkeypatch.setattr(permutations, "symmetric_group_list", listed)
+    assert run_cli(capsys, "count", "--n", "9", "--j", "1,9", "--method", "brute") == (
+        0, '{"J": [1, 9], "n": 9, "exact": 8, "ncycles": 1, "method": "brute"}\n', "")
+
+
+def test_cycle_pgf_needs_no_flag_above_s9(capsys):
+    code, out, err = run_cli(capsys, "stats", "--n", "10", "--p", "1/2,1/2", "--stat", "cycle-pgf")
+    assert (code, err) == (0, "")
+    pgf = genfuncs.cycle_structure_pgf(10, (Fraction(1, 2),) * 2)
+    assert json.loads(out)["terms"] == [
+        {"type": [list(part) for part in key], "p": f"{c.numerator}/{c.denominator}"}
+        for key, c in sorted(pgf.terms.items())]
+
+
+def test_cycle_pgf_of_33_cards_prints_within_five_seconds():
+    # 33 * (p(0) + ... + p(33)) = 1,780,779 cells, the largest n within the budget
+    elapsed, done = _timed_cli("stats", "--n", "33", "--p", "1/2,1/2", "--stat", "cycle-pgf")
+    assert (done.returncode, done.stderr) == (0, "")
+    assert sum(Fraction(term["p"]) for term in json.loads(done.stdout)["terms"]) == 1
+    assert elapsed < 5
+
+
 @pytest.mark.parametrize("argv, estimate", [
     (["stats", "--n", "54", "--p", "1/2,1/2", "--stat", "inv-pgf"],
      "C(55,2) * (C(54,2)+1) = 2126520 cells is above the budget of 2097152 cells"),
@@ -244,7 +271,16 @@ def test_brute_counts_reach_s9_with_no_flag():
     (["dist", "--n", "999", "--p", "1/2,1/2"],
      "999 cards * 2^999 pile words is above the budget of 3265920 listed cards"),
     (["dist", "--n", "100000000", "--p", "1"], "100000000 cards * 1^100000000 pile words"),
-], ids=["inv-pgf-54", "inv-pgf-n-max-150", "dist-999", "dist-one-letter-1e8"])
+    (["stats", "--n", "34", "--p", "1/2,1/2", "--stat", "cycle-pgf"],
+     "34 * (p(0) + ... + p(34)) cells is above the budget of 2097152 cells: "
+     "the terms to p(34) give 2253282"),
+    (["stats", "--n", "200", "--n-max", "200", "--p", "1/2,1/2", "--stat", "cycle-pgf"],
+     "200 * (p(0) + ... + p(200)) cells is above the budget of 2097152 cells: "
+     "the terms to p(26) give 2346400"),
+    (["stats", "--n", "1000000", "--p", "1/2,1/2", "--stat", "cycle-pgf"],
+     "1000000 * (p(0) + ... + p(1000000)) cells"),
+], ids=["inv-pgf-54", "inv-pgf-n-max-150", "dist-999", "dist-one-letter-1e8",
+        "cycle-pgf-34", "cycle-pgf-n-max-200", "cycle-pgf-1e6"])
 def test_work_over_budget_is_refused_with_its_estimate(argv, estimate):
     elapsed, done = _timed_cli(*argv)
     assert (done.returncode, done.stdout) == (2, "")
@@ -415,6 +451,19 @@ def test_inv_pgf_of_a_52_card_deck(capsys):
     (("dist", "--n", "3", "--p", "1,0"), "100000000", '[{"perm": [1, 2, 3], "p": "1/1"}]'),
     # C(0,2) = 0, so the bound needs no (sum p_i^2)^k
     (("tv", "--n", "0", "--p", "1/2,1/2"), "1000000000", '"tv_bound": "0/1"'),
+    # below n = 2 the one power sum read is P_1 = 1, and P_2 is not read
+    (("stats", "--n", "1", "--p", "1/3,2/3", "--stat", "inv-pgf"), "10000000",
+     '"coeffs": ["1/1"]'),
+    (("stats", "--n", "1", "--p", "1/3,2/3", "--stat", "fixed-points"), "10000000",
+     '"exact": "1/1"'),
+    (("stats", "--n", "1", "--p", "1/3,2/3", "--stat", "cycle-pgf"), "10000000",
+     '"terms": [{"type": [[1, 1]], "p": "1/1"}]'),
+    (("stats", "--n", "0", "--p", "1/3,2/3", "--stat", "cycle-pgf"), "10000000",
+     '"terms": [{"type": [], "p": "1/1"}]'),
+    (("stats", "--n", "1", "--p", "1/2,1/2", "--stat", "inversions"), "1000000000",
+     '"exact": "0/1"'),
+    (("stats", "--n", "1", "--p", "1/2,1/2", "--stat", "descents"), "1000000000",
+     '"exact": "1/1"'),
 ])
 def test_a_huge_k_that_changes_nothing_is_answered_at_once(capsys, argv, k, answer):
     # 1^k = 1 passes the sweep budget, so a one-letter bias must not be tensored k times
@@ -823,7 +872,7 @@ def test_max_n_is_a_keyword_only_where_a_caller_passes_it():
                     and "max_n" in inspect.signature(value).parameters):
                 declared.add(name)
     assert declared == {"exact_distribution", "exact_distribution_pile_words",
-                        "inversion_pgf_from_compositions", "cycle_structure_pgf"}
+                        "inversion_pgf_from_compositions"}
     root = Path(__file__).resolve().parents[1]
     passed = set()
     for path in (root / "src" / "riffle" / "cli.py", root / "perfbench" / "record.py"):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from riffle.counting import (
     MAX_IE_TERMS,
     _descent_inclusion_exclusion,
+    _descent_table,
     brute_count,
     count_descent_det,
     count_descent_exact,
@@ -20,7 +21,6 @@ from riffle.counting import (
     ncycles_descent_ie,
 )
 from riffle.necklaces import primitive_count
-from riffle.verify import _descent_table
 from riffle.permutations import (
     descent_composition,
     descent_set,

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_shuffles import random_bias
 
+from riffle import genfuncs
 from riffle.genfuncs import (
     CyclePolynomial,
     cycle_pgf_from_distribution,
@@ -84,6 +85,30 @@ def test_cycle_pgf_of_k_shuffles_matches_the_kfold_distribution(k):
     )
 
 
+@pytest.mark.parametrize("n", [10, 11, 12])
+@pytest.mark.parametrize("bias", [FAIR, (F(1, 3), F(2, 3))], ids=["fair", "third"])
+def test_cycle_and_fixed_point_pgfs_above_s9_match_the_pile_words(n, bias):
+    # the a^n pile words list no S_n, so they check the series above MAX_CACHED_N
+    dist = exact_distribution(n, bias)
+    assert cycle_structure_pgf(n, bias) == cycle_pgf_from_distribution(dist)
+    assert fixed_point_pgf(n, bias) == fixed_point_pgf_from_distribution(dist)
+
+
+def test_cycle_pgf_is_refused_past_its_cells_before_any_power_sum(monkeypatch):
+    # n * (p(0) + ... + p(n)) cells: 1,780,779 at n = 33, 2,253,282 at n = 34
+    def reached(*args):
+        raise LookupError("power sums reached")
+
+    monkeypatch.setattr(genfuncs, "_power_sums", reached)
+    with pytest.raises(LookupError):
+        cycle_structure_pgf(33, FAIR)
+    with pytest.raises(ValueError) as refused:
+        cycle_structure_pgf(34, FAIR)
+    assert str(refused.value) == (
+        "cycle-type table of 34 * (p(0) + ... + p(34)) cells is above the budget of "
+        "2097152 cells: the terms to p(34) give 2253282")
+
+
 def test_cycle_pgf_refuses_negative_k():
     with pytest.raises(ValueError):
         cycle_structure_pgf(3, FAIR, -1)
@@ -149,6 +174,12 @@ def test_fixed_point_pgf_of_k_shuffles_matches_the_kfold_distribution(bias, n, k
     assert fixed_point_pgf(n, bias, k) == fixed_point_pgf_from_distribution(
         exact_kfold_distribution(n, bias, k)
     )
+
+
+def test_fixed_point_pgf_of_ten_cards_and_seven_shuffles_sums_to_one():
+    pgf = fixed_point_pgf(10, FAIR, 7)
+    assert len(pgf) == 11 and sum(pgf) == 1
+    assert sum(m * c for m, c in enumerate(pgf)) == expected_fixed_points(ShuffleSpec(10, FAIR, 7))
 
 
 def test_fixed_point_poisson_proximity():

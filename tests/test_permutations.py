@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riffle import counting, genfuncs, necklaces, shuffles, verify
+from riffle import counting, genfuncs, necklaces, shuffles
 from riffle.permutations import (
     MAX_CACHED_N,
     Permutation,
@@ -230,8 +230,9 @@ SIZE_GUARDED = {
     "exact_kfold_distribution": (
         lambda n: shuffles.exact_kfold_distribution(n, HALF, 2), MAX_CACHED_N),
     "tv_to_uniform": (lambda n: shuffles.tv_to_uniform(n, HALF), None),
-    "cycle_structure_pgf": (lambda n: genfuncs.cycle_structure_pgf(n, HALF), MAX_CACHED_N),
-    "fixed_point_pgf": (lambda n: genfuncs.fixed_point_pgf(n, HALF), MAX_CACHED_N),
+    # limited by the cells of their cycle-type table, n * (p(0) + ... + p(n))
+    "cycle_structure_pgf": (lambda n: genfuncs.cycle_structure_pgf(n, HALF), None),
+    "fixed_point_pgf": (lambda n: genfuncs.fixed_point_pgf(n, HALF), None),
     # limited by the cells of its series, C(n+1,2) * (C(n,2)+1)
     "inversion_pgf": (lambda n: genfuncs.inversion_pgf(n, HALF), None),
     "inversion_pgf_from_compositions": (
@@ -241,7 +242,7 @@ SIZE_GUARDED = {
     "brute_count": (lambda n: counting.brute_count(n, bool), MAX_CACHED_N),
     "count_descent_det": (lambda n: counting.count_descent_det(n, []), None),
     "symmetric_group_list": (symmetric_group_list, MAX_CACHED_N),
-    "_descent_table": (verify._descent_table, MAX_CACHED_N),
+    "_descent_table": (counting._descent_table, MAX_CACHED_N),
 }
 
 
