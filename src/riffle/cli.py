@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 
 from . import counting, genfuncs, necklaces, shuffles
-from .permutations import MAX_CACHED_N, Permutation
+from .permutations import MAX_CACHED_N, Permutation, Refused
 from .shuffles import ShuffleSpec, parse_bias
 
 
@@ -161,10 +161,13 @@ def cmd_dist(args) -> int:
     # route, which refuses it.
     letters = sum(1 for p in bias if p)
     if k == 1 and n >= 0 and (n > MAX_CACHED_N or letters**n <= math.factorial(n)):
-        masses = sorted(shuffles.exact_distribution(n, bias).masses.items())
-        texts = [frac_str(mass) for _, mass in masses]
-        rows = ((map(str, perm.images), index)
-                for index, (perm, _) in enumerate(masses))
+        # integer masses, refused as ExactDistribution refuses them; one text per mass
+        numerators, scale = shuffles._cut_numerators(n, bias)
+        if (total := sum(numerators.values())) != scale:
+            raise ValueError(f"masses sum to {Fraction(total, scale)}, not 1")
+        index = {m: i for i, m in enumerate(dict.fromkeys(numerators.values()))}
+        texts = [frac_str(Fraction(m, scale)) for m in index]
+        rows = ((map(str, ranks), index[numerators[ranks]]) for ranks in sorted(numerators))
     else:
         # one mass text per class; S_n is walked only to place each permutation
         numerators, scale, rows = shuffles._kfold_walk(
@@ -251,20 +254,17 @@ def cmd_count(args) -> int:
 def cmd_bijection(args) -> int:
     if (args.word is None) == (args.perm is None):
         raise ValueError("give exactly one of --word or --perm")
+    if (args.parts is None) != (args.perm is None):
+        raise ValueError("--parts goes with --perm, and only with it")
     if args.word is not None:
         word = tuple(int(t) for t in args.word.split(","))
         if any(letter < 1 for letter in word):
             raise ValueError("letters are 1-based")
         st = necklaces.standardize(word)
-        multiset = necklaces.necklace_decomposition(word)
     else:
-        if args.parts is None:
-            raise ValueError("--perm requires --parts")
-        perm = Permutation(int(t) for t in args.perm.split(","))
-        parts = tuple(int(t) for t in args.parts.split(","))
-        word = necklaces.word_from_permutation(perm, parts)
-        st = perm
-        multiset = necklaces.necklace_decomposition(word)
+        st = Permutation(int(t) for t in args.perm.split(","))
+        word = necklaces.word_from_permutation(st, tuple(int(t) for t in args.parts.split(",")))
+    multiset = necklaces.necklace_decomposition(word)
     print(
         json.dumps(
             {
@@ -294,18 +294,19 @@ def cmd_report(args) -> int:
     suffices = None
     if ssq < 1 and n >= 2:
         suffices = 2 * shuffles._collision_steps(n, 1 - ssq, 1 / ssq)
-    rows, refusal, bound_refusal = [], None, None
+    rows, ended = [], set()
     for k in range(1, args.k_max + 1):
+        rows.append([k])
         # the answers' digits and the sweep grow with k, so each column ends
-        # at its first row over budget (a bound of 0 below n = 2 never does)
-        if n >= 2 and bound_refusal is None and (
-                bound_refusal := shuffles.answer_refusal(bias, 2, k)):
-            print(f"note: tv_bound omitted from k={k} on: {bound_refusal}", file=sys.stderr)
-        bound = None if bound_refusal else shuffles.suf_bound(ShuffleSpec(n, bias, k))
-        if refusal is None and (refusal := shuffles.class_refusal(n, bias, k)):
-            print(f"note: exact_tv omitted from k={k} on: {refusal}", file=sys.stderr)
-        exact_tv = None if refusal else shuffles.tv_to_uniform(n, bias, k)
-        rows.append((k, bound, exact_tv))
+        # at the first row its route refuses, with one stderr note
+        for name, route in (("tv_bound", lambda: shuffles.suf_bound(ShuffleSpec(n, bias, k))),
+                            ("exact_tv", lambda: shuffles.tv_to_uniform(n, bias, k))):
+            try:
+                rows[-1].append(None if name in ended else route())
+            except Refused as refused:
+                ended.add(name)
+                rows[-1].append(None)
+                print(f"note: {name} omitted from k={k} on: {refused}", file=sys.stderr)
     if args.format == "json":
         print(
             json.dumps(

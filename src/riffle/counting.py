@@ -18,6 +18,8 @@ from .necklaces import _mobius, _primitive_count
 from .permutations import (
     MAX_CACHED_N,
     Permutation,
+    _partition_numbers,
+    check_budget,
     check_size,
     descent_composition,
     symmetric_group_list,
@@ -115,9 +117,9 @@ def count_descent_subset(parts: Iterable[int]) -> int:
     return multinomial(parts)
 
 
-# Largest number of inclusion-exclusion terms, 2^(|J|-1), the ie routes sum.
-# The grouped sum holds at most one group per subset of the points of J it
-# has passed, so the same budget bounds its work and its memory.
+# Largest number of groups the ie routes sum: at most one per subset of the
+# points of J passed so far, 2^(|J|-1) in all, and at most p(c) with last cut
+# c.  The same budget bounds the grouped sum's work and its memory.
 MAX_IE_TERMS = 2**18
 
 
@@ -143,15 +145,19 @@ def _descent_inclusion_exclusion(
     multinomial and the primitive-necklace count are).  For J = {1..16}
     that is 684 calls instead of 2^15.  Groups that close to the same gaps
     are not merged: that would take a second table as large as the first.
-    The sum is refused above MAX_IE_TERMS terms before it starts.
+    The sum is refused above MAX_IE_TERMS groups before it starts.
     """
-    js = _validate_descent_set(n, deset)
-    if 2 ** (len(js) - 1) > MAX_IE_TERMS:
-        raise ValueError(
-            f"inclusion-exclusion over 2^{len(js) - 1} subsets of J is above "
-            f"the budget of {MAX_IE_TERMS} terms"
-        )
-    *inner, _ = sorted(js)
+    *inner, _ = sorted(_validate_descent_set(n, deset))
+    # at most min(2^|inner|, sum of p(c) over the cuts c in {0} + inner)
+    # groups: the gaps of one with last cut c are a partition of c.  p is
+    # nondecreasing, so past its first value over the budget each p(c) counts
+    # as one more than the budget, and a huge cut costs nothing
+    terms = 2 ** len(inner)
+    if terms > MAX_IE_TERMS:
+        p = list(itertools.takewhile(MAX_IE_TERMS.__ge__, _partition_numbers()))
+        terms = sum(p[c] if c < len(p) else MAX_IE_TERMS + 1 for c in [0, *inner])
+    check_budget(f"inclusion-exclusion over 2^{len(inner)} subsets of J, p(c) groups at "
+                 f"each cut c (at least {terms} in all),", terms, MAX_IE_TERMS, "terms")
     # tables[c][gaps]: how many subsets of the points passed so far have
     # last cut c and these sorted gaps; a skipped point leaves them as they are
     tables: dict[int, dict[tuple[int, ...], int]] = {0: {(): 1}}

@@ -14,7 +14,6 @@ series kernel takes k and never builds the a^k tensored letters.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
 from fractions import Fraction
@@ -23,6 +22,8 @@ from .necklaces import _mobius, enumerate_primitive_multisets, length_multiset
 from .permutations import (
     MAX_CACHED_N,
     Immutable,
+    _partition_numbers,
+    check_budget,
     check_size,
     cycle_type,
     cycle_type_key,
@@ -91,22 +92,6 @@ class CyclePolynomial(Immutable):
         return f"CyclePolynomial(n={self.n}, types={len(self.terms)})"
 
 
-def _partition_numbers():
-    """p(0), p(1), ...: the partition numbers, by Euler's pentagonal recurrence
-
-        p(m) = sum_{j >= 1} (-1)^(j+1) (p(m - j(3j-1)/2) + p(m - j(3j+1)/2)).
-    """
-    parts: list[int] = []
-    for m in itertools.count():
-        p, j = (0 if m else 1), 1
-        while (g := j * (3 * j - 1) // 2) <= m:
-            term = parts[m - g] + (parts[m - g - j] if g + j <= m else 0)
-            p += term if j % 2 else -term
-            j += 1
-        parts.append(p)
-        yield p
-
-
 def cycle_structure_pgf(n: int, bias, k: int = 1) -> CyclePolynomial:
     """Expand the product formula for the joint cycle-count PGF to order n.
 
@@ -142,10 +127,9 @@ def cycle_structure_pgf(n: int, bias, k: int = 1) -> CyclePolynomial:
     check_size(n, k=k)
     cells = 0
     for m, p in zip(range(n + 1), _partition_numbers()):
-        if (cells := cells + n * p) > MAX_SWEEP_CELLS:
-            raise ValueError(f"cycle-type table of {n} * (p(0) + ... + p({n})) cells is above "
-                             f"the budget of {MAX_SWEEP_CELLS} cells: the terms to p({m}) "
-                             f"give {cells}")
+        cells += n * p
+        check_budget(f"cycle-type table of {n} * (p(0) + ... + p({n})) cells (the terms to "
+                     f"p({m}) give {cells})", cells, MAX_SWEEP_CELLS, "cells")
     sums, scale = _power_sums(bias, n, k)
     psum = [Fraction(x, scale**e) for e, x in enumerate(sums)]
 
@@ -243,9 +227,9 @@ def inversion_pgf(n: int, bias, k: int = 1) -> QPolynomial:
     bias = validate_bias(bias)
     check_size(n, k=k)
     top = math.comb(n, 2) + 1
-    if (cells := math.comb(n + 1, 2) * top) > MAX_SWEEP_CELLS:
-        raise ValueError(f"inversion series of C({n + 1},2) * (C({n},2)+1) = {cells} cells "
-                         f"is above the budget of {MAX_SWEEP_CELLS} cells")
+    cells = math.comb(n + 1, 2) * top
+    check_budget(f"inversion series of C({n + 1},2) * (C({n},2)+1) = {cells} cells",
+                 cells, MAX_SWEEP_CELLS, "cells")
     sums, scale = _power_sums(bias, n, k)
     # f[s] = integer coefficients of q^0..q^(top-1) in f_s
     f = [[1] + [0] * (top - 1)]

@@ -39,12 +39,46 @@ def check_size(n: int = 0, *, k: int = 0, cap: int | None = None) -> None:
         raise ValueError(f"n={n} above cap {cap}")
 
 
+class Refused(ValueError):
+    """Work over a budget, refused before it starts; raised by ``check_budget`` alone."""
+
+
+def check_budget(what: str, amount, budget: int, unit: str) -> None:
+    """Refuse ``what``, an estimate of ``amount`` ``unit``, above ``budget``:
+    the one comparison of an estimate with its budget in the package.
+
+    >>> try:
+    ...     check_budget("a sweep of 2^30 cells", 2**30, 2**21, "cells")
+    ... except Refused as refused:
+    ...     print(refused)
+    a sweep of 2^30 cells is above the budget of 2097152 cells
+    """
+    if amount > budget:
+        raise Refused(f"{what} is above the budget of {budget} {unit}")
+
+
 def check_listing(n: int, base: int, exponent: int, estimate: str) -> None:
     """Refuse base^exponent words of n cards, named ``estimate``, holding more cards
     than S_MAX_CACHED_N (9 * 9!); a huge exponent is clipped at the budget's bits."""
     budget = MAX_CACHED_N * math.factorial(MAX_CACHED_N)
-    if n * base ** min(exponent, budget.bit_length()) > budget:
-        raise ValueError(f"{n} cards * {estimate} is above the budget of {budget} listed cards")
+    check_budget(f"{n} cards * {estimate}", n * base ** min(exponent, budget.bit_length()),
+                 budget, "listed cards")
+
+
+def _partition_numbers() -> Iterator[int]:
+    """p(0), p(1), ...: the partition numbers, by Euler's pentagonal recurrence
+
+        p(m) = sum_{j >= 1} (-1)^(j+1) (p(m - j(3j-1)/2) + p(m - j(3j+1)/2)).
+    """
+    parts: list[int] = []
+    for m in itertools.count():
+        p, j = (0 if m else 1), 1
+        while (g := j * (3 * j - 1) // 2) <= m:
+            term = parts[m - g] + (parts[m - g - j] if g + j <= m else 0)
+            p += term if j % 2 else -term
+            j += 1
+        parts.append(p)
+        yield p
 
 
 class Immutable:

@@ -37,6 +37,7 @@ from .permutations import (
     MAX_CACHED_N,
     Immutable,
     Permutation,
+    check_budget,
     check_listing,
     check_size,
     partial_sums,
@@ -94,36 +95,15 @@ def _weights(bias, k: int = 1) -> tuple[list[int], int]:
 MAX_ANSWER_DIGITS = 4000
 
 
-def answer_refusal(bias, n: int, k: int = 1) -> str | None:
-    """Why exact answers built from the power sums P_e^k, e = 0..n, of a
-    bias are refused, or None when they fit in MAX_ANSWER_DIGITS.
-
-    With d_e the reduced denominator of P_e, a product of power sums of
-    total degree at most n, raised to the k-th power, has a denominator of
-    at most (max_e d_e^(1/e))^(k n): for P_2^k of a fair bias that is 2^k,
-    for P_n^k of 1/3,2/3 it is 3^(k n).  No k-th power is taken.
-    """
-    weights, den = _weights(bias)
-    # P_e = s_e / den^e with s_e at most den^e; zero letters add nothing
-    digits = k * n * max((math.log10(den**e // math.gcd(sum(w**e for w in weights), den**e)) / e
-                          for e in range(1, n + 1)), default=0)
-    if digits <= MAX_ANSWER_DIGITS:
-        return None
-    return (f"an exact answer of up to {math.ceil(digits)} digits (power sums of "
-            f"degree {n} at k={k}) is above the budget of {MAX_ANSWER_DIGITS} digits")
-
-
-def mass_refusal(bias, n: int, k: int = 1) -> str | None:
-    """Why exact masses of the k-fold shuffle of n cards are refused, or None
-    when they fit in MAX_ANSWER_DIGITS: each is a numerator over den^(kn),
-    den the bias's common denominator, so k n log10(den) digits at most."""
+def _check_masses(bias, n: int, k: int = 1) -> None:
+    """Refuse exact masses of the k-fold shuffle of n cards above
+    MAX_ANSWER_DIGITS: each is a numerator over den^(kn), den the bias's
+    common denominator, so k n log10(den) digits at most."""
     den = math.lcm(*(p.denominator for p in bias))
     # den = 1 takes any k: k * n is never made a float
     digits = k * n * math.log10(den) if den > 1 else 0
-    if digits <= MAX_ANSWER_DIGITS:
-        return None
-    return (f"an exact answer of up to {math.ceil(digits)} digits (masses of {n} cards "
-            f"at k={k}) is above the budget of {MAX_ANSWER_DIGITS} digits")
+    check_budget(f"an exact answer of up to {math.ceil(digits)} digits (masses of {n} cards "
+                 f"at k={k})", digits, MAX_ANSWER_DIGITS, "digits")
 
 
 def _power_sums(bias, n: int, k: int = 1) -> tuple[list[int], int]:
@@ -132,16 +112,20 @@ def _power_sums(bias, n: int, k: int = 1) -> tuple[list[int], int]:
     dropped.  Entry 0 is a placeholder that no caller reads.
 
     Below n = 2 the one sum is P_1 = 1, returned as ([1, 1], 1) at any k.
-    Above, refused, before any k-th power is taken, by ``answer_refusal``.
+    Above, refused before any k-th power is taken over MAX_ANSWER_DIGITS:
+    with d_e the reduced denominator of P_e = s_e / den^e, a product of
+    power sums of total degree at most n, raised to the k-th power, has a
+    denominator of at most (max_e d_e^(1/e))^(k n).
     """
     if n < 2:
         return [1] * (n + 1), 1
-    refusal = answer_refusal(bias, n, k)
-    if refusal is not None:
-        raise ValueError(refusal)
     weights, den = _weights(bias)
-    weights = [w for w in weights if w]
-    return [1] + [sum(w**e for w in weights) ** k for e in range(1, n + 1)], den**k
+    sums = [sum(w**e for w in weights if w) for e in range(1, n + 1)]
+    digits = k * n * max(math.log10(den**e // math.gcd(s, den**e)) / e
+                         for e, s in enumerate(sums, start=1))
+    check_budget(f"an exact answer of up to {math.ceil(digits)} digits (power sums of "
+                 f"degree {n} at k={k})", digits, MAX_ANSWER_DIGITS, "digits")
+    return [1] + [s**k for s in sums], den**k
 
 
 def parse_bias(text: str) -> tuple[Fraction, ...]:
@@ -268,23 +252,6 @@ class ExactDistribution(Immutable):
 MAX_SWEEP_CELLS = 2**21
 
 
-def sweep_refusal(n: int, letters: int, k: int) -> str | None:
-    """Why a k-fold class sweep over ``letters`` nonzero letters is refused,
-    or None when its 2^n * letters^k cells are within MAX_SWEEP_CELLS or n = 0."""
-    # exponents clipped at the budget's bit length keep huge n or k cheap to refuse
-    bits = MAX_SWEEP_CELLS.bit_length()
-    if not n or 2 ** min(n, bits) * letters ** min(k, bits) <= MAX_SWEEP_CELLS:
-        return None
-    return (f"class sweep of 2^{n} * {letters}^{k} cells is above "
-            f"the budget of {MAX_SWEEP_CELLS} cells")
-
-
-def class_refusal(n: int, bias, k: int) -> str | None:
-    """Why the k-fold class table of n cards is refused: sweep or masses over budget."""
-    letters = [p for p in bias if p]
-    return sweep_refusal(n, len(letters), k) or mass_refusal(letters, n, k)
-
-
 def _kfold_classes(n: int, bias, k: int) -> tuple[list[int], int]:
     """Numerators N_D over den^(kn) of the k-fold masses of the 2^(n-1)
     inverse-descent classes D of S_n ([1] over 1 at n = 0).
@@ -302,14 +269,16 @@ def _kfold_classes(n: int, bias, k: int) -> tuple[list[int], int]:
     masses over MAX_ANSWER_DIGITS.  A class of d >= a'^k descents needs
     d + 1 letters, so its subtree is filled with 0.
     """
-    probs = validate_bias(bias)
+    letters = [p for p in validate_bias(bias) if p]
     check_size(n, k=k)
-    refusal = class_refusal(n, probs, k)
-    if refusal is not None:
-        raise ValueError(refusal)
     if n == 0:
         return [1], 1  # an empty deck has one arrangement whatever the letters
-    weights, den = _weights([p for p in probs if p], k)
+    # exponents clipped at the budget's bit length keep huge n or k cheap to refuse
+    bits = MAX_SWEEP_CELLS.bit_length()
+    check_budget(f"class sweep of 2^{n} * {len(letters)}^{k} cells",
+                 2 ** min(n, bits) * len(letters) ** min(k, bits), MAX_SWEEP_CELLS, "cells")
+    _check_masses(letters, n, k)
+    weights, den = _weights(letters, k)
     out: list[int] = []
 
     def visit(words: list[int], j: int, descents: int):
@@ -336,7 +305,17 @@ def _content_mass(bias, parts) -> Fraction:
 
 
 def exact_distribution(n: int, bias, *, max_n: int | None = None) -> ExactDistribution:
-    """The exact single-shuffle measure, by enumerating cuts x interleavings.
+    """The exact single-shuffle measure: ``_cut_numerators`` read back as Fractions."""
+    check_size(n, cap=max_n)
+    numerators, scale = _cut_numerators(n, bias)
+    return ExactDistribution(n, {Permutation._unchecked(ranks): Fraction(m, scale)
+                                 for ranks, m in numerators.items()})
+
+
+def _cut_numerators(n: int, bias) -> tuple[dict[tuple[int, ...], int], int]:
+    """The single-shuffle masses of ``exact_distribution`` as integer
+    numerators keyed by the permutation's images, in the order the
+    permutations are first reached, and their common scale den^n.
 
     Each interleaving of a cut (b1..ba) carries mass p1^b1 * ... * pa^ba:
     the uniform choice among interleavings cancels the multinomial factor
@@ -344,17 +323,13 @@ def exact_distribution(n: int, bias, *, max_n: int | None = None) -> ExactDistri
     the next card of pile word[j], so the deck reading is the word's
     standard permutation.  Only the a' nonzero letters are cut, and their a'^n
     words are refused by ``check_listing``.  Masses are summed as integer
-    numerators w1^b1 * ... * wa'^ba' over den^n (``_weights``), keyed by the standard
-    ranks, and read back as one Fraction per permutation in the order the
-    permutations are first reached.
+    numerators w1^b1 * ... * wa'^ba' over den^n (``_weights``), keyed by the
+    standard ranks.
     """
-    bias = validate_bias(bias)
-    check_size(n, cap=max_n)
-    letters = [p for p in bias if p]
+    letters = [p for p in validate_bias(bias) if p]
+    check_size(n)
     check_listing(n, len(letters), n, f"{len(letters)}^{n} pile words")
-    refusal = mass_refusal(letters, n)
-    if refusal is not None:
-        raise ValueError(refusal)
+    _check_masses(letters, n)
     weights, den = _weights(letters)
     numerators: dict[tuple[int, ...], int] = {}
     for parts in weak_compositions(n, len(letters)):
@@ -364,9 +339,7 @@ def exact_distribution(n: int, bias, *, max_n: int | None = None) -> ExactDistri
         for word in words_with_content(list(filter(None, parts))):
             ranks = tuple(standard_ranks(word))
             numerators[ranks] = numerators.get(ranks, 0) + mass
-    scale = den**n
-    return ExactDistribution(n, {Permutation._unchecked(ranks): Fraction(m, scale)
-                                 for ranks, m in numerators.items()})
+    return numerators, den**n
 
 
 def exact_distribution_drops(n: int, bias) -> ExactDistribution:

@@ -131,6 +131,21 @@ def test_dist_memory_does_not_hold_the_output():
     assert peak < 2**20
 
 
+def test_dist_of_one_shuffle_holds_one_integer_per_permutation():
+    # 4,084 pile-word masses kept as integer numerators with one text per
+    # distinct mass: about 1.2 MB of Python allocations, against 2.3 MB when a
+    # Fraction, a Permutation and a text were built for each
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            code = main(["dist", "--n", "12", "--p", "1/2,1/2"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert peak < 1_600_000
+
+
 @pytest.mark.parametrize("argv", [
     ["dist", "--n", "8", "--p", "1/3,2/3", "--k", "2", "--format", "csv"],
     ["sample", "--n", "52", "--p", "1/2,1/2", "--k", "7", "--samples", "100000", "--seed", "1"],
@@ -272,11 +287,11 @@ def test_cycle_pgf_of_33_cards_prints_within_five_seconds():
      "999 cards * 2^999 pile words is above the budget of 3265920 listed cards"),
     (["dist", "--n", "100000000", "--p", "1"], "100000000 cards * 1^100000000 pile words"),
     (["stats", "--n", "34", "--p", "1/2,1/2", "--stat", "cycle-pgf"],
-     "34 * (p(0) + ... + p(34)) cells is above the budget of 2097152 cells: "
-     "the terms to p(34) give 2253282"),
+     "34 * (p(0) + ... + p(34)) cells (the terms to p(34) give 2253282) is above the "
+     "budget of 2097152 cells"),
     (["stats", "--n", "200", "--n-max", "200", "--p", "1/2,1/2", "--stat", "cycle-pgf"],
-     "200 * (p(0) + ... + p(200)) cells is above the budget of 2097152 cells: "
-     "the terms to p(26) give 2346400"),
+     "200 * (p(0) + ... + p(200)) cells (the terms to p(26) give 2346400) is above the "
+     "budget of 2097152 cells"),
     (["stats", "--n", "1000000", "--p", "1/2,1/2", "--stat", "cycle-pgf"],
      "1000000 * (p(0) + ... + p(1000000)) cells"),
 ], ids=["inv-pgf-54", "inv-pgf-n-max-150", "dist-999", "dist-one-letter-1e8",
@@ -487,14 +502,15 @@ def test_tv_of_forty_fair_shuffles_is_refused_before_tensoring(capsys):
 
 
 def test_count_ie_over_its_term_budget_is_refused_before_walking(capsys):
-    j = ",".join(str(i) for i in range(1, 41))
+    # J = {1..43}: 2^42 subsets and p(0) + ... + p(42) = 313,065 groups
+    j = ",".join(str(i) for i in range(1, 44))
     start = time.perf_counter()
-    code, out, err = run_cli(capsys, "count", "--n", "40", "--j", j, "--method", "ie")
+    code, out, err = run_cli(capsys, "count", "--n", "43", "--j", j, "--method", "ie")
     assert time.perf_counter() - start < 1
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and len(err.splitlines()) == 1
-    assert "2^39 subsets" in err
+    assert "2^42 subsets" in err and "at least 313065 in all" in err
 
 
 def test_arithmetic_errors_exit_3_without_traceback(capsys, monkeypatch):
@@ -526,7 +542,8 @@ def test_count_refuses_a_malformed_descent_set_on_every_method(capsys, method, j
 
 
 def test_count_ie_at_the_edge_of_its_term_budget(capsys):
-    # 2^18 subsets of J = {1..19}, the largest J that MAX_IE_TERMS admits
+    # 2^18 subsets of J = {1..19}, the most that MAX_IE_TERMS admits without
+    # taking the partition sum of its groups
     j = ",".join(str(i) for i in range(1, 20))
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "count", "--n", "19", "--j", j, "--method", "ie")
@@ -534,6 +551,20 @@ def test_count_ie_at_the_edge_of_its_term_budget(capsys):
     assert (code, err) == (0, "")
     want = {"J": list(range(1, 20)), "n": 19, "exact": 1, "ncycles": 0, "method": "ie"}
     assert out == json.dumps(want) + "\n"
+
+
+@pytest.mark.parametrize("j", [range(1, 25), [*range(1, 12), *range(13, 25)]],
+                         ids=["all", "all-but-12"])
+def test_count_ie_past_its_subsets_within_its_groups_equals_det(capsys, j):
+    # 2^23 and 2^22 subsets, over MAX_IE_TERMS, in at most p(0) + ... + p(23)
+    # = 5,763 groups, within it
+    j = ",".join(map(str, j))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "count", "--n", "24", "--j", j, "--method", "ie")
+    assert time.perf_counter() - start < 1
+    assert (code, err) == (0, "")
+    assert run_cli(capsys, "count", "--n", "24", "--j", j, "--method", "det") == \
+        (0, out.replace('"ie"', '"det"'), "")
 
 
 def test_count_json_all_methods(capsys):
@@ -557,6 +588,12 @@ def test_bijection_word(capsys):
 def test_bijection_perm_requires_parts(capsys):
     code, _, err = run_cli(capsys, "bijection", "--perm", "2,3,1")
     assert code == 2 and "parts" in err
+
+
+def test_bijection_refuses_parts_with_a_word(capsys):
+    # --parts is the content of --perm; with --word it was silently ignored
+    assert run_cli(capsys, "bijection", "--word", "1,2", "--parts", "1,1") == \
+        (2, "", "error: --parts goes with --perm, and only with it\n")
 
 
 def test_report_csv_columns(capsys):

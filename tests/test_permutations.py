@@ -1,16 +1,20 @@
+import ast
 import itertools
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riffle import counting, genfuncs, necklaces, shuffles
+from riffle import counting, genfuncs, necklaces, permutations, shuffles
 from riffle.permutations import (
     MAX_CACHED_N,
     Permutation,
+    Refused,
+    check_listing,
     compositions,
     count_inversions,
     cycle_type,
@@ -276,6 +280,54 @@ def test_the_necklace_length_cap_has_the_one_message():
         "inversion_pgf"])
 def test_negative_k_is_refused_with_the_one_message(call):
     assert _message(call) == "negative k"
+
+
+# --- work budgets ---------------------------------------------------------
+
+TINY = (Fraction(1, 10**500), 1 - Fraction(1, 10**500))  # masses of 500 digits a card
+
+
+@pytest.mark.parametrize("call, estimate", [
+    (lambda: check_listing(18, 2, 18, "2^18 pile words"),
+     "18 cards * 2^18 pile words is above the budget of 3265920 listed cards"),
+    (lambda: shuffles._kfold_classes(8, (Fraction(1, 3),) * 3, 9),
+     "class sweep of 2^8 * 3^9 cells is above the budget of 2097152 cells"),
+    (lambda: shuffles._kfold_classes(3, TINY, 3),
+     "up to 4500 digits (masses of 3 cards at k=3) is above the budget of 4000 digits"),
+    (lambda: shuffles.exact_distribution(9, TINY),
+     "up to 4500 digits (masses of 9 cards at k=1) is above the budget of 4000 digits"),
+    (lambda: shuffles._power_sums(TINY, 2, 5),
+     "digits (power sums of degree 2 at k=5) is above the budget of 4000 digits"),
+    (lambda: genfuncs.inversion_pgf(54, HALF),
+     "= 2126520 cells is above the budget of 2097152 cells"),
+    (lambda: genfuncs.cycle_structure_pgf(34, HALF),
+     "(the terms to p(34) give 2253282) is above the budget of 2097152 cells"),
+    (lambda: counting.count_descent_exact(43, range(1, 44)),
+     "(at least 313065 in all), is above the budget of 262144 terms"),
+    (lambda: counting.ncycles_descent_ie(43, range(1, 44)),
+     "(at least 313065 in all), is above the budget of 262144 terms"),
+], ids=["check_listing", "_kfold_classes-sweep", "_kfold_classes-masses",
+        "exact_distribution-masses", "_power_sums", "inversion_pgf", "cycle_structure_pgf",
+        "count_descent_exact", "ncycles_descent_ie"])
+def test_every_budget_site_raises_refused_with_its_estimate(call, estimate):
+    with pytest.raises(Refused) as refused:
+        call()
+    assert isinstance(refused.value, ValueError) and str(refused.value).endswith(estimate)
+
+
+def test_the_budget_wording_lives_only_in_check_budget():
+    # string constants, so a phrase split over adjacent literals is found too
+    src = Path(permutations.__file__).parent
+    tree = ast.parse((src / "permutations.py").read_text())
+    check = next(node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "check_budget")
+    found = [(path.name, node.lineno) for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)
+             and "above the budget of" in " ".join(node.value.split())]
+    assert found
+    assert all(name == "permutations.py" and check.lineno <= line <= check.end_lineno
+               for name, line in found)
 
 
 # --- immutable value types ------------------------------------------------
