@@ -19,7 +19,6 @@ from .counting import (
 from .genfuncs import (
     CyclePolynomial,
     cycle_structure_pgf,
-    euler_identity_residual,
     expected_descents,
     expected_fixed_points,
     expected_inversions,
@@ -79,7 +78,6 @@ __all__ = [
     "cycle_type",
     "descent_set",
     "enumerate_primitive_necklaces",
-    "euler_identity_residual",
     "exact_distribution",
     "exact_kfold_distribution",
     "expected_descents",

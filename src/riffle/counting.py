@@ -117,9 +117,11 @@ def count_descent_subset(parts: Iterable[int]) -> int:
     return multinomial(parts)
 
 
-# Largest number of groups the ie routes sum: at most one per subset of the
-# points of J passed so far, 2^(|J|-1) in all, and at most p(c) with last cut
-# c.  The same budget bounds the grouped sum's work and its memory.
+# Largest work of the ie routes' grouped sum, in gap entries: each group
+# holds a sorted gap tuple of up to |J| entries, copied at every later cut,
+# and there are at most 2^(|J|-1) groups (one per subset of the points of J
+# passed so far) and at most p(c) with last cut c.  The same budget bounds
+# the sum's work and its memory.
 MAX_IE_TERMS = 2**18
 
 
@@ -145,19 +147,23 @@ def _descent_inclusion_exclusion(
     multinomial and the primitive-necklace count are).  For J = {1..16}
     that is 684 calls instead of 2^15.  Groups that close to the same gaps
     are not merged: that would take a second table as large as the first.
-    The sum is refused above MAX_IE_TERMS groups before it starts.
+    The sum is refused before it starts above MAX_IE_TERMS gap entries,
+    |J| for each group.
     """
     *inner, _ = sorted(_validate_descent_set(n, deset))
     # at most min(2^|inner|, sum of p(c) over the cuts c in {0} + inner)
     # groups: the gaps of one with last cut c are a partition of c.  p is
     # nondecreasing, so past its first value over the budget each p(c) counts
     # as one more than the budget, and a huge cut costs nothing
-    terms = 2 ** len(inner)
-    if terms > MAX_IE_TERMS:
+    size = len(inner) + 1
+    groups = 2 ** len(inner)
+    if groups * size > MAX_IE_TERMS:
         p = list(itertools.takewhile(MAX_IE_TERMS.__ge__, _partition_numbers()))
-        terms = sum(p[c] if c < len(p) else MAX_IE_TERMS + 1 for c in [0, *inner])
+        groups = min(groups, sum(p[c] if c < len(p) else MAX_IE_TERMS + 1
+                                 for c in [0, *inner]))
     check_budget(f"inclusion-exclusion over 2^{len(inner)} subsets of J, p(c) groups at "
-                 f"each cut c (at least {terms} in all),", terms, MAX_IE_TERMS, "terms")
+                 f"each cut c (at least {groups}) of up to {size} gaps each "
+                 f"(at least {groups * size} in all),", groups * size, MAX_IE_TERMS, "terms")
     # tables[c][gaps]: how many subsets of the points passed so far have
     # last cut c and these sorted gaps; a skipped point leaves them as they are
     tables: dict[int, dict[tuple[int, ...], int]] = {0: {(): 1}}

@@ -303,31 +303,6 @@ def expected_descents(spec: ShuffleSpec) -> Fraction:
     return 1 + Fraction(spec.n - 1, 2) * (1 - Fraction(sums[2], scale**2))
 
 
-def euler_identity_residual(x: float, q: float, terms: int) -> float:
-    """Truncation residual of Euler's partial-fraction identity
-
-        prod_{j>=0} 1/(1 - x q^j)  =  sum_{j>=0} x^j / ((1-q)...(1-q^j))
-
-    Both sides are evaluated to ``terms`` terms for |x|, |q| < 1; the
-    absolute difference must shrink as ``terms`` grows.
-    """
-    if not (abs(x) < 1 and abs(q) < 1):
-        raise ValueError("requires |x| < 1 and |q| < 1")
-    product = 1.0
-    qj = 1.0
-    for _ in range(terms):
-        product /= 1.0 - x * qj
-        qj *= q
-    total = 0.0
-    term = 1.0  # x^j / ((1-q)...(1-q^j)), starting at j = 0
-    qj = 1.0
-    for j in range(terms):
-        total += term
-        qj *= q
-        term *= x / (1.0 - qj)
-    return abs(product - total)
-
-
 def translate_identity_check(n: int, a: int) -> bool:
     """Verify that descent-restricted cycle-type counts match multiset-of-
     primitive-necklace counts, for every content of n letters from an

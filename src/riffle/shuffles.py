@@ -10,8 +10,9 @@ Four equivalent sampling procedures are provided (``interleave``, ``drop``,
 them, so the equivalence is testable and not just asserted.  The samplers
 take the generator's words in exactly the order ``rng.randrange``,
 ``rng.shuffle`` and ``rng.random`` would, so seeded streams are those of
-those methods, and they return each shuffle as an unchecked inverse order:
-``sample`` composes the k of them and validates one permutation per draw.
+those methods, and each yields the k shuffles of a draw as unchecked
+inverse orders: ``sample`` composes them and validates one permutation per
+draw.
 
 Composition convention: the shuffle applied first is the *left* factor, so
 a k-fold shuffle is ``s1 * s2 * ... * sk``.  With this order, convolving an
@@ -672,10 +673,24 @@ def substream(seed: int, index: int) -> random.Random:
     return random.Random(z)
 
 
+@functools.lru_cache(maxsize=4)
+def _deck(n: int) -> frozenset[int]:
+    """The positions 0..n-1 that ``sample`` checks each factor's entries
+    against; building it per draw cost ~1.1 us of a ~30 us k = 1 draw."""
+    return frozenset(range(n))
+
+
+@functools.lru_cache(maxsize=4)
+def _draw_bounds(n: int) -> tuple[tuple[int, int], ...]:
+    """(i, (i + 1).bit_length()) for i = n - 1 down to 0: the largest value
+    and the width of each ``rng.randrange(i + 1)`` draw that the shuffle and
+    drop loops take card by card, so no card calls ``bit_length``."""
+    return tuple((i, (i + 1).bit_length()) for i in range(n - 1, -1, -1))
+
+
 def _shuffle(x: list, getrandbits) -> None:
     """``rng.shuffle(x)`` in place, consuming the same bits of the stream."""
-    for i in range(len(x) - 1, 0, -1):
-        bits = (i + 1).bit_length()
+    for i, bits in _draw_bounds(len(x))[:-1]:  # i = 0 draws nothing
         j = getrandbits(bits)
         while j > i:
             j = getrandbits(bits)
@@ -696,18 +711,30 @@ def _label_table(cumulative: tuple[int, ...], denom: int) -> tuple[bytes, bytes]
     return table, rejected
 
 
+def _byte_table(cumulative, denom: int, rng: random.Random) -> tuple[bytes, bytes] | None:
+    """``_label_table`` when a category draw can be read as the top byte of
+    one 32-bit word: on CPython's own generator, with denom below 2^8 and at
+    most 256 letters.  None otherwise, and the draws go one call at a time."""
+    if (denom.bit_length() <= 8 and len(cumulative) <= 256
+            and type(rng).getrandbits is random.Random.getrandbits):
+        return _label_table(tuple(cumulative), denom)
+    return None
+
+
 def _draw_labels(n: int, cumulative, denom: int, rng: random.Random) -> list[int]:
     """Pile labels of n independent cards: category of a uniform draw below
     denom, drawn as ``rng.randrange(denom)`` would draw it.
 
     ``getrandbits(b)`` for b <= 32 is one 32-bit word of CPython's Mersenne
     Twister shifted right by 32 - b, and ``getrandbits(32 * m)`` is m
-    consecutive words, the first one lowest.  So on that generator, with
-    denom below 2^8 and at most 256 letters, each draw is the top byte of a
-    word and each label fits in a byte: the words still missing are drawn
-    at once, and one ``bytes.translate`` deletes the rejected top bytes and
-    maps the rest to their categories, until n labels are drawn.  That
-    takes the same words as one draw at a time.  Any other generator or
+    consecutive words, the first one lowest.  So under ``_byte_table``'s
+    condition each draw is the top byte of a word and each label fits in a
+    byte: the words still missing are drawn at once, and one
+    ``bytes.translate`` deletes the rejected top bytes and maps the rest to
+    their categories, until n labels are drawn.  That takes the same words
+    as one draw at a time, so the labels of several shuffles that draw
+    nothing else can be taken in one call: the ``inverse`` sampler takes
+    a run of about ``_LABEL_RUN`` labels at a time.  Any other generator or
     bias draws one ``getrandbits`` call at a time.
 
     That per-call path is ``rng.randrange(denom)``'s loop (draw
@@ -719,9 +746,9 @@ def _draw_labels(n: int, cumulative, denom: int, rng: random.Random) -> list[int
     their bytes in a Python loop measured slower than the calls.
     """
     getrandbits = rng.getrandbits
-    if (denom.bit_length() <= 8 and len(cumulative) <= 256
-            and type(rng).getrandbits is random.Random.getrandbits):
-        table, rejected = _label_table(tuple(cumulative), denom)
+    tables = _byte_table(cumulative, denom, rng)
+    if tables is not None:
+        table, rejected = tables
         labels = b""
         while len(labels) < n:
             need = n - len(labels)
@@ -738,69 +765,98 @@ def _draw_labels(n: int, cumulative, denom: int, rng: random.Random) -> list[int
     return labels
 
 
-# Each single sampler returns one shuffle pi as its inverse order, unchecked:
-# the list whose entry r is the 0-based position of card r + 1, which is
-# pi^{-1} - 1.  ``sample`` composes these and checks the product once.
-
-def _single_interleave(n, bias, cumulative, denom, rng) -> list[int]:
-    # sorted labels are the pile word of the drawn cut, pile i once per card
-    word = sorted(_draw_labels(n, cumulative, denom, rng))
-    _shuffle(word, rng.getrandbits)  # uniform over distinct interleavings
-    return sorted(range(n), key=word.__getitem__)
+# Labels the ``inverse`` sampler draws in one ``_draw_labels`` call: those of
+# up to _LABEL_RUN // n shuffles, and of one at least.  So ``sample``'s memory
+# is bounded by the run, not by k * n: at n = 52 and k = 3000 its traced
+# peak is 24 kB with runs of 988 labels and 76 kB with runs of 4056.
+_LABEL_RUN = 1024
 
 
-def _single_drop(n, bias, cumulative, denom, rng) -> list[int]:
-    remaining = [0] * len(bias)
-    for label in _draw_labels(n, cumulative, denom, rng):
-        remaining[label] += 1  # multinomial(n; p) pile sizes
-    tops = list(itertools.accumulate(remaining))  # each pile's bottom card, 1-based
-    order = [0] * n
+# Each single sampler is a generator single(n, k, bias, cumulative, denom,
+# rng) that yields the k shuffles of one draw, first shuffle first, each as
+# its inverse order, unchecked: the list whose entry r is the 0-based
+# position of card r + 1, which is pi^{-1} - 1.  ``sample`` checks and
+# composes these one at a time and validates the product once.
+
+def _single_interleave(n, k, bias, cumulative, denom, rng) -> Iterator[list[int]]:
     getrandbits = rng.getrandbits
-    for total in range(n, 0, -1):
-        # the card at position total comes from pile i w.p. remaining[i] / total
-        bits = total.bit_length()
-        r = getrandbits(bits)
-        while r >= total:
+    for _ in range(k):
+        # sorted labels are the pile word of the drawn cut, pile i once per card
+        word = sorted(_draw_labels(n, cumulative, denom, rng))
+        _shuffle(word, getrandbits)  # uniform over distinct interleavings
+        yield sorted(range(n), key=word.__getitem__)
+
+
+def _single_drop(n, k, bias, cumulative, denom, rng) -> Iterator[list[int]]:
+    getrandbits = rng.getrandbits
+    bounds = _draw_bounds(n)
+    for _ in range(k):
+        remaining = [0] * len(bias)
+        for label in _draw_labels(n, cumulative, denom, rng):
+            remaining[label] += 1  # multinomial(n; p) pile sizes
+        tops = list(itertools.accumulate(remaining))  # each pile's bottom card, 1-based
+        order = [0] * n
+        for last, bits in bounds:
+            # the card at position last + 1 comes from pile i w.p. remaining[i] / (last + 1)
             r = getrandbits(bits)
-        i = 0
-        while r >= remaining[i]:
-            r -= remaining[i]
-            i += 1
-        remaining[i] -= 1
-        tops[i] -= 1
-        order[tops[i]] = total - 1
-    return order
+            while r > last:
+                r = getrandbits(bits)
+            i = 0
+            while r >= remaining[i]:
+                r -= remaining[i]
+                i += 1
+            remaining[i] -= 1
+            tops[i] -= 1
+            order[tops[i]] = last
+        yield order
 
 
-def _single_geometric(n, bias, cumulative, denom, rng) -> list[int]:
+def _single_geometric(n, k, bias, cumulative, denom, rng) -> Iterator[list[int]]:
     # n points in [0,1]: interval i w.p. p_i, uniform inside; x = (i-1+u)/a.
     # Sorting by x is sorting by (i, u); the map x -> a*x mod 1 leaves u, so
     # pi reads the (i, u)-rank of each point in u order.  Each point takes
     # its category and then its u from the stream, so the category draws are
-    # inlined here rather than taken from _draw_labels.
+    # inlined here rather than taken from _draw_labels.  Under _byte_table's
+    # condition a category draw reads its word's top byte (getrandbits(8)
+    # takes the same one word), and one translate maps the n bytes.
     getrandbits, uniform = rng.getrandbits, rng.random
-    bits = denom.bit_length()
-    cats, us = [], []
-    for _ in range(n):
-        r = getrandbits(bits)
-        while r >= denom:
-            r = getrandbits(bits)
-        cats.append(bisect.bisect_right(cumulative, r))
-        us.append(uniform())
-    # one stable sort by u (ties to the point index), then a stable sort of
-    # the u ranks by category: (i, u)-rank r + 1 sits at u rank order[r]
-    by_u = sorted(range(n), key=us.__getitem__)
-    return sorted(range(n), key=list(map(cats.__getitem__, by_u)).__getitem__)
+    tables = _byte_table(cumulative, denom, rng)
+    if tables is not None:
+        width, limit = 8, denom << (8 - denom.bit_length())
+    else:
+        width, limit = denom.bit_length(), denom
+    for _ in range(k):
+        draws, us = [], []
+        for _ in range(n):
+            r = getrandbits(width)
+            while r >= limit:
+                r = getrandbits(width)
+            draws.append(r)
+            us.append(uniform())
+        if tables is not None:
+            cats = bytes(draws).translate(tables[0])
+        else:
+            cats = [bisect.bisect_right(cumulative, r) for r in draws]
+        # one stable sort by u (ties to the point index), then a stable sort of
+        # the u ranks by category: (i, u)-rank r + 1 sits at u rank order[r]
+        by_u = sorted(range(n), key=us.__getitem__)
+        yield sorted(range(n), key=list(map(cats.__getitem__, by_u)).__getitem__)
 
 
-def _single_inverse(n, bias, cumulative, denom, rng) -> list[int]:
+def _single_inverse(n, k, bias, cumulative, denom, rng) -> Iterator[list[int]]:
     # stacking the piles in label order sorts the cards stably by label: the
-    # order it sorts them into is the inverse of the shuffle
-    labels = _draw_labels(n, cumulative, denom, rng)
-    return sorted(range(n), key=labels.__getitem__)
+    # order it sorts them into is the inverse of the shuffle.  The shuffles
+    # draw nothing but labels, so a run of them takes its labels at once.
+    run = max(1, _LABEL_RUN // max(n, 1))
+    for first in range(0, k, run):
+        count = min(run, k - first)
+        labels = _draw_labels(count * n, cumulative, denom, rng)
+        for j in range(count):
+            part = labels[j * n:(j + 1) * n]
+            yield sorted(range(n), key=part.__getitem__)
 
 
-_SINGLE_SAMPLERS: dict[str, Callable] = {
+_SINGLE_SAMPLERS: dict[str, Callable[..., Iterator[list[int]]]] = {
     "interleave": _single_interleave,
     "drop": _single_drop,
     "geometric": _single_geometric,
@@ -822,30 +878,31 @@ def sample(spec: ShuffleSpec, method: str = "inverse", rng: random.Random | None
     overrides ``getrandbits`` gets one call per draw.  Either way the seeded
     stream and the generator's state afterwards are the same.
 
-    Each factor comes as its inverse order, and the inverse of the product
-    is composed from them and inverted once at the end, so memory stays
-    O(n) at any k.  A factor of the wrong length or with an entry outside
-    0..n-1 is refused as it comes; a factor that repeats an entry fails
-    the one validation of the product.
+    The method's sampler yields the k factors one at a time, each as its
+    inverse order, and the inverse of the product is composed from them and
+    inverted once at the end, so memory stays O(n) at any k: a factor is
+    dropped once composed, and the ``inverse`` sampler holds one run of
+    labels (``_LABEL_RUN``).  A factor of the wrong length or with an entry
+    outside 0..n-1 is refused as it comes; a factor that repeats an entry
+    fails the one validation of the product.
     """
     if method not in _SINGLE_SAMPLERS:
         raise ValueError(f"unknown method {method!r}; pick one of {SAMPLE_METHODS}")
     if rng is None:
         raise ValueError("a seeded random.Random is required")
-    single = _SINGLE_SAMPLERS[method]
-    n, bias = spec.n, spec.bias
+    n = spec.n
     cumulative, denom = spec._thresholds
+    # a negative entry would index from the end and could compose to a
+    # valid product, so the range is checked per factor, not once
+    deck = _deck(n)
     inv = list(range(n))  # (s1 * ... * sj)^{-1} = sj^{-1} * ... * s1^{-1}, 0-based
-    for _ in range(spec.k):
-        order = single(n, bias, cumulative, denom, rng)
+    for order in _SINGLE_SAMPLERS[method](n, spec.k, spec.bias, cumulative, denom, rng):
         if len(order) != n:
             raise ValueError(f"a {method} shuffle of {n} cards drew {len(order)} of them")
-        # a negative entry would index from the end and could compose to a
-        # valid product, so the range is checked per factor, not once
-        if n and not 0 <= min(order) <= max(order) < n:
+        if not deck.issuperset(order):
             raise ValueError(f"a {method} shuffle of {n} cards drew a position "
                              f"outside 0..{n - 1}")
-        inv = [order[x] for x in inv]
+        inv = list(map(order.__getitem__, inv))
     images = [0] * n
     for card, position in enumerate(inv, start=1):
         images[position] = card

@@ -444,9 +444,6 @@ def check_inversion_stats(config: VerifyConfig) -> CheckResult:
         return _fail(name, "fair 3-card inversion mean is not 3/4")
     if genfuncs.expected_descents(shuffles.ShuffleSpec(3, fair, 1)) != F(3, 2):
         return _fail(name, "fair 3-card descent mean is not 3/2")
-    residual = genfuncs.euler_identity_residual(0.5, 0.5, 30)
-    if residual >= 1e-8:
-        return _fail(name, f"Euler residual {residual} not below 1e-8")
     return _ok(name, f"inversion PGFs and moments exact for n <= {config.n_max}")
 
 

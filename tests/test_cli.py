@@ -510,7 +510,20 @@ def test_count_ie_over_its_term_budget_is_refused_before_walking(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and len(err.splitlines()) == 1
-    assert "2^42 subsets" in err and "at least 313065 in all" in err
+    assert "2^42 subsets" in err and "(at least 313065)" in err
+
+
+def test_count_ie_weighs_its_groups_by_their_gaps(capsys):
+    # J = {1..42}: p(0) + ... + p(41) = 259,891 groups, within the budget as
+    # a count, each copying a tuple of up to 42 gaps: the walk took 3-7 s
+    j = ",".join(str(i) for i in range(1, 43))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "count", "--n", "42", "--j", j, "--method", "ie")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == ("error: inclusion-exclusion over 2^41 subsets of J, p(c) groups at each "
+                   "cut c (at least 259891) of up to 42 gaps each (at least 10915422 in all), "
+                   "is above the budget of 262144 terms\n")
 
 
 def test_arithmetic_errors_exit_3_without_traceback(capsys, monkeypatch):
@@ -542,8 +555,9 @@ def test_count_refuses_a_malformed_descent_set_on_every_method(capsys, method, j
 
 
 def test_count_ie_at_the_edge_of_its_term_budget(capsys):
-    # 2^18 subsets of J = {1..19}, the most that MAX_IE_TERMS admits without
-    # taking the partition sum of its groups
+    # 2^18 subsets of J = {1..19}, the most that MAX_IE_TERMS held as a group
+    # count; weighed by their 19 gaps, the p(0) + ... + p(18) = 1,597 groups
+    # are 30,343 terms
     j = ",".join(str(i) for i in range(1, 20))
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "count", "--n", "19", "--j", j, "--method", "ie")
@@ -557,7 +571,7 @@ def test_count_ie_at_the_edge_of_its_term_budget(capsys):
                          ids=["all", "all-but-12"])
 def test_count_ie_past_its_subsets_within_its_groups_equals_det(capsys, j):
     # 2^23 and 2^22 subsets, over MAX_IE_TERMS, in at most p(0) + ... + p(23)
-    # = 5,763 groups, within it
+    # = 5,763 groups of up to 24 gaps, 138,312 terms, within it
     j = ",".join(map(str, j))
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "count", "--n", "24", "--j", j, "--method", "ie")

@@ -11,7 +11,6 @@ from riffle.genfuncs import (
     CyclePolynomial,
     cycle_pgf_from_distribution,
     cycle_structure_pgf,
-    euler_identity_residual,
     expected_descents,
     expected_fixed_points,
     expected_inversions,
@@ -280,24 +279,6 @@ def test_expected_descents_matches_distribution():
                 dist.mass(p) * len(descent_set(p)) for p in symmetric_group_list(n)
             )
             assert mean == expected_descents(ShuffleSpec(n, bias, 1))
-
-
-# --- Euler identity -------------------------------------------------------------
-
-def test_euler_residual_trivial_points():
-    assert euler_identity_residual(0.0, 0.3, 10) == 0.0
-    assert euler_identity_residual(0.5, 0.0, 40) < 1e-11
-
-
-def test_euler_residual_small_and_shrinking():
-    r30 = euler_identity_residual(0.5, 0.5, 30)
-    assert r30 < 1e-8
-    assert euler_identity_residual(0.5, 0.5, 10) > r30
-
-
-def test_euler_residual_domain():
-    with pytest.raises(ValueError):
-        euler_identity_residual(1.0, 0.5, 10)
 
 
 # --- descent/necklace count translation ------------------------------------------

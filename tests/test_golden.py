@@ -94,6 +94,19 @@ SAMPLE_EDGE_SHA256 = [
       "drop": "3c3ce6da4f85ff7824477a10294f8db13c8b0c2c8ce77dddce0d3c27300aa968",
       "geometric": "e5147330f12c7cad90055ecd49442a95d9945395786e29f5784a44dfb8833238",
       "inverse": "a3fe0d32899a70b7c35e920a0623cefaae59cc35d28009ebfcbc16eab4a5090b"}),
+    # draws whose labels cross the inverse sampler's label runs: 40 factors
+    # of 52 cards (runs of 19 factors), and 300 cards (runs of 3 factors)
+    # with a zero letter
+    (["sample", "--n", "52", "--p", "0.4,0.6", "--k", "40", "--samples", "20", "--seed", "17"],
+     {"interleave": "160e6a01352a01624f406bcc6aa2487787c5db7dc3ab78b1f41d49e4d34f17a2",
+      "drop": "53248cdc590c47e64bf04daccf622ea3e9c8e1ce9bc2b2ff620abc73a361e1b2",
+      "geometric": "1f1cbd239da54f04ba52def6955a5504cb201e3586df6535f5425b63caf96f98",
+      "inverse": "14c98895b2ebb04898a04579e968d0514c650deaca65ef01622d4a07b84d7785"}),
+    (["sample", "--n", "300", "--p", "1/3,0,2/3", "--k", "5", "--samples", "5", "--seed", "18"],
+     {"interleave": "c901c9c68b116659623721145441a2e55ce61132b04556a68c8a21fe93901b1f",
+      "drop": "3a2afad0160d2d08126de3dbb5fc5874d8912e61c1f28345ed0e410b16d40d97",
+      "geometric": "765259de4bfe2cdf8ebd7a4b662ecbe933dac3524c6ee504ed17d04268d68262",
+      "inverse": "329cb296266e2b33a57facc1f7f8e9b73029ee5267a449608f5b8e74c81b11ef"}),
 ]
 GOLDEN_SHA256 += [
     (argv + ["--method", method], digests[method])

@@ -591,7 +591,8 @@ def test_sample_reads_the_thresholds_built_with_the_spec(monkeypatch, method):
 def test_sample_validates_the_composed_draw(monkeypatch, method, k, bad):
     # the factors are composed unchecked, so the one check of the product
     # must catch a single shuffle that is not a permutation of 1..n
-    monkeypatch.setitem(shuffles._SINGLE_SAMPLERS, method, lambda n, *rest: bad(n))
+    monkeypatch.setitem(shuffles._SINGLE_SAMPLERS, method,
+                        lambda n, k, *rest: (bad(n) for _ in range(k)))
     with pytest.raises(ValueError):
         sample(ShuffleSpec(5, FAIR, k), method, random.Random(1))
 
@@ -602,7 +603,8 @@ def test_sample_validates_the_composed_draw(monkeypatch, method, k, bad):
     lambda n: [*range(1, n), n],  # one position past the deck
 ], ids=["negative", "past-the-end"])
 def test_sample_refuses_a_factor_entry_outside_the_deck(monkeypatch, method, bad):
-    monkeypatch.setitem(shuffles._SINGLE_SAMPLERS, method, lambda n, *rest: bad(n))
+    monkeypatch.setitem(shuffles._SINGLE_SAMPLERS, method,
+                        lambda n, k, *rest: (bad(n) for _ in range(k)))
     with pytest.raises(ValueError, match="outside 0..4"):
         sample(ShuffleSpec(5, FAIR, 1), method, random.Random(1))
 
@@ -713,18 +715,55 @@ def test_samplers_draw_the_randrange_shuffle_and_random_stream(bias, n, k, seed)
 @pytest.mark.parametrize("bias", ["0.4,0.6", "1/3,0,2/3", "1/1000003,1000002/1000003"])
 @pytest.mark.parametrize("k", [0, 1, 4])
 def test_inverse_draws_are_k_calls_of_its_single_sampler(bias, k):
-    # sample composes k calls of the table's entry, the first one on the left
+    # sample composes the k factors the table's entry yields, the first one on the left
     bias = parse_bias(bias)
     _, cumulative, denom = shuffles._categorical(bias)
     ours, theirs = random.Random(k), random.Random(k)
     for _ in range(5):
         product = Permutation.identity(13)
-        for _ in range(k):
-            order = shuffles._SINGLE_SAMPLERS["inverse"](13, bias, cumulative, denom, theirs)
+        for order in shuffles._SINGLE_SAMPLERS["inverse"](13, k, bias, cumulative, denom, theirs):
             # order is pi^{-1} - 1, the inverse order of the factor pi
             product = product * Permutation([x + 1 for x in order]).inverse()
         assert sample(ShuffleSpec(13, bias, k), "inverse", ours) == product
     assert ours.getstate() == theirs.getstate()
+
+
+@pytest.mark.parametrize("method", SAMPLE_METHODS)
+@pytest.mark.parametrize("n, k", [(52, 40), (1100, 2)], ids=["runs-of-19", "over-a-run"])
+def test_samplers_draw_the_reference_stream_across_label_runs(method, n, k):
+    # k * n spans several of the inverse sampler's label runs, or one factor
+    # is longer than a run; the hypothesis test above stays within one run
+    bias = parse_bias("1/3,0,2/3")
+    spec = ShuffleSpec(n, bias, k)
+    theirs = random.Random(n)
+    want = [_reference_sample(method, n, bias, k, theirs) for _ in range(2)]
+    per_call = PerCallRandom(n)
+    per_call.widths = []
+    for ours in (random.Random(n), per_call):
+        assert [sample(spec, method, ours) for _ in range(2)] == want
+        assert ours.getstate() == theirs.getstate()
+
+
+def test_inverse_draw_takes_its_labels_in_one_run(monkeypatch):
+    # the 7 factors of 52 cards draw nothing but labels: their 364 labels
+    # are one _draw_labels run, whose calls ask for fewer and fewer words
+    widths = []
+    draw = random.Random.getrandbits
+
+    def spy(self, k):
+        widths.append(k)
+        return draw(self, k)
+
+    bias = parse_bias("0.4,0.6")
+    ours = random.Random(8)
+    monkeypatch.setattr(random.Random, "getrandbits", spy)
+    got = sample(ShuffleSpec(52, bias, 7), "inverse", ours)
+    monkeypatch.undo()
+    theirs = random.Random(8)
+    assert got == _reference_sample("inverse", 52, bias, 7, theirs)
+    assert ours.getstate() == theirs.getstate()
+    assert widths[0] == 32 * 7 * 52
+    assert widths == sorted(widths, reverse=True)
 
 
 def test_label_draws_take_words_in_batches_on_cpythons_generator(monkeypatch):
