@@ -8,7 +8,6 @@ oracle at small deck sizes.
 """
 
 from .counting import (
-    brute_count,
     count_descent_det,
     count_descent_exact,
     count_descent_subset,
@@ -24,7 +23,6 @@ from .genfuncs import (
     expected_inversions,
     fixed_point_pgf,
     inversion_pgf,
-    translate_identity_check,
 )
 from .necklaces import (
     enumerate_primitive_necklaces,
@@ -41,7 +39,7 @@ from .permutations import (
     descent_set,
     inversions,
 )
-from .qpoly import QPolynomial, q_binomial, q_factorial, q_multinomial
+from .qpoly import QPolynomial, q_binomial, q_multinomial
 from .shuffles import (
     ExactDistribution,
     ShuffleSpec,
@@ -69,7 +67,6 @@ __all__ = [
     "ShuffleSpec",
     "ExactDistribution",
     "CyclePolynomial",
-    "brute_count",
     "convolve",
     "count_descent_det",
     "count_descent_exact",
@@ -96,7 +93,6 @@ __all__ = [
     "parse_bias",
     "primitive_count",
     "q_binomial",
-    "q_factorial",
     "q_multinomial",
     "sample",
     "standardize",
@@ -104,7 +100,6 @@ __all__ = [
     "suf_bound",
     "tensor_bias",
     "tensor_power",
-    "translate_identity_check",
     "tv_distance",
     "tv_to_uniform",
     "ubar_forward",

@@ -17,12 +17,10 @@ from collections.abc import Callable, Iterable
 from .necklaces import _mobius, _primitive_count
 from .permutations import (
     MAX_CACHED_N,
-    Permutation,
     _partition_numbers,
     check_budget,
     check_size,
     descent_composition,
-    symmetric_group_list,
 )
 
 
@@ -64,11 +62,6 @@ def int_det(matrix: list[list[int]]) -> int:
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
         prev = m[k][k]
     return sign * m[size - 1][size - 1] if size else 1
-
-
-def brute_count(n: int, predicate: Callable[[Permutation], bool]) -> int:
-    """Count permutations in S_n (n <= MAX_CACHED_N) satisfying a predicate, by full iteration."""
-    return sum(1 for p in symmetric_group_list(n) if predicate(p))
 
 
 @functools.cache

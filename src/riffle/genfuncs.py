@@ -15,10 +15,9 @@ series kernel takes k and never builds the a^k tensored letters.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from fractions import Fraction
 
-from .necklaces import _mobius, enumerate_primitive_multisets, length_multiset
+from .necklaces import _mobius
 from .permutations import (
     MAX_CACHED_N,
     Immutable,
@@ -27,10 +26,7 @@ from .permutations import (
     check_size,
     cycle_type,
     cycle_type_key,
-    descent_set,
     inversions,
-    partial_sums,
-    symmetric_group_list,
     weak_compositions,
 )
 from .qpoly import QPolynomial, q_multinomial
@@ -301,27 +297,3 @@ def expected_descents(spec: ShuffleSpec) -> Fraction:
         return Fraction(spec.n)  # before P_2^k, as in shuffles.suf_bound
     sums, scale = _power_sums(spec.bias, 2, spec.k)
     return 1 + Fraction(spec.n - 1, 2) * (1 - Fraction(sums[2], scale**2))
-
-
-def translate_identity_check(n: int, a: int) -> bool:
-    """Verify that descent-restricted cycle-type counts match multiset-of-
-    primitive-necklace counts, for every content of n letters from an
-    a-letter alphabet and every cycle type.
-
-    Both sides are enumerated independently: permutations on the left,
-    necklace multisets on the right.
-    """
-    perms = symmetric_group_list(n)
-    stats = [(descent_set(p), cycle_type_key(cycle_type(p))) for p in perms]
-    for parts in weak_compositions(n, a):
-        allowed = set(partial_sums(parts)) | {n}
-        left: Counter = Counter()
-        for des, key in stats:
-            if des <= allowed:
-                left[key] += 1
-        right: Counter = Counter()
-        for multiset in enumerate_primitive_multisets(parts):
-            right[cycle_type_key(length_multiset(multiset))] += 1
-        if left != right:
-            return False
-    return True

@@ -278,20 +278,6 @@ def cycle_type_key(counts: dict[int, int]) -> tuple[tuple[int, int], ...]:
     return tuple(sorted((i, c) for i, c in counts.items() if c))
 
 
-def is_involution(p: Permutation) -> bool:
-    return all(p(p(i)) == i for i in range(1, p.n + 1))
-
-
-def is_n_cycle(p: Permutation) -> bool:
-    if p.n == 0:
-        return False
-    length, i = 1, p(1)
-    while i != 1:
-        i = p(i)
-        length += 1
-    return length == p.n
-
-
 def symmetric_group(n: int) -> Iterator[Permutation]:
     """Iterate all of S_n (n! elements; S_0 is the single empty permutation)."""
     # itertools.permutations yields permutations of 1..n by construction

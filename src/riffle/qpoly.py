@@ -24,7 +24,7 @@ class QPolynomial(Immutable):
     >>> q = QPolynomial.q()
     >>> (1 + q) * (1 + q)
     QPolynomial([1, 2, 1])
-    >>> q_int(3)
+    >>> 1 + q + q * q
     QPolynomial([1, 1, 1])
     """
 
@@ -124,23 +124,6 @@ def _coerce(value) -> QPolynomial:
     if isinstance(value, QPolynomial):
         return value
     return QPolynomial.constant(value)
-
-
-def q_int(i: int) -> QPolynomial:
-    """[i] = 1 + q + ... + q^(i-1)."""
-    if i < 0:
-        raise ValueError("negative q-integer")
-    return QPolynomial([1] * i)
-
-
-@lru_cache(maxsize=None)
-def q_factorial(n: int) -> QPolynomial:
-    """[n]! = [1][2]...[n]; [0]! = 1."""
-    if n < 0:
-        raise ValueError("negative q-factorial")
-    if n == 0:
-        return QPolynomial.one()
-    return q_factorial(n - 1) * q_int(n)
 
 
 @lru_cache(maxsize=None)

@@ -49,9 +49,6 @@ from .permutations import (
     words_with_content,
 )
 
-SAMPLE_METHODS = ("interleave", "drop", "geometric", "inverse")
-
-
 # --- bias vectors -------------------------------------------------------
 
 def validate_bias(bias) -> tuple[Fraction, ...]:
@@ -862,6 +859,7 @@ _SINGLE_SAMPLERS: dict[str, Callable[..., Iterator[list[int]]]] = {
     "geometric": _single_geometric,
     "inverse": _single_inverse,
 }
+SAMPLE_METHODS = tuple(_SINGLE_SAMPLERS)
 
 
 def sample(spec: ShuffleSpec, method: str = "inverse", rng: random.Random | None = None) -> Permutation:

@@ -322,11 +322,7 @@ def check_cycle_pgf(config: VerifyConfig) -> CheckResult:
                 return _fail(name, f"E[N_1] is not the fixed-point mean at n={n}, bias={bias}")
     if genfuncs.expected_fixed_points(shuffles.ShuffleSpec(3, (F(1, 2), F(1, 2)), 1)) != F(7, 4):
         return _fail(name, "fair 3-card fixed-point mean is not 7/4")
-    for n in range(1, min(config.n_max, 6) + 1):
-        for a in (1, 2, 3):
-            if not genfuncs.translate_identity_check(n, a):
-                return _fail(name, f"necklace-count translation fails at n={n}, a={a}")
-    return _ok(name, f"cycle PGFs and count translation exact for n <= {config.n_max}")
+    return _ok(name, f"cycle PGFs exact for n <= {config.n_max}")
 
 
 @_suite("fixed-points")

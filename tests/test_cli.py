@@ -255,7 +255,7 @@ def test_brute_counts_list_no_permutation_objects(capsys, monkeypatch):
     def listed(n):
         raise AssertionError(f"S_{n} listed as Permutation objects")
 
-    monkeypatch.setattr(counting, "symmetric_group_list", listed)
+    # counting does not import symmetric_group_list, so this is its one home
     monkeypatch.setattr(permutations, "symmetric_group_list", listed)
     assert run_cli(capsys, "count", "--n", "9", "--j", "1,9", "--method", "brute") == (
         0, '{"J": [1, 9], "n": 9, "exact": 8, "ncycles": 1, "method": "brute"}\n', "")

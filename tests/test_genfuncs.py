@@ -19,7 +19,6 @@ from riffle.genfuncs import (
     inversion_pgf,
     inversion_pgf_from_compositions,
     inversion_pgf_from_distribution,
-    translate_identity_check,
 )
 from riffle.qpoly import QPolynomial
 from riffle.shuffles import (
@@ -279,10 +278,3 @@ def test_expected_descents_matches_distribution():
                 dist.mass(p) * len(descent_set(p)) for p in symmetric_group_list(n)
             )
             assert mean == expected_descents(ShuffleSpec(n, bias, 1))
-
-
-# --- descent/necklace count translation ------------------------------------------
-
-@pytest.mark.parametrize("n,a", [(1, 1), (4, 2), (6, 2), (4, 3), (5, 3)])
-def test_translate_identity(n, a):
-    assert translate_identity_check(n, a)

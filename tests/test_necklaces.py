@@ -1,4 +1,6 @@
 import itertools
+import math
+import random
 import time
 from collections import Counter
 
@@ -59,10 +61,34 @@ def test_standardize_fixes_permutations(images):
     assert standardize(tuple(images)).images == tuple(images)
 
 
+def _least_rotation(seq):
+    # the definition: the least of all the rotations
+    return min(seq[i:] + seq[:i] for i in range(len(seq)))
+
+
 def test_min_rotation():
     assert min_rotation((2, 3, 2, 3, 3)) == (2, 3, 2, 3, 3)
     assert min_rotation((3, 2, 3, 3, 2)) == (2, 3, 2, 3, 3)
     assert min_rotation((2,)) == (2,)
+    with pytest.raises(ValueError, match="empty necklace"):
+        min_rotation(())
+
+
+@given(st.one_of(words, st.tuples(words, st.integers(2, 4)).map(lambda wr: wr[0] * wr[1])))
+@settings(max_examples=300)
+def test_min_rotation_is_the_least_rotation(word):
+    # periodic words too: their least rotation begins in several places
+    assert min_rotation(word) == _least_rotation(word)
+
+
+def test_a_long_necklace_is_rotated_in_linear_time():
+    # all n rotations of 54,681 letters are ~3e9 letters of tuples
+    word = tuple(random.Random(7).choices((1, 2, 3), k=54_681))
+    start = time.perf_counter()
+    least = min_rotation(word)
+    assert time.perf_counter() - start < 1
+    assert bytes(least) in bytes(word + word)  # a rotation of the word
+    assert lyndon_factors(least) == [least]  # primitive, so a Lyndon word
 
 
 @given(words, st.integers(0, 7))
@@ -227,7 +253,7 @@ def _necklaces_by_filter(parts):
     def extend(prefix):
         if len(prefix) == n:
             word = tuple(prefix)
-            if word == min_rotation(word) and is_primitive(word):
+            if word == _least_rotation(word) and is_primitive(word):
                 found.append(word)
             return
         for letter, left in enumerate(counts, start=1):
@@ -253,7 +279,7 @@ def test_prenecklace_walk_matches_the_filter_over_all_words(a):
 def test_lyndon_factors_are_a_non_increasing_lyndon_product(word):
     factors = lyndon_factors(word)
     assert sum(factors, ()) == word
-    assert all(f == min_rotation(f) and is_primitive(f) for f in factors)
+    assert all(f == _least_rotation(f) and is_primitive(f) for f in factors)
     assert all(f >= g for f, g in zip(factors, factors[1:]))
 
 
@@ -311,8 +337,17 @@ def test_primitive_multisets_match_the_search_over_weak_compositions(a):
 def test_primitive_multisets_refuse_what_enumeration_refuses():
     with pytest.raises(ValueError, match="negative letter count"):
         enumerate_primitive_multisets((2, -1))
-    with pytest.raises(ValueError, match="n=17 above cap 16"):
-        enumerate_primitive_multisets((9, 8))
+    with pytest.raises(ValueError, match="negative letter count"):
+        enumerate_primitive_necklaces((2, -1))
+
+
+def test_necklace_listings_take_long_contents_under_the_listing_budget():
+    # 17 letters: only the listed cards limit the length
+    assert len(enumerate_primitive_necklaces((9, 8))) == primitive_count((9, 8)) == 1430
+    assert len(enumerate_primitive_multisets((9, 8))) == math.comb(17, 8) == 24_310
+    # one position per letter, and no recursion
+    assert enumerate_primitive_necklaces((3000,)) == []
+    assert enumerate_primitive_multisets((3000,)) == [Counter({(1,): 3000})]
 
 
 @pytest.mark.parametrize("listing, parts, estimate", [
@@ -320,8 +355,8 @@ def test_primitive_multisets_refuse_what_enumeration_refuses():
     (enumerate_primitive_necklaces, (2,) * 8, "16 cards * 81729648000 words"),
 ], ids=["multisets-12-letters", "necklaces-8-pairs"])
 def test_necklace_listings_are_refused_past_the_cards_of_s9(listing, parts, estimate):
-    # under the 16-letter cap, but their n * multinomial(parts) letters of
-    # words are more than the 9 * 9! cards of S_9
+    # their n * multinomial(parts) letters of words are more than the
+    # 9 * 9! cards of S_9
     start = time.perf_counter()
     with pytest.raises(ValueError, match="above the budget of 3265920 listed cards") as raised:
         listing(parts)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riffle import counting, genfuncs, necklaces, permutations, shuffles
+from riffle import counting, genfuncs, permutations, shuffles
 from riffle.permutations import (
     MAX_CACHED_N,
     Permutation,
@@ -27,7 +27,7 @@ from riffle.permutations import (
     weak_compositions,
     words_with_content,
 )
-from riffle.qpoly import QPolynomial, q_factorial, q_multinomial
+from riffle.qpoly import QPolynomial, q_multinomial
 
 PAPER_WORD_ST = Permutation([3, 4, 1, 2, 5, 9, 10, 11, 6, 12, 7, 8])
 
@@ -121,7 +121,7 @@ def test_inversion_generating_function_is_q_factorial(n):
     total = [Fraction(0)] * (math.comb(n, 2) + 1)
     for p in symmetric_group_list(n):
         total[inversions(p)] += 1
-    assert QPolynomial(total) == q_factorial(n)
+    assert QPolynomial(total) == q_multinomial(n, (1,) * n)  # [n]!
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -241,9 +241,6 @@ SIZE_GUARDED = {
     "inversion_pgf": (lambda n: genfuncs.inversion_pgf(n, HALF), None),
     "inversion_pgf_from_compositions": (
         lambda n: genfuncs.inversion_pgf_from_compositions(n, HALF), MAX_CACHED_N),
-    "translate_identity_check": (
-        lambda n: genfuncs.translate_identity_check(n, 2), MAX_CACHED_N),
-    "brute_count": (lambda n: counting.brute_count(n, bool), MAX_CACHED_N),
     "count_descent_det": (lambda n: counting.count_descent_det(n, []), None),
     "symmetric_group_list": (symmetric_group_list, MAX_CACHED_N),
     "_descent_table": (counting._descent_table, MAX_CACHED_N),
@@ -264,10 +261,22 @@ def test_every_size_limit_is_refused_with_the_one_message(name):
         assert _message(call, cap + 1) == f"n={cap + 1} above cap {cap}"
 
 
-def test_the_necklace_length_cap_has_the_one_message():
-    cap = necklaces.MAX_NECKLACE_LENGTH
-    assert _message(necklaces.enumerate_primitive_necklaces, (cap, 1)) == \
-        f"n={cap + 1} above cap {cap}"
+def test_every_size_cap_is_the_one_cap():
+    # each cap= passed to check_size is MAX_CACHED_N or a max_n parameter of its caller
+    src = Path(permutations.__file__).parent
+    caps = [(path.name, func, kw.value)
+            for path in sorted(src.glob("*.py"))
+            for func in ast.walk(ast.parse(path.read_text()))
+            if isinstance(func, ast.FunctionDef)
+            for node in ast.walk(func)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "check_size"
+            for kw in node.keywords if kw.arg == "cap"]
+    assert caps
+    for name, func, cap in caps:
+        params = {arg.arg for arg in func.args.args + func.args.kwonlyargs}
+        cap = ast.unparse(cap)
+        assert cap == "MAX_CACHED_N" or (cap == "max_n" and "max_n" in params), \
+            (name, func.name, cap)
 
 
 @pytest.mark.parametrize("call", [

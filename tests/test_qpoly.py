@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riffle.qpoly import QPolynomial, q_binomial, q_factorial, q_int, q_multinomial
+from riffle.qpoly import QPolynomial, q_binomial, q_multinomial
 
 small_polys = st.lists(
     st.fractions(min_value=-3, max_value=3, max_denominator=6), max_size=5
@@ -38,17 +38,21 @@ def test_ring_laws(a, b, c):
     assert a * (b + c) == a * b + a * c
 
 
-def test_q_int_and_factorial():
-    assert q_int(3) == QPolynomial([1, 1, 1])
-    assert q_factorial(0) == QPolynomial.one()
-    assert q_factorial(3) == q_int(1) * q_int(2) * q_int(3)
+@pytest.mark.parametrize("n", range(12))
+def test_q_factorial_is_the_multinomial_of_ones(n):
+    # [n]! = [1][2]...[n], with [i] = 1 + q + ... + q^(i-1)
+    product = QPolynomial.one()
+    for i in range(1, n + 1):
+        product = product * QPolynomial([1] * i)
+    assert q_multinomial(n, (1,) * n) == product
 
 
 @pytest.mark.parametrize("m", range(9))
 def test_q_binomial_multiplies_back_to_factorial(m):
     # [m choose k] [k]! [m-k]! == [m]! -- the defining ratio, with no division
     for k in range(m + 1):
-        assert q_binomial(m, k) * q_factorial(k) * q_factorial(m - k) == q_factorial(m)
+        product = q_binomial(m, k) * q_multinomial(k, (1,) * k)
+        assert product * q_multinomial(m - k, (1,) * (m - k)) == q_multinomial(m, (1,) * m)
 
 
 def test_q_binomial_out_of_range_is_zero():
@@ -68,8 +72,8 @@ def test_q_multinomial_multiplies_back_to_factorial():
         n = sum(parts)
         product = q_multinomial(n, parts)
         for b in parts:
-            product = product * q_factorial(b)
-        assert product == q_factorial(n)
+            product = product * q_multinomial(b, (1,) * b)
+        assert product == q_multinomial(n, (1,) * n)
 
 
 def test_q_multinomial_rejects_bad_parts():
