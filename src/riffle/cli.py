@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 
 from . import counting, genfuncs, necklaces, shuffles
-from .permutations import MAX_CACHED_N, Permutation, Refused
+from .permutations import MAX_CACHED_N, Permutation, Refused, descent_index
 from .shuffles import ShuffleSpec, parse_bias
 
 
@@ -161,10 +161,8 @@ def cmd_dist(args) -> int:
     # route, which refuses it.
     letters = sum(1 for p in bias if p)
     if k == 1 and n >= 0 and (n > MAX_CACHED_N or letters**n <= math.factorial(n)):
-        # integer masses, refused as ExactDistribution refuses them; one text per mass
+        # integer masses, checked as exact_distribution's are; one text per mass
         numerators, scale = shuffles._cut_numerators(n, bias)
-        if (total := sum(numerators.values())) != scale:
-            raise ValueError(f"masses sum to {Fraction(total, scale)}, not 1")
         index = {m: i for i, m in enumerate(dict.fromkeys(numerators.values()))}
         texts = [frac_str(Fraction(m, scale)) for m in index]
         rows = ((map(str, ranks), index[numerators[ranks]]) for ranks in sorted(numerators))
@@ -240,9 +238,8 @@ def cmd_count(args) -> int:
         exact = counting.count_descent_det(n, sorted(deset - {n}))
         ncyc = counting.ncycles_descent_det(n, deset)
     else:
-        counts, ncycles, _ = counting._descent_table(n)
-        mask = sum(1 << (j - 1) for j in deset)
-        exact, ncyc = counts[mask], ncycles[mask]
+        index = descent_index(deset, n)
+        exact, ncyc, _ = (table[index] for table in counting._descent_table(n))
     print(
         json.dumps(
             {"J": sorted(deset), "n": n, "exact": exact, "ncycles": ncyc, "method": args.method}

@@ -14,13 +14,14 @@ import math
 from bisect import bisect_right
 from collections.abc import Callable, Iterable
 
-from .necklaces import _mobius, _primitive_count
+from .necklaces import _mobius_divisors, _primitive_count
 from .permutations import (
     MAX_CACHED_N,
     _partition_numbers,
     check_budget,
     check_size,
     descent_composition,
+    multinomial,
 )
 
 
@@ -29,11 +30,6 @@ def _comb0(m: int, k: int) -> int:
     if k < 0 or k > m:
         return 0
     return math.comb(m, k)
-
-
-def multinomial(parts: Iterable[int]) -> int:
-    parts = tuple(parts)
-    return math.factorial(sum(parts)) // math.prod(map(math.factorial, parts))
 
 
 def int_det(matrix: list[list[int]]) -> int:
@@ -67,30 +63,29 @@ def int_det(matrix: list[list[int]]) -> int:
 @functools.cache
 def _descent_table(n: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     """Brute force over all of S_n: how many permutations, n-cycles and
-    involutions have each descent set, as three tuples indexed by the set's
-    bitmask (position i is bit i-1, so bit n-1 is always set)."""
+    involutions have each descent set, as three tuples of 2^(n-1) entries
+    indexed by ``permutations.descent_index``."""
     check_size(n, cap=MAX_CACHED_N)
-    counts, ncycles, involutions = ([0] * 2**n for _ in range(3))
-    top = 1 << (n - 1)
+    if n == 0:
+        return (1,), (0,), (1,)  # the empty arrangement: one class, no cycle, an involution
+    counts, ncycles, involutions = ([0] * 2 ** (n - 1) for _ in range(3))
     for images in itertools.permutations(range(n)):  # images 0..n-1
-        mask = top
+        index = 0  # position i ends at the bit 2^(n-1-i)
         for i in range(n - 1):
-            if images[i] > images[i + 1]:
-                mask |= 1 << i
-        counts[mask] += 1
+            index = index << 1 | (images[i] > images[i + 1])
+        counts[index] += 1
         # an n-cycle is one whose cycle through 0 has length n
         length, j = 1, images[0]
         while j:
             j = images[j]
             length += 1
-        if length == n:
-            ncycles[mask] += 1
+        ncycles[index] += length == n
         # an involution sends each image back: p(p(i)) = i
         for i, x in enumerate(images):
             if images[x] != i:
                 break
         else:
-            involutions[mask] += 1
+            involutions[index] += 1
     return tuple(counts), tuple(ncycles), tuple(involutions)
 
 
@@ -242,12 +237,7 @@ def ncycles_descent_det(n: int, deset: Iterable[int]) -> int:
     js = _validate_descent_set(n, deset)
     inner = sorted(js - {n})
     total = 0
-    for d in range(1, n + 1):
-        if n % d:
-            continue
-        mu = _mobius(d)
-        if mu == 0:
-            continue
+    for d, mu in _mobius_divisors(n):
         jd = [j for j in inner if j % d == 0]
         total += mu * (-1) ** (len(inner) - len(jd)) * _binomial_det(n, jd, d)
     if total % n:

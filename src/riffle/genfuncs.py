@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .necklaces import _mobius
+from .necklaces import _mobius_divisors
 from .permutations import (
     MAX_CACHED_N,
     Immutable,
@@ -133,10 +133,9 @@ def cycle_structure_pgf(n: int, bias, k: int = 1) -> CyclePolynomial:
     state: dict[tuple[int, CycleTypeKey], Fraction] = {(0, ()): Fraction(1)}
     for i in range(1, n + 1):
         top = n // i
-        mobius = [(d, _mobius(d)) for d in range(1, i + 1) if i % d == 0]
         # g[m] = L_i(p^m) / m, the t^m coefficient of the log of the factor
         g = [Fraction(0)] + [
-            sum(mu * psum[d * m] ** (i // d) for d, mu in mobius if mu) / (i * m)
+            sum(mu * psum[d * m] ** (i // d) for d, mu in _mobius_divisors(i)) / (i * m)
             for m in range(1, top + 1)
         ]
         # expo[s] = t^s coefficient of exp(sum_m g[m] t^m)

@@ -22,6 +22,7 @@ from collections.abc import Callable, Iterable
 from .permutations import (
     Permutation,
     check_listing,
+    multinomial,
     partial_sums,
     standard_permutation,
     standard_ranks,
@@ -167,21 +168,19 @@ def _letter_counts(parts: Iterable[int]) -> tuple[int, ...]:
     return parts
 
 
-def _mobius(n: int) -> int:
-    if n < 1:
-        raise ValueError("mobius needs n >= 1")
-    result = 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return 0
-            result = -result
-        d += 1
-    if n > 1:
-        result = -result
-    return result
+def _mobius_divisors(m: int) -> list[tuple[int, int]]:
+    """(d, mu(d)) for the divisors d of m >= 1 with mu(d) != 0, the
+    squarefree ones, built prime by prime: the terms of every Moebius sum."""
+    terms, p = [(1, 1)], 2
+    while m > 1:
+        if p * p > m:
+            p = m  # what is left is prime
+        if m % p == 0:
+            terms += [(d * p, -mu) for d, mu in terms]
+            while m % p == 0:
+                m //= p
+        p += 1
+    return terms
 
 
 def primitive_count(parts: Iterable[int]) -> int:
@@ -203,14 +202,8 @@ def _primitive_count(parts: tuple[int, ...], factorial: Callable[[int], int]) ->
     n = sum(parts)
     if n == 0:
         raise ValueError("all letter counts are zero")
-    total = factorial(n) // math.prod(map(factorial, parts))  # the d = 1 term
-    g = math.gcd(*parts)
-    for d in range(2, g + 1):
-        if g % d:
-            continue
-        mu = _mobius(d)
-        if mu:
-            total += mu * (factorial(n // d) // math.prod([factorial(r // d) for r in parts]))
+    total = sum(mu * (factorial(n // d) // math.prod([factorial(r // d) for r in parts]))
+                for d, mu in _mobius_divisors(math.gcd(*parts)))
     if total % n:
         raise ArithmeticError(f"necklace sum {total} for {parts} is not divisible by {n}")
     return total // n
@@ -278,9 +271,8 @@ def enumerate_primitive_necklaces(parts: Iterable[int]) -> list[Necklace]:
 def _check_content(parts: Iterable[int]) -> tuple[int, ...]:
     """``parts`` as letter counts, refused by ``check_listing``."""
     parts = _letter_counts(parts)
-    n = sum(parts)
-    words = math.factorial(n) // math.prod(map(math.factorial, parts))
-    check_listing(n, words, 1, f"{words} words of content {parts}")
+    words = multinomial(parts)
+    check_listing(sum(parts), words, 1, f"{words} words of content {parts}")
     return parts
 
 

@@ -302,6 +302,19 @@ def partial_sums(parts: Iterable[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
+def multinomial(parts: Iterable[int]) -> int:
+    """n!/(b1!...ba!) for parts b summing to n, as the product of the
+    binomials C(b1+...+bi, bi), so no factorial of n is formed."""
+    parts = tuple(parts)
+    return math.prod(map(math.comb, partial_sums(parts), parts))
+
+
+def descent_index(deset: Iterable[int], n: int) -> int:
+    """The index of a descent set containing n among the 2^(n-1) of S_n (one
+    at n = 0): each position i < n sets the bit 2^(n-1-i), position 1 the high bit."""
+    return sum(1 << (n - 1 - i) for i in deset if i < n)
+
+
 def descent_composition(deset: Iterable[int], n: int) -> tuple[int, ...]:
     """Gap sequence of a descent set containing n.
 

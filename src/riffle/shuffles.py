@@ -33,7 +33,6 @@ import sys
 from fractions import Fraction
 from typing import Callable, Iterator
 
-from .counting import multinomial
 from .permutations import (
     MAX_CACHED_N,
     Immutable,
@@ -41,6 +40,7 @@ from .permutations import (
     check_budget,
     check_listing,
     check_size,
+    multinomial,
     partial_sums,
     standard_permutation,
     standard_ranks,
@@ -205,9 +205,7 @@ class ExactDistribution(Immutable):
                 clean[perm] = mass if type(mass) is Fraction else Fraction(mass)
         # summed as integer numerators over the lcm of the denominators
         den = math.lcm(*{m.denominator for m in clean.values()})
-        total = sum(m.numerator * (den // m.denominator) for m in clean.values())
-        if total != den:
-            raise ValueError(f"masses sum to {Fraction(total, den)}, not 1")
+        _check_total(sum(m.numerator * (den // m.denominator) for m in clean.values()), den)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "masses", clean)
 
@@ -250,12 +248,19 @@ class ExactDistribution(Immutable):
 MAX_SWEEP_CELLS = 2**21
 
 
-def _kfold_classes(n: int, bias, k: int) -> tuple[list[int], int]:
-    """Numerators N_D over den^(kn) of the k-fold masses of the 2^(n-1)
-    inverse-descent classes D of S_n ([1] over 1 at n = 0).
+def _check_total(total: int, scale: int) -> None:
+    """Refuse masses whose numerators over ``scale`` sum to ``total`` != scale."""
+    if total != scale:
+        raise ValueError(f"masses sum to {Fraction(total, scale)}, not 1")
 
-    N_D sits at index sum_{i in D, i < n} 2^(n-1-i): position 1 is the high
-    bit, and i is a descent of pi^{-1} iff i+1 sits left of i in pi.  The
+
+def _kfold_classes(n: int, bias, k: int) -> tuple[list[int], list[int], int]:
+    """Numerators N_D over den^(kn) of the k-fold masses of the 2^(n-1)
+    inverse-descent classes D of S_n, their sizes |D| and that scale ([1],
+    [1], 1 at n = 0), refused by ``_checked_classes``, the table's one check.
+
+    N_D sits at index ``permutations.descent_index(D, n)``: position 1 is the
+    high bit, and i is a descent of pi^{-1} iff i+1 sits left of i in pi.  The
     mass is the total mass of weakly increasing words over the k-fold
     tensored bias with strict rises forced at D (the fundamental
     quasisymmetric function F_D at that bias).  The sweep runs on integer
@@ -265,12 +270,13 @@ def _kfold_classes(n: int, bias, k: int) -> tuple[list[int], int]:
     first j steps: about 2^n * a'^k list cells for a' nonzero letters, which
     is refused over MAX_SWEEP_CELLS before any letter is built, as are
     masses over MAX_ANSWER_DIGITS.  A class of d >= a'^k descents needs
-    d + 1 letters, so its subtree is filled with 0.
+    d + 1 letters, so its subtree is filled with 0, and so is its size:
+    ``_class_sizes`` walks only the classes that can carry mass.
     """
     letters = [p for p in validate_bias(bias) if p]
     check_size(n, k=k)
     if n == 0:
-        return [1], 1  # an empty deck has one arrangement whatever the letters
+        return [1], [1], 1  # an empty deck has one arrangement whatever the letters
     # exponents clipped at the budget's bit length keep huge n or k cheap to refuse
     bits = MAX_SWEEP_CELLS.bit_length()
     check_budget(f"class sweep of 2^{n} * {len(letters)}^{k} cells",
@@ -292,7 +298,17 @@ def _kfold_classes(n: int, bias, k: int) -> tuple[list[int], int]:
             out.extend(itertools.repeat(0, 2 ** (n - 1 - j)))
 
     visit(weights, 1, 0)
-    return out, den**n
+    return _checked_classes(out, _class_sizes(n, min(n - 1, len(weights) - 1)), den**n)
+
+
+def _checked_classes(numerators: list[int], sizes: list[int], scale: int) -> tuple:
+    """The class table (numerators, sizes, scale) as given, refused when a
+    numerator is negative or when the masses of S_n, sum_D |D| * N_D / scale,
+    do not sum to 1."""
+    if (least := min(numerators)) < 0:
+        raise ValueError(f"negative mass for inverse-descent class {numerators.index(least)}")
+    _check_total(sum(map(operator.mul, sizes, numerators)), scale)
+    return numerators, sizes, scale
 
 
 def _content_mass(bias, parts) -> Fraction:
@@ -322,7 +338,7 @@ def _cut_numerators(n: int, bias) -> tuple[dict[tuple[int, ...], int], int]:
     standard permutation.  Only the a' nonzero letters are cut, and their a'^n
     words are refused by ``check_listing``.  Masses are summed as integer
     numerators w1^b1 * ... * wa'^ba' over den^n (``_weights``), keyed by the
-    standard ranks.
+    standard ranks, and refused unless they sum to den^n.
     """
     letters = [p for p in validate_bias(bias) if p]
     check_size(n)
@@ -337,6 +353,7 @@ def _cut_numerators(n: int, bias) -> tuple[dict[tuple[int, ...], int], int]:
         for word in words_with_content(list(filter(None, parts))):
             ranks = tuple(standard_ranks(word))
             numerators[ranks] = numerators.get(ranks, 0) + mass
+    _check_total(sum(numerators.values()), den**n)
     return numerators, den**n
 
 
@@ -413,7 +430,7 @@ def mass_by_inverse_descents(n: int, bias) -> dict[frozenset[int], Fraction]:
     >>> classes[frozenset({3})], classes[frozenset({1, 3})], classes[frozenset({1, 2, 3})]
     (Fraction(1, 2), Fraction(1, 8), Fraction(0, 1))
     """
-    numerators, scale = _kfold_classes(n, bias, 1)
+    numerators, _, scale = _kfold_classes(n, bias, 1)
     return {
         frozenset(i for i in range(1, n + 1) if i == n or index >> (n - 1 - i) & 1):
             Fraction(m, scale)
@@ -451,25 +468,17 @@ def _inverse_descent_indices(n: int) -> Iterator[int]:
 def _kfold_walk(
     n: int, bias, k: int, *, labels=None
 ) -> tuple[list[int], int, Iterator[tuple[tuple, int]]]:
-    """The k-fold class table (numerators, scale) of ``_kfold_classes`` and a
-    walk over S_n in lexicographic order that yields each permutation pi
-    whose class has nonzero mass, with its class index.
+    """The numerators and scale of ``_kfold_classes`` and a walk over S_n in
+    lexicographic order that yields each permutation pi whose class has
+    nonzero mass, with its class index.
 
     pi is yielded as (labels[pi(1)-1], ..., labels[pi(n)-1]); the labels
-    default to the cards 1..n, which yields pi's images.  The table is
-    refused when a numerator is negative or when the masses of S_n,
-    sum_D |D| * N_D / scale, do not sum to 1.  S_n is walked as plain
-    tuples, so n is capped at MAX_CACHED_N first.  The class indices are
-    read twice: for that sum and for the walk.
+    default to the cards 1..n, which yields pi's images.  S_n is walked as
+    plain tuples, so n is capped at MAX_CACHED_N first, and its class
+    indices are read once, by the walk.
     """
     check_size(n, cap=MAX_CACHED_N)
-    numerators, scale = _kfold_classes(n, bias, k)
-    for index, m in enumerate(numerators):
-        if m < 0:
-            raise ValueError(f"negative mass for inverse-descent class {index}")
-    total = sum(map(numerators.__getitem__, _inverse_descent_indices(n)))
-    if total != scale:
-        raise ValueError(f"masses sum to {Fraction(total, scale)}, not 1")
+    numerators, _, scale = _kfold_classes(n, bias, k)
     perms = itertools.permutations(range(1, n + 1) if labels is None else labels)
     indices, selected = itertools.tee(_inverse_descent_indices(n))
     return numerators, scale, itertools.compress(
@@ -518,18 +527,16 @@ def tv_to_uniform(n: int, bias, k: int = 1) -> Fraction:
 
     The mass N_D / S is constant on each inverse-descent class D, and both
     measures sum to 1, so the distance is sum_D |D| * max(N_D * n! - S, 0)
-    / (S * n!) over the 2^(n-1) classes, on integers.  A class with mass has
-    fewer descents than the a'^k letters, so the size walk stops at the
-    most descents of such a class, and MAX_SWEEP_CELLS bounds it too.
+    / (S * n!), on integers, over the classes of the checked table of
+    ``_kfold_classes`` that it gives a size: the others carry no mass.
 
     >>> tv_to_uniform(3, (Fraction(1, 2), Fraction(1, 2)))
     Fraction(1, 3)
     """
-    numerators, scale = _kfold_classes(n, bias, k)
+    numerators, sizes, scale = _kfold_classes(n, bias, k)
     fact = math.factorial(n)
-    most = max(index.bit_count() for index, m in enumerate(numerators) if m)
-    excess = (m * fact - scale for m in numerators)
-    total = sum(size * e for size, e in zip(_class_sizes(n, most), excess) if e > 0)
+    total = sum(size * max(m * fact - scale, 0)
+                for size, m in itertools.compress(zip(sizes, numerators), sizes))
     return Fraction(total, scale * fact)
 
 

@@ -24,6 +24,7 @@ from .permutations import (
     compositions,
     count_inversions,
     cycle_type,
+    descent_index,
     descent_set,
     partial_sums,
     symmetric_group_list,
@@ -349,11 +350,11 @@ def check_fixed_points(config: VerifyConfig) -> CheckResult:
 
 
 def _descent_subsets(n: int):
-    """(J, bitmask of J) for every descent set J of S_n, each containing n."""
+    """(J, index of J) for every descent set J of S_n, each containing n."""
     for r in range(n):
         for inner in itertools.combinations(range(1, n), r):
             deset = frozenset(inner) | {n}
-            yield deset, sum(1 << (j - 1) for j in deset)
+            yield deset, descent_index(deset, n)
 
 
 @_suite("descent-counts")
@@ -363,8 +364,8 @@ def check_descent_counts(config: VerifyConfig) -> CheckResult:
     for n in range(1, config.count_n_max + 1):
         buckets = counting._descent_table(n)[0]
         total = 0
-        for deset, mask in _descent_subsets(n):
-            want = buckets[mask]
+        for deset, index in _descent_subsets(n):
+            want = buckets[index]
             ie = counting.count_descent_exact(n, deset)
             det = counting.count_descent_det(n, sorted(deset - {n}))
             if not (ie == det == want):
@@ -382,8 +383,8 @@ def check_ncycle_counts(config: VerifyConfig) -> CheckResult:
     for n in range(1, config.count_n_max + 1):
         buckets = counting._descent_table(n)[1]
         total = 0
-        for deset, mask in _descent_subsets(n):
-            want = buckets[mask]
+        for deset, index in _descent_subsets(n):
+            want = buckets[index]
             ie = counting.ncycles_descent_ie(n, deset)
             det = counting.ncycles_descent_det(n, deset)
             if not (ie == det == want):

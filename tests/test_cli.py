@@ -162,13 +162,29 @@ def test_a_reader_that_stops_early_gets_one_error_line(argv):
     assert (code, err) == (1, "error: stdout was closed before the output was written\n")
 
 
-@pytest.mark.parametrize("table, message", [
+# Bad class tables of S_3 over the scale 4, each passed through the table's one check.
+BAD_CLASS_TABLES = pytest.mark.parametrize("table, message", [
     ([1, 1, 1, 1], "masses sum to 3/2, not 1"),
     ([5, 0, 0, -1], "negative mass for inverse-descent class 3"),
 ], ids=["sum", "negative"])
+
+
+def _bad_classes(monkeypatch, table):
+    monkeypatch.setattr(shuffles, "_kfold_classes", lambda n, bias, k: shuffles._checked_classes(
+        table, shuffles._class_sizes(3, 2), 4))
+
+
+@BAD_CLASS_TABLES
 def test_dist_refuses_a_bad_class_table(capsys, monkeypatch, table, message):
-    monkeypatch.setattr(shuffles, "_kfold_classes", lambda n, bias, k: (table, 4))
+    _bad_classes(monkeypatch, table)
     assert run_cli(capsys, "dist", "--n", "3", "--p", "1/2,1/2", "--k", "2") == \
+        (2, "", f"error: {message}\n")
+
+
+@BAD_CLASS_TABLES
+def test_tv_refuses_a_bad_class_table(capsys, monkeypatch, table, message):
+    _bad_classes(monkeypatch, table)
+    assert run_cli(capsys, "tv", "--n", "3", "--p", "1/2,1/2", "--k", "2") == \
         (2, "", f"error: {message}\n")
 
 

@@ -24,9 +24,11 @@ from riffle.permutations import (
     Refused,
     cycle_type,
     descent_composition,
+    descent_index,
     descent_set,
     symmetric_group_list,
 )
+from riffle.shuffles import _class_sizes
 
 
 def all_descent_sets(n):
@@ -256,10 +258,22 @@ def test_grouped_inclusion_exclusion_calls_term_once_per_group():
 @pytest.mark.parametrize("n", range(1, 7))
 def test_verify_brute_table_matches_the_permutation_predicates(n):
     # the table the verify suites check against, rebuilt from Permutation
-    counts, ncycles, involutions = ([0] * 2**n for _ in range(3))
+    counts, ncycles, involutions = ([0] * 2 ** (n - 1) for _ in range(3))
     for p in symmetric_group_list(n):
-        mask = sum(1 << (i - 1) for i in descent_set(p))
-        counts[mask] += 1
-        ncycles[mask] += cycle_type(p) == {n: 1}
-        involutions[mask] += cycle_type(p).keys() <= {1, 2}
+        index = descent_index(descent_set(p), n)
+        counts[index] += 1
+        ncycles[index] += cycle_type(p) == {n: 1}
+        involutions[index] += cycle_type(p).keys() <= {1, 2}
     assert _descent_table(n) == (tuple(counts), tuple(ncycles), tuple(involutions))
+
+
+def test_the_brute_table_of_the_empty_deck_has_one_class():
+    # S_0 is the empty arrangement: one descent class, no n-cycle, one involution
+    assert _descent_table(0) == ((1,), (0,), (1,))
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_brute_counts_by_descent_set_are_the_class_sizes_by_inverse_descent_set(n):
+    # Des(pi) on S_n against the sweep's trie over Des(pi^-1): inversion is a
+    # bijection, so each set has as many permutations on both routes
+    assert _descent_table(n)[0] == tuple(_class_sizes(n, max(n - 1, 0)))

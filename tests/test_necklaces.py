@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from riffle.counting import count_descent_subset, multinomial
 from riffle.necklaces import (
+    _mobius_divisors,
     enumerate_primitive_multisets,
     enumerate_primitive_necklaces,
     is_primitive,
@@ -179,9 +180,23 @@ def test_primitive_count_examples():
 def test_primitive_count_raises_when_the_sum_is_not_divisible(monkeypatch):
     # with mu = 1 everywhere the sum over d | 4 for content (4,) is 3, not a
     # multiple of 4; the check is a raise, so it also holds under python -O
-    monkeypatch.setattr("riffle.necklaces._mobius", lambda d: 1)
+    monkeypatch.setattr("riffle.necklaces._mobius_divisors",
+                        lambda m: [(d, 1) for d in range(1, m + 1) if m % d == 0])
     with pytest.raises(ArithmeticError):
         primitive_count((4,))
+
+
+def _mu(d):
+    """Moebius by its definition: 0 off the squarefree numbers, else (-1)^primes."""
+    primes = [q for q in range(2, d + 1) if d % q == 0 and all(q % r for r in range(2, q))]
+    return 0 if any(d % (q * q) == 0 for q in primes) else (-1) ** len(primes)
+
+
+def test_mobius_divisors_are_the_divisors_with_nonzero_mu():
+    for m in range(1, 200):
+        terms = _mobius_divisors(m)
+        assert len(terms) == len(dict(terms))
+        assert dict(terms) == {d: _mu(d) for d in range(1, m + 1) if m % d == 0 and _mu(d)}
 
 
 def test_enumerate_primitive_necklaces_examples():
@@ -353,7 +368,10 @@ def test_necklace_listings_take_long_contents_under_the_listing_budget():
 @pytest.mark.parametrize("listing, parts, estimate", [
     (enumerate_primitive_multisets, (1,) * 12, "12 cards * 479001600 words"),
     (enumerate_primitive_necklaces, (2,) * 8, "16 cards * 81729648000 words"),
-], ids=["multisets-12-letters", "necklaces-8-pairs"])
+    (enumerate_primitive_necklaces, (10**6, 1), "1000001 cards * 1000001 words"),
+    (enumerate_primitive_multisets, (10**6, 1), "1000001 cards * 1000001 words"),
+], ids=["multisets-12-letters", "necklaces-8-pairs", "necklaces-a-million-and-one",
+        "multisets-a-million-and-one"])
 def test_necklace_listings_are_refused_past_the_cards_of_s9(listing, parts, estimate):
     # their n * multinomial(parts) letters of words are more than the
     # 9 * 9! cards of S_9

@@ -21,6 +21,7 @@ from riffle.permutations import (
     descent_composition,
     descent_set,
     inversions,
+    multinomial,
     partial_sums,
     symmetric_group,
     symmetric_group_list,
@@ -147,6 +148,10 @@ def test_q_multinomial_at_one_is_multinomial(n):
         for b in parts:
             want //= math.factorial(b)
         assert value == want
+        assert multinomial(parts) == want
+    assert multinomial(()) == 1 and multinomial((0, 3, 0)) == 1
+    with pytest.raises(ValueError):
+        multinomial((3, -1))
 
 
 def test_descent_composition_roundtrip():
@@ -337,6 +342,18 @@ def test_the_budget_wording_lives_only_in_check_budget():
     assert found
     assert all(name == "permutations.py" and check.lineno <= line <= check.end_lineno
                for name, line in found)
+
+
+@pytest.mark.parametrize("phrase", ["masses sum to", "negative mass for"])
+def test_the_mass_check_wording_lives_only_in_shuffles(phrase):
+    # the class table and the measures are checked in shuffles.py alone, so
+    # no command handler words a copy of the check
+    src = Path(permutations.__file__).parent
+    found = {path.name for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)
+             and phrase in " ".join(node.value.split())}
+    assert found == {"shuffles.py"}
 
 
 # --- immutable value types ------------------------------------------------

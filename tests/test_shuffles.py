@@ -2,6 +2,7 @@ import bisect
 import decimal
 import itertools
 import math
+import operator
 import random
 import tracemalloc
 from fractions import Fraction as F
@@ -211,6 +212,27 @@ def test_kfold_matches_iterated_convolution(n):
     assert exact_kfold_distribution(n, bias, 2) == convolve(single, single)
 
 
+def test_the_kfold_walk_reads_the_class_indices_once(monkeypatch):
+    calls = []
+    indices = shuffles._inverse_descent_indices
+    monkeypatch.setattr(shuffles, "_inverse_descent_indices",
+                        lambda n: calls.append(n) or indices(n))
+    assert len(exact_kfold_distribution(4, (F(1, 3), F(2, 3)), 2).masses) == 24
+    assert calls == [4]
+
+
+@pytest.mark.parametrize("bias, k, most", [
+    ((F(1),), 3, 0), (FAIR, 0, 0), (FAIR, 1, 1), (FAIR, 2, 3), (FAIR, 3, 4),
+    ((F(1, 2), F(0), F(1, 2)), 1, 1),
+])
+def test_the_class_table_carries_the_sizes_of_the_classes_with_mass(bias, k, most):
+    # a class of d descents needs d + 1 of the a'^k nonzero letters
+    numerators, sizes, scale = shuffles._kfold_classes(5, bias, k)
+    assert sizes == shuffles._class_sizes(5, most)
+    assert not any(m for m, size in zip(numerators, sizes) if not size)
+    assert sum(map(operator.mul, sizes, numerators)) == scale
+
+
 # --- total variation and bounds -------------------------------------------
 
 def test_tv_examples():
@@ -258,7 +280,7 @@ def test_class_sizes_are_the_descent_set_counts(n):
 
 def _tv_by_descent_counts(n, bias, k):
     """sum_D |D| * |N_D * n! - S| / (2 * S * n!) with |D| by inclusion-exclusion."""
-    numerators, scale = shuffles._kfold_classes(n, bias, k)
+    numerators, _, scale = shuffles._kfold_classes(n, bias, k)
     fact = math.factorial(n)
     total = sum(count_descent_exact(n, _class_deset(n, index)) * abs(m * fact - scale)
                 for index, m in enumerate(numerators))
