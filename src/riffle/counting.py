@@ -251,7 +251,11 @@ def count_symmetric_matrices(row_sums: Iterable[int]) -> int:
 
     Filling a row leaves the rows below it with smaller row sums and the
     same problem, so the count for each tuple of remaining row sums of the
-    unfilled rows is kept in a memo local to the call.
+    unfilled rows is kept in a memo local to the call.  Permuting the rows
+    and columns alike permutes the row sums and keeps the count, and a row
+    of sum 0 holds only zeros, so each tuple is kept as its nonzero sums in
+    decreasing order, one memo entry for every order (and the first row,
+    the largest, leaves the fewest rows to fill).
 
     >>> count_symmetric_matrices((1, 1)), count_symmetric_matrices((2, 1, 1))
     (2, 5)
@@ -260,6 +264,9 @@ def count_symmetric_matrices(row_sums: Iterable[int]) -> int:
     if any(s < 0 for s in sums):
         raise ValueError(f"negative row sum in {sums}")
     memo: dict[tuple[int, ...], int] = {}
+
+    def canonical(rest) -> tuple[int, ...]:
+        return tuple(sorted(filter(None, rest), reverse=True))
 
     def fill(rest: tuple[int, ...]) -> int:
         # rest: remaining row sums of the unfilled rows; fill the first one
@@ -274,7 +281,7 @@ def count_symmetric_matrices(row_sums: Iterable[int]) -> int:
         def spread(col: int, left: int):
             nonlocal total
             if col == len(tail):
-                total += fill(tuple(below))  # the diagonal entry takes what is left
+                total += fill(canonical(below))  # the diagonal entry takes what is left
                 return
             for value in range(min(left, tail[col]) + 1):
                 below[col] = tail[col] - value
@@ -285,7 +292,7 @@ def count_symmetric_matrices(row_sums: Iterable[int]) -> int:
         memo[rest] = total
         return total
 
-    return fill(sums)
+    return fill(canonical(sums))
 
 
 def involutions_descent_subset(n: int, kset: Iterable[int]) -> int:

@@ -15,6 +15,7 @@ series kernel takes k and never builds the a^k tensored letters.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 from .necklaces import _mobius_divisors
@@ -113,7 +114,12 @@ def cycle_structure_pgf(n: int, bias, k: int = 1) -> CyclePolynomial:
     once per cycle length, so its work is n * (p(0) + ... + p(n)) cells,
     p the partition numbers.  That is refused over
     ``shuffles.MAX_SWEEP_CELLS`` (n > 33) before any power sum is taken;
-    the sum stops once it is over, so a huge n is refused at once.
+    the sum stops once it is over, so a huge n is refused at once.  Each
+    state is also reached by one product of coefficients, whose
+    denominators grow to that of P_n^k, so the cells plus those products,
+    each weighed by the machine digits (``sys.int_info``) of P_n^k's
+    denominator, are refused over the same budget once the power sums are
+    taken and before the table is built.
 
     >>> half = Fraction(1, 2)
     >>> cycle_structure_pgf(3, (half, half)).coefficient({3: 1})
@@ -121,12 +127,20 @@ def cycle_structure_pgf(n: int, bias, k: int = 1) -> CyclePolynomial:
     """
     bias = validate_bias(bias)
     check_size(n, k=k)
-    cells = 0
+    cells = states = 0
     for m, p in zip(range(n + 1), _partition_numbers()):
         cells += n * p
+        states += p
         check_budget(f"cycle-type table of {n} * (p(0) + ... + p({n})) cells (the terms to "
                      f"p({m}) give {cells})", cells, MAX_SWEEP_CELLS, "cells")
     sums, scale = _power_sums(bias, n, k)
+    top = scale**n
+    bits = (top // math.gcd(sums[n], top)).bit_length()
+    words = -(-bits // sys.int_info.bits_per_digit)
+    check_budget(f"cycle-type table of {cells} cells plus {states} coefficient products of "
+                 f"{words} machine digits each (P_{n}^{k} has a {bits}-bit denominator), "
+                 f"{cells + states * words} cells in all,", cells + states * words,
+                 MAX_SWEEP_CELLS, "cells")
     psum = [Fraction(x, scale**e) for e, x in enumerate(sums)]
 
     # state: (u-degree, cycle-type counter as sorted tuple) -> coefficient
@@ -178,7 +192,8 @@ def fixed_point_pgf(n: int, bias, k: int = 1) -> tuple[Fraction, ...]:
     """PGF of the fixed-point count after k shuffles; entry m is P(N_1 = m).
 
     Fixed points are 1-cycles, so this is the N_1 marginal of
-    cycle_structure_pgf, and is refused where that is (n > 33): the y^n
+    cycle_structure_pgf, and is refused where that is (n > 33, or fewer
+    cards with long power sums): the y^n
     coefficient of 1/(1-y) * prod_i (1 - p_i y) / (1 - p_i x y) over the
     tensored letters.
     """

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 
 from .permutations import (
     Permutation,
@@ -52,8 +52,8 @@ def min_rotation(seq: Iterable[int]) -> Necklace:
 
     Every rotation is a length-n window of the word read twice, and the
     least one starts where the last Lyndon factor of the doubled word that
-    begins before n begins, so one Duval scan (``lyndon_factors``) finds it
-    in linear time.
+    begins before n begins, so one Duval scan (``_lyndon_starts``) finds it
+    in linear time, from indices alone.
 
     >>> min_rotation((3, 2, 3, 3, 2)), min_rotation((2, 1, 2, 1))
     ((2, 3, 2, 3, 3), (1, 2, 1, 2))
@@ -62,11 +62,7 @@ def min_rotation(seq: Iterable[int]) -> Necklace:
     if not seq:
         raise ValueError("empty necklace")
     doubled = seq + seq
-    start = end = 0
-    for factor in lyndon_factors(doubled):
-        if end >= len(seq):
-            break
-        start, end = end, end + len(factor)
+    start = _lyndon_starts(doubled, len(seq))[-1]
     return doubled[start:start + len(seq)]
 
 
@@ -224,8 +220,11 @@ def _lyndon_walk(parts: tuple[int, ...]) -> list[Necklace]:
     ``lyndon_factors`` leaves whole took 0.042 s against 0.009 s over every
     content of at most 3 letters and total at most 8 (CPython 3.11).
     """
-    counts = [0, *parts]  # copies left of each letter; 0 is no letter
     n, top = sum(parts), len(parts)
+    nonzero = [letter for letter, r in enumerate(parts, start=1) if r]
+    if len(nonzero) == 1:  # a power of one letter is a Lyndon word only at length 1
+        return [(nonzero[0],)] if n == 1 else []
+    counts = [0, *parts]  # copies left of each letter; 0 is no letter
     word = [0] * (n + 1)  # the word is word[1..t]; word[0] = 0 is below every letter
     ps = [0, 1] + [0] * n  # ps[t]: p on reaching position t
     tries = [iter(range(1, top + 1))]  # tries[t - 1]: letters left to try at position t
@@ -279,24 +278,32 @@ def _check_content(parts: Iterable[int]) -> tuple[int, ...]:
 def lyndon_factors(word: Iterable[int]) -> list[Necklace]:
     """The Chen-Fox-Lyndon factorization of a word: the unique
     non-increasing sequence of Lyndon words whose concatenation is the
-    word, by Duval's linear scan.
+    word, by Duval's linear scan (``_lyndon_starts``).
 
     >>> lyndon_factors((2, 1, 2, 1, 1, 2))
     [(2,), (1, 2), (1, 1, 2)]
     """
     word = tuple(word)
-    out: list[Necklace] = []
+    starts = _lyndon_starts(word, len(word))
+    return [word[i:j] for i, j in zip(starts, [*starts[1:], len(word)])]
+
+
+def _lyndon_starts(word: tuple[int, ...], stop: int) -> list[int]:
+    """Where each Chen-Fox-Lyndon factor of ``word`` that begins before
+    ``stop`` begins, in order: Duval's scan, which reads letters by index
+    and slices nothing."""
+    starts: list[int] = []
     i = 0
-    while i < len(word):
+    while i < stop:
         # word[i..j-1] is a power of a Lyndon word of length j - k plus a prefix of it
         j, k = i + 1, i
         while j < len(word) and word[k] <= word[j]:
             k = i if word[k] < word[j] else k + 1
             j += 1
-        while i <= k:
-            out.append(word[i:i + j - k])
+        while i <= k and i < stop:
+            starts.append(i)
             i += j - k
-    return out
+    return starts
 
 
 def enumerate_primitive_multisets(parts: Iterable[int]) -> list[NecklaceMultiset]:
@@ -311,14 +318,31 @@ def enumerate_primitive_multisets(parts: Iterable[int]) -> list[NecklaceMultiset
     cycles, so it shares nothing with the Gessel map it checks.  Contents
     are refused by ``_check_content``.
     """
+    return list(_primitive_multisets(parts))
+
+
+def _primitive_multisets(parts: Iterable[int]) -> Iterator[NecklaceMultiset]:
+    """The multisets of ``enumerate_primitive_multisets`` one at a time, so a
+    caller that keeps only their keys never holds them all."""
     parts = _check_content(parts)
     # letter 0 gets no copies, so the words run over the letters 1..len(parts)
-    return [Counter(lyndon_factors(word)) for word in words_with_content([0, *parts])]
+    for word in words_with_content([0, *parts]):
+        yield Counter(lyndon_factors(word))
 
 
-def multiset_key(multiset: NecklaceMultiset) -> tuple[tuple[Necklace, int], ...]:
-    """Hashable canonical form of a necklace multiset."""
-    return tuple(sorted((neck, m) for neck, m in multiset.items() if m))
+def multiset_key(multiset: NecklaceMultiset) -> tuple[int, ...]:
+    """Hashable canonical form of a necklace multiset: its necklaces in
+    sorted order, each once per copy and led by its length, as one flat
+    tuple.  The lengths make the key injective whatever the letters.
+
+    >>> multiset_key(Counter({(2,): 1, (1, 2): 2}))
+    (2, 1, 2, 2, 1, 2, 1, 2)
+    """
+    key: list[int] = []
+    for neck in sorted(multiset.elements()):
+        key.append(len(neck))
+        key += neck
+    return tuple(key)
 
 
 def length_multiset(multiset: NecklaceMultiset) -> dict[int, int]:

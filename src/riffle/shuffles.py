@@ -209,6 +209,15 @@ class ExactDistribution(Immutable):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "masses", clean)
 
+    @classmethod
+    def _unchecked(cls, n: int, masses: dict[Permutation, Fraction]) -> "ExactDistribution":
+        """Wrap ``masses``, positive Fractions on S_n already known to sum to
+        1, as they are: no check in ``__init__`` and no copy."""
+        dist = object.__new__(cls)
+        object.__setattr__(dist, "n", n)
+        object.__setattr__(dist, "masses", masses)
+        return dist
+
     def mass(self, perm: Permutation) -> Fraction:
         return self.masses.get(perm, Fraction(0))
 
@@ -319,11 +328,13 @@ def _content_mass(bias, parts) -> Fraction:
 
 
 def exact_distribution(n: int, bias, *, max_n: int | None = None) -> ExactDistribution:
-    """The exact single-shuffle measure: ``_cut_numerators`` read back as Fractions."""
+    """The exact single-shuffle measure: ``_cut_numerators`` read back as
+    Fractions, wrapped unchecked since that has checked their total and
+    every numerator is a product of positive weights."""
     check_size(n, cap=max_n)
     numerators, scale = _cut_numerators(n, bias)
-    return ExactDistribution(n, {Permutation._unchecked(ranks): Fraction(m, scale)
-                                 for ranks, m in numerators.items()})
+    return ExactDistribution._unchecked(n, {Permutation._unchecked(ranks): Fraction(m, scale)
+                                            for ranks, m in numerators.items()})
 
 
 def _cut_numerators(n: int, bias) -> tuple[dict[tuple[int, ...], int], int]:

@@ -24,6 +24,7 @@ from .permutations import (
     compositions,
     count_inversions,
     cycle_type,
+    cycle_type_key,
     descent_index,
     descent_set,
     partial_sums,
@@ -262,35 +263,53 @@ def check_standardize_example(config: VerifyConfig) -> CheckResult:
 
 @_suite("gessel-bijection")
 def check_gessel_bijection(config: VerifyConfig) -> CheckResult:
-    """Exhaustive bijectivity and cycle preservation for small decks."""
+    """Exhaustive bijectivity and cycle preservation for small decks.
+
+    For each composition of n, the permutations whose inverse descent set
+    lies in its partial sums are counted against ``count_descent_subset``.
+    Each one's image must keep its cycle type, be primitive, and check its
+    key off the target set, the keys of the primitive multisets of the
+    content: a key not there fails (a repeat is not injective, an outsider
+    not onto), and so does a key left over (not onto).
+    """
     name = "gessel-bijection"
     for n in range(1, config.n_max + 1):
         perms = symmetric_group_list(n)
-        inverse_descents = [descent_set(p.inverse()) for p in perms]
-        cycle_types = [cycle_type(p) for p in perms]
+        # inverse descent sets as descent_index bitmasks, one dict per cycle type
+        masks = [descent_index(descent_set(p.inverse()), n) for p in perms]
+        shared: dict = {}
+        cycle_types = [shared.setdefault(cycle_type_key(c), c) for c in map(cycle_type, perms)]
         for parts in compositions(n):
-            allowed = set(partial_sums(parts))
-            domain = [(p, cycles) for p, des, cycles in zip(perms, inverse_descents, cycle_types)
-                      if des <= allowed]
-            if len(domain) != counting.count_descent_subset(parts):
+            allowed = descent_index(partial_sums(parts), n)
+            if sum(not mask & ~allowed for mask in masks) != counting.count_descent_subset(parts):
                 return _fail(name, f"domain size off at n={n}, parts={parts}")
-            seen = set()
-            for p, cycles in domain:
+            target = _target_keys(parts)
+            for p, mask, cycles in zip(perms, masks, cycle_types):
+                if mask & ~allowed:
+                    continue
                 image = necklaces.ubar_forward(p, parts)
                 if necklaces.length_multiset(image) != cycles:
                     return _fail(name, f"cycle type broken at {p}, parts={parts}")
                 if any(not necklaces.is_primitive(neck) for neck in image):
                     return _fail(name, f"imprimitive image at {p}, parts={parts}")
-                seen.add(necklaces.multiset_key(image))
-            if len(seen) != len(domain):
-                return _fail(name, f"not injective at n={n}, parts={parts}")
-            target = {
-                necklaces.multiset_key(m)
-                for m in necklaces.enumerate_primitive_multisets(parts)
-            }
-            if seen != target:
-                return _fail(name, f"not onto at n={n}, parts={parts}")
+                key = necklaces.multiset_key(image)
+                if key not in target:
+                    # a miss rebuilds the set, once, to tell a repeat from a foreign key
+                    if key in _target_keys(parts):
+                        return _fail(name, f"not injective at n={n}, parts={parts}: "
+                                           f"the image of {p} repeats")
+                    return _fail(name, f"not onto at n={n}, parts={parts}: "
+                                       f"the image of {p} is no target")
+                target.remove(key)
+            if target:
+                return _fail(name, f"not onto at n={n}, parts={parts}: "
+                                   f"{len(target)} of the targets unreached")
     return _ok(name, f"bijective with matching cycle structure for all n <= {config.n_max}")
+
+
+def _target_keys(parts: tuple[int, ...]) -> set[tuple[int, ...]]:
+    """Keys of the primitive necklace multisets of content ``parts``."""
+    return {necklaces.multiset_key(m) for m in necklaces._primitive_multisets(parts)}
 
 
 @_suite("necklace-counts")

@@ -310,8 +310,13 @@ def test_cycle_pgf_of_33_cards_prints_within_five_seconds():
      "budget of 2097152 cells"),
     (["stats", "--n", "1000000", "--p", "1/2,1/2", "--stat", "cycle-pgf"],
      "1000000 * (p(0) + ... + p(1000000)) cells"),
+    # within the cells and the answer digits, but each product is of 433-digit ints
+    (["stats", "--n", "33", "--p", "1/7,2/7,4/7", "--k", "140", "--stat", "cycle-pgf"],
+     "cycle-type table of 1780779 cells plus 53963 coefficient products of 433 machine "
+     "digits each (P_33^140 has a 12970-bit denominator), 25146758 cells in all, is above "
+     "the budget of 2097152 cells"),
 ], ids=["inv-pgf-54", "inv-pgf-n-max-150", "dist-999", "dist-one-letter-1e8",
-        "cycle-pgf-34", "cycle-pgf-n-max-200", "cycle-pgf-1e6"])
+        "cycle-pgf-34", "cycle-pgf-n-max-200", "cycle-pgf-1e6", "cycle-pgf-digits"])
 def test_work_over_budget_is_refused_with_its_estimate(argv, estimate):
     elapsed, done = _timed_cli(*argv)
     assert (done.returncode, done.stdout) == (2, "")

@@ -107,6 +107,24 @@ def test_cycle_pgf_is_refused_past_its_cells_before_any_power_sum(monkeypatch):
         "2253282) is above the budget of 2097152 cells")
 
 
+def test_cycle_pgf_weighs_its_products_by_the_digits_of_the_top_power_sum(monkeypatch):
+    # 33 cards at 1/7,2/7,4/7 are within the cells at k = 1 (4 machine digits
+    # a product) and over them at k = 2 (7), before the table is built
+    def built(*args):
+        raise LookupError("table built")
+
+    monkeypatch.setattr(genfuncs, "_mobius_divisors", built)
+    bias = (F(1, 7), F(2, 7), F(4, 7))
+    with pytest.raises(LookupError):
+        cycle_structure_pgf(33, bias)
+    with pytest.raises(ValueError) as refused:
+        cycle_structure_pgf(33, bias, 2)
+    assert str(refused.value) == (
+        "cycle-type table of 1780779 cells plus 53963 coefficient products of 7 machine "
+        "digits each (P_33^2 has a 186-bit denominator), 2158520 cells in all, is above the "
+        "budget of 2097152 cells")
+
+
 def test_cycle_pgf_refuses_negative_k():
     with pytest.raises(ValueError):
         cycle_structure_pgf(3, FAIR, -1)

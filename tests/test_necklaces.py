@@ -2,12 +2,14 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from riffle import counting, necklaces, verify
 from riffle.counting import count_descent_subset, multinomial
 from riffle.necklaces import (
     _mobius_divisors,
@@ -199,6 +201,16 @@ def test_mobius_divisors_are_the_divisors_with_nonzero_mu():
         assert dict(terms) == {d: _mu(d) for d in range(1, m + 1) if m % d == 0 and _mu(d)}
 
 
+def test_a_one_letter_content_is_listed_at_once():
+    # a power of one letter is a Lyndon word only at length 1
+    start = time.perf_counter()
+    assert enumerate_primitive_necklaces((10**6,)) == []
+    assert time.perf_counter() - start < 0.1
+    assert enumerate_primitive_necklaces((1,)) == [(1,)]
+    assert enumerate_primitive_necklaces((0, 1)) == [(2,)]
+    assert enumerate_primitive_necklaces((0, 2, 0)) == []
+
+
 def test_enumerate_primitive_necklaces_examples():
     assert enumerate_primitive_necklaces((1, 1)) == [(1, 2)]
     assert enumerate_primitive_necklaces((2, 2)) == [(1, 1, 2, 2)]
@@ -246,6 +258,102 @@ def test_ubar_bijective_with_cycle_structure(n):
             seen.add(multiset_key(image))
         assert len(seen) == len(domain)
         assert seen == {multiset_key(m) for m in enumerate_primitive_multisets(parts)}
+
+
+# Counters over a small alphabet, so that equal pairs are drawn too
+necklace_multisets = st.dictionaries(
+    st.lists(st.integers(1, 2), min_size=1, max_size=3).map(tuple), st.integers(0, 2),
+    max_size=3,
+).map(Counter)
+
+
+@given(necklace_multisets, necklace_multisets)
+@settings(max_examples=300)
+def test_multiset_keys_are_equal_exactly_when_the_multisets_are(a, b):
+    assert (multiset_key(a) == multiset_key(b)) == (a == b)
+    # the key reads neither the insertion order nor zero counts
+    assert multiset_key(Counter(dict(reversed(a.items())))) == multiset_key(a)
+    assert multiset_key(a + Counter()) == multiset_key(a)
+
+
+def _gessel(n_max=4):
+    return verify.check_gessel_bijection(verify.VerifyConfig(n_max=n_max))
+
+
+def _one_target_per_cycle_type(perm, parts):
+    # the least target multiset with the permutation's cycle type: cycle types
+    # and primitivity hold, but permutations of one cycle type share an image
+    return min((m for m in enumerate_primitive_multisets(parts)
+                if length_multiset(m) == cycle_type(perm)), key=multiset_key)
+
+
+def _one_necklace_dropped(perm, parts):
+    image = ubar_forward(perm, parts)
+    return image - Counter([min(image)])
+
+
+def _imprimitive(perm, parts):
+    # the first necklace of two or more letters becomes a power of its first letter
+    image = ubar_forward(perm, parts)
+    for neck in sorted(image):
+        if len(neck) > 1:
+            return image - Counter([neck]) + Counter([neck[:1] * len(neck)])
+    return image
+
+
+def _letters_raised(perm, parts):
+    # same lengths, still primitive, but of another content
+    return Counter({tuple(x + 1 for x in neck): m
+                    for neck, m in ubar_forward(perm, parts).items()})
+
+
+@pytest.mark.parametrize("forward, detail", [
+    (_one_target_per_cycle_type,
+     "not injective at n=3, parts=(1, 1, 1): the image of Permutation([2, 1, 3]) repeats"),
+    (_one_necklace_dropped, "cycle type broken at Permutation([1]), parts=(1,)"),
+    (_imprimitive, "imprimitive image at Permutation([2, 1]), parts=(1, 1)"),
+    (_letters_raised,
+     "not onto at n=1, parts=(1,): the image of Permutation([1]) is no target"),
+], ids=["not-injective", "cycle-type", "imprimitive", "outside-the-target"])
+def test_gessel_suite_fails_on_a_broken_map(monkeypatch, forward, detail):
+    assert _gessel().passed
+    monkeypatch.setattr(necklaces, "ubar_forward", forward)
+    result = _gessel()
+    assert (result.passed, result.detail) == (False, detail)
+
+
+def test_gessel_suite_fails_on_a_wrong_domain_size(monkeypatch):
+    monkeypatch.setattr(counting, "count_descent_subset", lambda parts: multinomial(parts) + 1)
+    result = _gessel()
+    assert (result.passed, result.detail) == (False, "domain size off at n=1, parts=(1,)")
+
+
+def test_gessel_suite_fails_on_a_target_left_over(monkeypatch):
+    listed = necklaces._primitive_multisets
+
+    def one_more(parts):
+        yield from listed(parts)
+        yield Counter({(9,) * sum(parts): 1})
+
+    monkeypatch.setattr(necklaces, "_primitive_multisets", one_more)
+    result = _gessel()
+    assert (result.passed, result.detail) == (
+        False, "not onto at n=1, parts=(1,): 1 of the targets unreached")
+
+
+def test_gessel_suite_memory_is_one_target_set():
+    # per-permutation bitmasks and shared cycle types, and one set of flat
+    # keys per composition checked off as the images come: 863 KB traced
+    # with frozensets, a seen set and the listed multisets, 144 KB without
+    _gessel(6)  # warm the caches
+    tracemalloc.start()
+    try:
+        result = _gessel(6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.passed
+    assert peak < 600_000
 
 
 def test_primitive_multisets_of_seven_distinct_letters():

@@ -316,13 +316,16 @@ TINY = (Fraction(1, 10**500), 1 - Fraction(1, 10**500))  # masses of 500 digits 
      "= 2126520 cells is above the budget of 2097152 cells"),
     (lambda: genfuncs.cycle_structure_pgf(34, HALF),
      "(the terms to p(34) give 2253282) is above the budget of 2097152 cells"),
+    (lambda: genfuncs.cycle_structure_pgf(33, shuffles.parse_bias("1/7,2/7,4/7"), 2),
+     "(P_33^2 has a 186-bit denominator), 2158520 cells in all, is above the budget of "
+     "2097152 cells"),
     (lambda: counting.count_descent_exact(43, range(1, 44)),
      "(at least 13461795 in all), is above the budget of 262144 terms"),
     (lambda: counting.ncycles_descent_ie(43, range(1, 44)),
      "(at least 13461795 in all), is above the budget of 262144 terms"),
 ], ids=["check_listing", "_kfold_classes-sweep", "_kfold_classes-masses",
         "exact_distribution-masses", "_power_sums", "inversion_pgf", "cycle_structure_pgf",
-        "count_descent_exact", "ncycles_descent_ie"])
+        "cycle_structure_pgf-digits", "count_descent_exact", "ncycles_descent_ie"])
 def test_every_budget_site_raises_refused_with_its_estimate(call, estimate):
     with pytest.raises(Refused) as refused:
         call()
