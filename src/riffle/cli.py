@@ -25,6 +25,15 @@ def frac_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def _parse_ints(flag: str, text: str) -> tuple[int, ...]:
+    """The comma-separated integers of ``flag``, refused naming the flag and
+    its text the way ``shuffles.parse_bias`` does."""
+    try:
+        return tuple(int(t) for t in text.split(","))
+    except ValueError as exc:
+        raise ValueError(f"cannot parse {flag} {text!r}: {exc}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="riffle",
@@ -230,7 +239,7 @@ def cmd_stats(args) -> int:
 
 def cmd_count(args) -> int:
     n = args.n
-    deset = counting._validate_descent_set(n, (int(t) for t in args.j.split(",")))
+    deset = counting._validate_descent_set(n, _parse_ints("--j", args.j))
     if args.method == "ie":
         exact = counting.count_descent_exact(n, deset)
         ncyc = counting.ncycles_descent_ie(n, deset)
@@ -254,13 +263,13 @@ def cmd_bijection(args) -> int:
     if (args.parts is None) != (args.perm is None):
         raise ValueError("--parts goes with --perm, and only with it")
     if args.word is not None:
-        word = tuple(int(t) for t in args.word.split(","))
+        word = _parse_ints("--word", args.word)
         if any(letter < 1 for letter in word):
             raise ValueError("letters are 1-based")
         st = necklaces.standardize(word)
     else:
-        st = Permutation(int(t) for t in args.perm.split(","))
-        word = necklaces.word_from_permutation(st, tuple(int(t) for t in args.parts.split(",")))
+        st = Permutation(_parse_ints("--perm", args.perm))
+        word = necklaces.word_from_permutation(st, _parse_ints("--parts", args.parts))
     multiset = necklaces.necklace_decomposition(word)
     print(
         json.dumps(

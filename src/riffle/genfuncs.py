@@ -15,6 +15,7 @@ series kernel takes k and never builds the a^k tensored letters.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from fractions import Fraction
 
@@ -35,6 +36,7 @@ from .shuffles import (
     MAX_SWEEP_CELLS,
     ExactDistribution,
     ShuffleSpec,
+    _bucket_sums,
     _content_mass,
     _power_sums,
     validate_bias,
@@ -171,11 +173,9 @@ def cycle_structure_pgf(n: int, bias, k: int = 1) -> CyclePolynomial:
 
 def cycle_pgf_from_distribution(dist: ExactDistribution) -> CyclePolynomial:
     """The same joint PGF read directly off an exact distribution."""
-    terms: dict[CycleTypeKey, Fraction] = {}
-    for perm, mass in dist.masses.items():
-        key = cycle_type_key(cycle_type(perm))
-        terms[key] = terms.get(key, Fraction(0)) + mass
-    return CyclePolynomial(dist.n, terms)
+    masses = dist.masses
+    keys = (cycle_type_key(cycle_type(perm)) for perm in masses)
+    return CyclePolynomial(dist.n, _bucket_sums(keys, masses.values()))
 
 
 def expected_fixed_points(spec: ShuffleSpec) -> Fraction:
@@ -197,17 +197,21 @@ def fixed_point_pgf(n: int, bias, k: int = 1) -> tuple[Fraction, ...]:
     coefficient of 1/(1-y) * prod_i (1 - p_i y) / (1 - p_i x y) over the
     tensored letters.
     """
-    coeffs = [Fraction(0)] * (n + 1)
-    for key, c in cycle_structure_pgf(n, bias, k).terms.items():
-        coeffs[dict(key).get(1, 0)] += c
-    return tuple(coeffs)
+    terms = cycle_structure_pgf(n, bias, k).terms
+    return _coefficients(n + 1, (dict(key).get(1, 0) for key in terms), terms.values())
 
 
 def fixed_point_pgf_from_distribution(dist: ExactDistribution) -> tuple[Fraction, ...]:
-    coeffs = [Fraction(0)] * (dist.n + 1)
-    for perm, mass in dist.masses.items():
-        coeffs[sum(1 for i, x in enumerate(perm.images, start=1) if i == x)] += mass
-    return tuple(coeffs)
+    masses, cards = dist.masses, range(1, dist.n + 1)
+    keys = (sum(map(operator.eq, perm.images, cards)) for perm in masses)
+    return _coefficients(dist.n + 1, keys, masses.values())
+
+
+def _coefficients(size: int, degrees, masses) -> tuple[Fraction, ...]:
+    """The ``size`` coefficients of a polynomial whose masses sit at the
+    matching degrees, summed by ``shuffles._bucket_sums``."""
+    sums = _bucket_sums(degrees, masses)
+    return tuple(sums.get(degree, Fraction(0)) for degree in range(size))
 
 
 def inversion_pgf(n: int, bias, k: int = 1) -> QPolynomial:
@@ -279,10 +283,9 @@ def inversion_pgf_from_compositions(n: int, bias, *, max_n: int = MAX_CACHED_N) 
 
 
 def inversion_pgf_from_distribution(dist: ExactDistribution) -> QPolynomial:
-    coeffs = [Fraction(0)] * (math.comb(dist.n, 2) + 1)
-    for perm, mass in dist.masses.items():
-        coeffs[inversions(perm)] += mass
-    return QPolynomial(coeffs)
+    masses = dist.masses
+    keys = map(inversions, masses)
+    return QPolynomial(_coefficients(math.comb(dist.n, 2) + 1, keys, masses.values()))
 
 
 def expected_inversions(spec: ShuffleSpec) -> Fraction:

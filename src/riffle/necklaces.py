@@ -4,7 +4,8 @@ Words are tuples over the ordered alphabet {1..a}.  A necklace is a word up
 to cyclic rotation, stored canonically as its lexicographically minimal
 rotation; a necklace is primitive when no nontrivial rotation fixes it.
 Multisets of necklaces are ``collections.Counter`` instances keyed by
-canonical tuples.
+canonical tuples; where one is only compared, it is its necklaces as one
+sorted tuple.
 
 Standardizing a word and decomposing the resulting permutation into cycles
 turns every word into a multiset of necklaces with the same cycle
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
 
 from .permutations import (
     Permutation,
@@ -58,12 +59,18 @@ def min_rotation(seq: Iterable[int]) -> Necklace:
     >>> min_rotation((3, 2, 3, 3, 2)), min_rotation((2, 1, 2, 1))
     ((2, 3, 2, 3, 3), (1, 2, 1, 2))
     """
-    seq = tuple(seq)
+    seq = list(seq)
     if not seq:
         raise ValueError("empty necklace")
-    doubled = seq + seq
-    start = _lyndon_starts(doubled, len(seq))[-1]
-    return doubled[start:start + len(seq)]
+    return _least_rotation(seq)
+
+
+def _least_rotation(letters: list[int]) -> Necklace:
+    """``min_rotation`` of a nonempty list, which it doubles in place."""
+    m = len(letters)
+    letters += letters
+    start = _lyndon_starts(letters, m)[-1]
+    return tuple(letters[start:start + m])
 
 
 def is_primitive(necklace: Iterable[int]) -> bool:
@@ -82,29 +89,42 @@ def is_primitive(necklace: Iterable[int]) -> bool:
 
 def necklace_decomposition(word: Iterable[int]) -> NecklaceMultiset:
     """Multiset of necklaces obtained by reading the word's letters around
-    each cycle of its standard permutation.
+    each cycle of its standard permutation (``_sorted_necklaces``).
 
-    Cycles are traversed following i -> st(i), and each necklace is stored
-    in canonical (minimal-rotation) form.  The multiset of necklace lengths
-    always equals the cycle type of ``standardize(word)``.
+    The multiset of necklace lengths always equals the cycle type of
+    ``standardize(word)``.
     """
     word = tuple(word)
     if not word:
         raise ValueError("empty word")
+    return Counter(_sorted_necklaces(word))
+
+
+def _sorted_necklaces(word: Word) -> tuple[Necklace, ...]:
+    """The necklaces of a nonempty word in sorted order, each once per copy:
+    the letters read around each cycle of its standard ranks, following
+    i -> st(i), each in canonical (least-rotation) form.  Two words give
+    equal tuples exactly when their necklace multisets are equal, so the
+    tuple is the multiset's hashable key."""
     ranks = standard_ranks(word)
     seen = [False] * len(word)
-    out: NecklaceMultiset = Counter()
-    for start in range(len(word)):
+    out = []
+    for start, letter in enumerate(word):
         if seen[start]:
             continue
-        letters_around = []
-        j = start
+        seen[start] = True
+        j = ranks[start] - 1
+        if j == start:  # a fixed point is a one-letter necklace
+            out.append((letter,))
+            continue
+        around = [letter]
         while not seen[j]:
             seen[j] = True
-            letters_around.append(word[j])
+            around.append(word[j])
             j = ranks[j] - 1
-        out[min_rotation(letters_around)] += 1
-    return out
+        out.append(_least_rotation(around))
+    out.sort()
+    return tuple(out)
 
 
 def word_from_permutation(perm: Permutation, parts: Iterable[int]) -> Word:
@@ -133,13 +153,15 @@ def word_from_permutation(perm: Permutation, parts: Iterable[int]) -> Word:
             f"no word with content {parts} standardizes to {perm}: "
             f"inverse descent at {bad}"
         )
-    # block[v - 1]: the first block whose partial sum reaches v
-    block, i = [], 0
-    for v in range(1, n + 1):
-        while psums[i] < v:
-            i += 1
-        block.append(i + 1)
-    return tuple(block[value - 1] for value in perm.images)
+    return tuple(map(_block_table(parts).__getitem__, perm.images))
+
+
+def _block_table(parts: tuple[int, ...]) -> list[int]:
+    """Entry v is the block of value v among the partial sums of ``parts``,
+    the letter that value v gets (entry 0 is unused): the word of a
+    permutation whose inverse descents lie in those sums reads its images
+    through this table."""
+    return [0, *(letter for letter, b in enumerate(parts, start=1) for _ in range(b))]
 
 
 def ubar_forward(perm: Permutation, parts: Iterable[int]) -> NecklaceMultiset:
@@ -288,7 +310,7 @@ def lyndon_factors(word: Iterable[int]) -> list[Necklace]:
     return [word[i:j] for i, j in zip(starts, [*starts[1:], len(word)])]
 
 
-def _lyndon_starts(word: tuple[int, ...], stop: int) -> list[int]:
+def _lyndon_starts(word: Sequence[int], stop: int) -> list[int]:
     """Where each Chen-Fox-Lyndon factor of ``word`` that begins before
     ``stop`` begins, in order: Duval's scan, which reads letters by index
     and slices nothing."""
@@ -318,39 +340,17 @@ def enumerate_primitive_multisets(parts: Iterable[int]) -> list[NecklaceMultiset
     cycles, so it shares nothing with the Gessel map it checks.  Contents
     are refused by ``_check_content``.
     """
-    return list(_primitive_multisets(parts))
+    return [Counter(key) for key in _primitive_keys(parts)]
 
 
-def _primitive_multisets(parts: Iterable[int]) -> Iterator[NecklaceMultiset]:
-    """The multisets of ``enumerate_primitive_multisets`` one at a time, so a
-    caller that keeps only their keys never holds them all."""
+def _primitive_keys(parts: Iterable[int]) -> Iterator[tuple[Necklace, ...]]:
+    """The multisets of ``enumerate_primitive_multisets`` one at a time, each
+    as its sorted tuple of necklaces, the key ``_sorted_necklaces`` gives, so
+    a caller that keeps only the keys never holds a ``Counter``."""
     parts = _check_content(parts)
     # letter 0 gets no copies, so the words run over the letters 1..len(parts)
     for word in words_with_content([0, *parts]):
-        yield Counter(lyndon_factors(word))
-
-
-def multiset_key(multiset: NecklaceMultiset) -> tuple[int, ...]:
-    """Hashable canonical form of a necklace multiset: its necklaces in
-    sorted order, each once per copy and led by its length, as one flat
-    tuple.  The lengths make the key injective whatever the letters.
-
-    >>> multiset_key(Counter({(2,): 1, (1, 2): 2}))
-    (2, 1, 2, 2, 1, 2, 1, 2)
-    """
-    key: list[int] = []
-    for neck in sorted(multiset.elements()):
-        key.append(len(neck))
-        key += neck
-    return tuple(key)
-
-
-def length_multiset(multiset: NecklaceMultiset) -> dict[int, int]:
-    """Necklace lengths with multiplicity; comparable to a cycle type."""
-    out: dict[int, int] = {}
-    for neck, m in multiset.items():
-        out[len(neck)] = out.get(len(neck), 0) + m
-    return out
+        yield tuple(sorted(lyndon_factors(word)))
 
 
 def letters(necklace: Iterable[int]) -> str:

@@ -31,7 +31,7 @@ import operator
 import random
 import sys
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Callable, Collection, Iterable, Iterator
 
 from .permutations import (
     MAX_CACHED_N,
@@ -189,6 +189,24 @@ class ShuffleSpec(Immutable):
 
 # --- exact distributions ------------------------------------------------
 
+def _bucket_sums(keys: Iterable, masses: Collection[Fraction]) -> dict:
+    """Exact sums of ``masses`` grouped by the matching ``keys``, the first
+    key for the first mass and so on; keys with no mass are absent.
+
+    Each group is summed as integer numerators over the lcm of all the
+    denominators and divided once, so no intermediate sum is reduced: one
+    gcd per group, where adding Fractions one by one takes several per term.
+
+    >>> _bucket_sums("aba", [Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)])
+    {'a': Fraction(2, 3), 'b': Fraction(1, 3)}
+    """
+    scale = math.lcm(*{m.denominator for m in masses})
+    sums: dict = {}
+    for key, m in zip(keys, masses):
+        sums[key] = sums.get(key, 0) + m.numerator * (scale // m.denominator)
+    return {key: Fraction(total, scale) for key, total in sums.items()}
+
+
 class ExactDistribution(Immutable):
     """Exact rational probability measure on S_n; zero masses are omitted."""
 
@@ -203,9 +221,8 @@ class ExactDistribution(Immutable):
                 raise ValueError(f"negative mass for {perm}")
             if mass:
                 clean[perm] = mass if type(mass) is Fraction else Fraction(mass)
-        # summed as integer numerators over the lcm of the denominators
-        den = math.lcm(*{m.denominator for m in clean.values()})
-        _check_total(sum(m.numerator * (den // m.denominator) for m in clean.values()), den)
+        total = _bucket_sums(itertools.repeat(None), clean.values()).get(None, Fraction(0))
+        _check_total(total.numerator, total.denominator)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "masses", clean)
 
@@ -900,7 +917,8 @@ def sample(spec: ShuffleSpec, method: str = "inverse", rng: random.Random | None
     dropped once composed, and the ``inverse`` sampler holds one run of
     labels (``_LABEL_RUN``).  A factor of the wrong length or with an entry
     outside 0..n-1 is refused as it comes; a factor that repeats an entry
-    fails the one validation of the product.
+    leaves a position of the product empty, which is refused with
+    ``Permutation``'s own wording.
     """
     if method not in _SINGLE_SAMPLERS:
         raise ValueError(f"unknown method {method!r}; pick one of {SAMPLE_METHODS}")
@@ -922,4 +940,7 @@ def sample(spec: ShuffleSpec, method: str = "inverse", rng: random.Random | None
     images = [0] * n
     for card, position in enumerate(inv, start=1):
         images[position] = card
-    return Permutation(images)
+    # every entry is in range, so a slot left empty means another was filled twice
+    if 0 in images:
+        raise ValueError(f"not a permutation of 1..{n}: {tuple(images)!r}")
+    return Permutation._unchecked(tuple(images))

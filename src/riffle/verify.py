@@ -267,49 +267,55 @@ def check_gessel_bijection(config: VerifyConfig) -> CheckResult:
 
     For each composition of n, the permutations whose inverse descent set
     lies in its partial sums are counted against ``count_descent_subset``.
-    Each one's image must keep its cycle type, be primitive, and check its
-    key off the target set, the keys of the primitive multisets of the
-    content: a key not there fails (a repeat is not injective, an outsider
-    not onto), and so does a key left over (not onto).
+    Each one's word, its images read through the composition's block table,
+    gives its necklaces as one sorted tuple.  That image must keep the
+    permutation's cycle type, be primitive, and check its key off the target
+    set, the same keys of the primitive multisets of the content: a key not
+    there fails (a repeat is not injective, an outsider not onto), and so
+    does a key left over (not onto).
     """
     name = "gessel-bijection"
     for n in range(1, config.n_max + 1):
         perms = symmetric_group_list(n)
-        # inverse descent sets as descent_index bitmasks, one dict per cycle type
+        # inverse descent sets as descent_index bitmasks, and the sorted cycle
+        # lengths, one list per cycle type
         masks = [descent_index(descent_set(p.inverse()), n) for p in perms]
         shared: dict = {}
-        cycle_types = [shared.setdefault(cycle_type_key(c), c) for c in map(cycle_type, perms)]
+        cycle_lengths = [
+            shared.setdefault(key, [length for length, count in key for _ in range(count)])
+            for key in (cycle_type_key(cycle_type(p)) for p in perms)
+        ]
         for parts in compositions(n):
             allowed = descent_index(partial_sums(parts), n)
             if sum(not mask & ~allowed for mask in masks) != counting.count_descent_subset(parts):
                 return _fail(name, f"domain size off at n={n}, parts={parts}")
             target = _target_keys(parts)
-            for p, mask, cycles in zip(perms, masks, cycle_types):
+            block = necklaces._block_table(parts)
+            for p, mask, lengths in zip(perms, masks, cycle_lengths):
                 if mask & ~allowed:
                     continue
-                image = necklaces.ubar_forward(p, parts)
-                if necklaces.length_multiset(image) != cycles:
+                image = necklaces._sorted_necklaces(tuple(map(block.__getitem__, p.images)))
+                if sorted(map(len, image)) != lengths:
                     return _fail(name, f"cycle type broken at {p}, parts={parts}")
-                if any(not necklaces.is_primitive(neck) for neck in image):
+                if not all(map(necklaces.is_primitive, image)):
                     return _fail(name, f"imprimitive image at {p}, parts={parts}")
-                key = necklaces.multiset_key(image)
-                if key not in target:
+                if image not in target:
                     # a miss rebuilds the set, once, to tell a repeat from a foreign key
-                    if key in _target_keys(parts):
+                    if image in _target_keys(parts):
                         return _fail(name, f"not injective at n={n}, parts={parts}: "
                                            f"the image of {p} repeats")
                     return _fail(name, f"not onto at n={n}, parts={parts}: "
                                        f"the image of {p} is no target")
-                target.remove(key)
+                target.remove(image)
             if target:
                 return _fail(name, f"not onto at n={n}, parts={parts}: "
                                    f"{len(target)} of the targets unreached")
     return _ok(name, f"bijective with matching cycle structure for all n <= {config.n_max}")
 
 
-def _target_keys(parts: tuple[int, ...]) -> set[tuple[int, ...]]:
-    """Keys of the primitive necklace multisets of content ``parts``."""
-    return {necklaces.multiset_key(m) for m in necklaces._primitive_multisets(parts)}
+def _target_keys(parts: tuple[int, ...]) -> set[tuple[tuple[int, ...], ...]]:
+    """Sorted-tuple keys of the primitive necklace multisets of content ``parts``."""
+    return set(necklaces._primitive_keys(parts))
 
 
 @_suite("necklace-counts")

@@ -631,6 +631,18 @@ def test_bijection_refuses_parts_with_a_word(capsys):
         (2, "", "error: --parts goes with --perm, and only with it\n")
 
 
+@pytest.mark.parametrize("argv, flag, text, bad", [
+    (["count", "--n", "3", "--j", "1,,3"], "--j", "1,,3", ""),
+    (["bijection", "--word", "2,1,a"], "--word", "2,1,a", "a"),
+    (["bijection", "--perm", "2,1.5", "--parts", "1,1"], "--perm", "2,1.5", "1.5"),
+    (["bijection", "--perm", "2,1", "--parts", "1,"], "--parts", "1,", ""),
+], ids=["j", "word", "perm", "parts"])
+def test_integer_list_flags_name_the_flag_they_cannot_parse(capsys, argv, flag, text, bad):
+    assert run_cli(capsys, *argv) == (
+        2, "", f"error: cannot parse {flag} {text!r}: "
+               f"invalid literal for int() with base 10: {bad!r}\n")
+
+
 def test_report_csv_columns(capsys):
     code, out, _ = run_cli(capsys, "report", "--n", "4", "--p", "1/2,1/2",
                            "--k-max", "3")

@@ -68,6 +68,16 @@ def test_cycle_pgf_matches_pile_words_on_random_biases(bias, n):
     )
 
 
+@given(bias=random_bias, n=st.integers(0, 5))
+@settings(max_examples=40, deadline=None)
+def test_bucket_sum_readers_match_the_series_on_random_biases(bias, n):
+    # the brute readers bucket exact_distribution's masses by a statistic
+    dist = exact_distribution(n, bias)
+    assert cycle_pgf_from_distribution(dist) == cycle_structure_pgf(n, bias)
+    assert fixed_point_pgf_from_distribution(dist) == fixed_point_pgf(n, bias)
+    assert inversion_pgf_from_distribution(dist) == inversion_pgf(n, bias)
+
+
 @given(bias=random_bias, n=st.integers(0, 5), k=st.integers(0, 3))
 @settings(max_examples=40, deadline=None)
 def test_cycle_pgf_takes_k_as_the_tensored_bias(bias, n, k):

@@ -16,11 +16,9 @@ from riffle.necklaces import (
     enumerate_primitive_multisets,
     enumerate_primitive_necklaces,
     is_primitive,
-    length_multiset,
     letters,
     lyndon_factors,
     min_rotation,
-    multiset_key,
     necklace_decomposition,
     primitive_count,
     standardize,
@@ -31,6 +29,7 @@ from riffle.permutations import (
     Permutation,
     compositions,
     cycle_type,
+    cycles,
     descent_set,
     partial_sums,
     symmetric_group_list,
@@ -108,6 +107,16 @@ def test_is_primitive_examples():
     assert is_primitive((1,)) and is_primitive((3,))
 
 
+def _lengths(multiset):
+    # necklace lengths with multiplicity, comparable to a cycle type
+    return Counter(len(neck) for neck in multiset.elements())
+
+
+def _key(multiset):
+    # the sorted-tuple key of a necklace multiset
+    return tuple(sorted(multiset.elements()))
+
+
 def test_necklace_decomposition_worked_example():
     assert necklace_decomposition(WORD12) == NECKLACES12
     assert letters((2, 3, 2, 3, 3)) == "bcbcc"
@@ -121,9 +130,7 @@ def test_necklace_decomposition_constant_word():
 def test_decomposition_preserves_cycle_structure(a):
     for n in range(1, 8):
         for word in itertools.product(range(1, a + 1), repeat=n):
-            assert length_multiset(necklace_decomposition(word)) == cycle_type(
-                standardize(word)
-            )
+            assert _lengths(necklace_decomposition(word)) == cycle_type(standardize(word))
 
 
 def test_word_from_permutation_examples():
@@ -238,8 +245,8 @@ def test_ubar_two_blocks_of_two():
         p for p in symmetric_group_list(4) if descent_set(p.inverse()) <= allowed
     ]
     assert len(domain) == 6
-    images = {multiset_key(ubar_forward(p, parts)) for p in domain}
-    target = {multiset_key(m) for m in enumerate_primitive_multisets(parts)}
+    images = {_key(ubar_forward(p, parts)) for p in domain}
+    target = {_key(m) for m in enumerate_primitive_multisets(parts)}
     assert len(images) == 6 and images == target
 
 
@@ -253,58 +260,69 @@ def test_ubar_bijective_with_cycle_structure(n):
         seen = set()
         for p in domain:
             image = ubar_forward(p, parts)
-            assert length_multiset(image) == cycle_type(p)
+            assert _lengths(image) == cycle_type(p)
             assert all(is_primitive(neck) for neck in image)
-            seen.add(multiset_key(image))
+            seen.add(_key(image))
         assert len(seen) == len(domain)
-        assert seen == {multiset_key(m) for m in enumerate_primitive_multisets(parts)}
+        assert seen == {_key(m) for m in enumerate_primitive_multisets(parts)}
 
 
-# Counters over a small alphabet, so that equal pairs are drawn too
-necklace_multisets = st.dictionaries(
-    st.lists(st.integers(1, 2), min_size=1, max_size=3).map(tuple), st.integers(0, 2),
-    max_size=3,
-).map(Counter)
+def _necklaces_by_cycles(word):
+    # the reference: a Counter of least rotations, taken by their definition,
+    # of the letters read around each cycle of the standardization
+    return Counter(_least_rotation(tuple(word[i - 1] for i in cyc))
+                   for cyc in cycles(standardize(word)))
 
 
-@given(necklace_multisets, necklace_multisets)
+@given(words, words)
 @settings(max_examples=300)
-def test_multiset_keys_are_equal_exactly_when_the_multisets_are(a, b):
-    assert (multiset_key(a) == multiset_key(b)) == (a == b)
-    # the key reads neither the insertion order nor zero counts
-    assert multiset_key(Counter(dict(reversed(a.items())))) == multiset_key(a)
-    assert multiset_key(a + Counter()) == multiset_key(a)
+def test_sorted_necklace_keys_are_equal_exactly_when_the_counters_are(u, v):
+    # a word's sorted letters are another word of its content, and a word
+    # against itself draws equal multisets
+    for x, y in ((u, v), (u, tuple(sorted(u))), (u, u)):
+        key = necklaces._sorted_necklaces(x)
+        assert list(key) == sorted(key) and Counter(key) == _necklaces_by_cycles(x)
+        assert ((key == necklaces._sorted_necklaces(y))
+                == (_necklaces_by_cycles(x) == _necklaces_by_cycles(y)))
 
 
 def _gessel(n_max=4):
     return verify.check_gessel_bijection(verify.VerifyConfig(n_max=n_max))
 
 
-def _one_target_per_cycle_type(perm, parts):
-    # the least target multiset with the permutation's cycle type: cycle types
+# the unbroken map, taken before any test patches the module
+_sorted_necklaces = necklaces._sorted_necklaces
+
+
+def _content(word):
+    return tuple(word.count(letter) for letter in range(1, max(word) + 1))
+
+
+def _one_target_per_cycle_type(word):
+    # the least target key with the permutation's cycle type: cycle types
     # and primitivity hold, but permutations of one cycle type share an image
-    return min((m for m in enumerate_primitive_multisets(parts)
-                if length_multiset(m) == cycle_type(perm)), key=multiset_key)
+    lengths = cycle_type(standardize(word))
+    return min(key for key in necklaces._primitive_keys(_content(word))
+               if Counter(map(len, key)) == lengths)
 
 
-def _one_necklace_dropped(perm, parts):
-    image = ubar_forward(perm, parts)
-    return image - Counter([min(image)])
+def _one_necklace_dropped(word):
+    return _sorted_necklaces(word)[1:]
 
 
-def _imprimitive(perm, parts):
+def _imprimitive(word):
     # the first necklace of two or more letters becomes a power of its first letter
-    image = ubar_forward(perm, parts)
-    for neck in sorted(image):
+    image = list(_sorted_necklaces(word))
+    for i, neck in enumerate(image):
         if len(neck) > 1:
-            return image - Counter([neck]) + Counter([neck[:1] * len(neck)])
-    return image
+            image[i] = neck[:1] * len(neck)
+            break
+    return tuple(sorted(image))
 
 
-def _letters_raised(perm, parts):
+def _letters_raised(word):
     # same lengths, still primitive, but of another content
-    return Counter({tuple(x + 1 for x in neck): m
-                    for neck, m in ubar_forward(perm, parts).items()})
+    return tuple(tuple(x + 1 for x in neck) for neck in _sorted_necklaces(word))
 
 
 @pytest.mark.parametrize("forward, detail", [
@@ -317,7 +335,7 @@ def _letters_raised(perm, parts):
 ], ids=["not-injective", "cycle-type", "imprimitive", "outside-the-target"])
 def test_gessel_suite_fails_on_a_broken_map(monkeypatch, forward, detail):
     assert _gessel().passed
-    monkeypatch.setattr(necklaces, "ubar_forward", forward)
+    monkeypatch.setattr(necklaces, "_sorted_necklaces", forward)
     result = _gessel()
     assert (result.passed, result.detail) == (False, detail)
 
@@ -329,13 +347,13 @@ def test_gessel_suite_fails_on_a_wrong_domain_size(monkeypatch):
 
 
 def test_gessel_suite_fails_on_a_target_left_over(monkeypatch):
-    listed = necklaces._primitive_multisets
+    listed = necklaces._primitive_keys
 
     def one_more(parts):
         yield from listed(parts)
-        yield Counter({(9,) * sum(parts): 1})
+        yield ((9,) * sum(parts),)
 
-    monkeypatch.setattr(necklaces, "_primitive_multisets", one_more)
+    monkeypatch.setattr(necklaces, "_primitive_keys", one_more)
     result = _gessel()
     assert (result.passed, result.detail) == (
         False, "not onto at n=1, parts=(1,): 1 of the targets unreached")
@@ -424,7 +442,7 @@ def _multisets_by_search(parts):
         # start: where the group of the last necklace chosen resumes
         least = next((i for i, r in enumerate(remaining, start=1) if r), None)
         if least is None:
-            found.append(multiset_key(Counter(chosen)))
+            found.append(tuple(sorted(chosen)))
             return
         group = by_first[least]
         if not chosen or chosen[-1][0] != least:
@@ -439,7 +457,7 @@ def _multisets_by_search(parts):
 
 
 def _check_multisets_against_search(parts):
-    keys = [multiset_key(m) for m in enumerate_primitive_multisets(parts)]
+    keys = [_key(m) for m in enumerate_primitive_multisets(parts)]
     assert len(keys) == len(set(keys)) == multinomial(parts), parts
     assert set(keys) == set(_multisets_by_search(parts)), parts
 

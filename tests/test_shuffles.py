@@ -131,6 +131,29 @@ def test_masses_sum_to_one_is_enforced():
         ExactDistribution(2, {Permutation([1, 2]): F(3, 2), Permutation([2, 1]): F(-1, 2)})
 
 
+# (key, mass) pairs: few keys, so buckets share terms; denominators mixed
+# over several scales; zero masses included
+keyed_masses = st.lists(st.tuples(
+    st.integers(0, 4),
+    st.one_of(st.just(F(0)), st.fractions(min_value=0, max_value=1, max_denominator=10**6),
+              st.integers(0, 10**9).map(lambda x: F(x, 2**40))),
+), max_size=30)
+
+
+@given(keyed_masses)
+@settings(max_examples=300)
+def test_bucket_sums_equal_the_pairwise_sums(pairs):
+    keys, masses = [k for k, _ in pairs], [m for _, m in pairs]
+    sums = shuffles._bucket_sums(keys, masses)
+    # a bucket exists exactly when some mass, zero or not, carries its key
+    assert set(sums) == set(keys)
+    for key, total in sums.items():
+        assert type(total) is F
+        assert total == sum(m for k, m in pairs if k == key)
+    # one bucket for all: the total ExactDistribution checks
+    assert shuffles._bucket_sums(itertools.repeat(None), masses).get(None, 0) == sum(masses)
+
+
 def test_masses_are_stored_as_fractions_without_copies():
     half = F(1, 2)
     dist = ExactDistribution(2, {Permutation([1, 2]): half, Permutation([2, 1]): F(1, 2)})
