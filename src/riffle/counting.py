@@ -12,7 +12,7 @@ import functools
 import itertools
 import math
 from bisect import bisect_right
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 
 from .necklaces import _mobius_divisors, _primitive_count
 from .permutations import (
@@ -64,29 +64,102 @@ def int_det(matrix: list[list[int]]) -> int:
 def _descent_table(n: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     """Brute force over all of S_n: how many permutations, n-cycles and
     involutions have each descent set, as three tuples of 2^(n-1) entries
-    indexed by ``permutations.descent_index``."""
+    indexed by ``permutations.descent_index``.
+
+    S_n is walked in lexicographic blocks of six (``_counts_by_blocks``).
+    The n-cycles are listed directly as the (n-1)! cyclic orders
+    0 -> c1 -> ... -> c_{n-1} -> 0, and the involutions as the matchings of
+    0..n-1, so neither filters S_n.  Each listing holds one image list.
+
+    >>> _descent_table(3)
+    ((1, 2, 2, 1), (0, 1, 1, 0), (1, 1, 1, 1))
+    """
     check_size(n, cap=MAX_CACHED_N)
     if n == 0:
         return (1,), (0,), (1,)  # the empty arrangement: one class, no cycle, an involution
-    counts, ncycles, involutions = ([0] * 2 ** (n - 1) for _ in range(3))
-    for images in itertools.permutations(range(n)):  # images 0..n-1
-        index = 0  # position i ends at the bit 2^(n-1-i)
+    # S_1 and S_2 hold one permutation of each descent set, and no block
+    counts = _counts_by_blocks(n) if n >= 3 else [1] * 2 ** (n - 1)
+    return (tuple(counts), tuple(_by_descent_index(n, _ncycles(n))),
+            tuple(_by_descent_index(n, _involutions(n))))
+
+
+def _counts_by_blocks(n: int) -> list[int]:
+    """How many permutations of S_n (n >= 3) have each descent index.
+
+    In lexicographic order S_n comes in blocks of six that share their
+    first n-3 images, and ``itertools.permutations(range(n), n - 3)`` lists
+    those prefixes.  A block's last three images a < b < c come in the
+    order abc, acb, bac, bca, cab, cba, so the block's six descent indices
+    follow from the prefix's descent index (its n-4 comparisons) and from
+    how many of a, b, c lie below the prefix's last image.  Blocks are
+    counted by those two and spread over their six indices at the end.
+    """
+    # lows[below]: the low three bits of the indices of abc, acb, bac, bca,
+    # cab, cba after an image above `below` of a < b < c; the top one of the
+    # three says whether that image exceeds the first of a, b, c
+    lows = [(da << 2, da << 2 | 1, db << 2 | 2, db << 2 | 1, dc << 2 | 2, dc << 2 | 3)
+            for da, db, dc in ((0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 1, 1))]
+    blocks = [0] * 2 ** (n - 2)  # at prefix index << 2 | below
+    for prefix in itertools.permutations(range(n), n - 3):
+        index = below = 0  # at n = 3 the prefix is empty: nothing precedes a, b, c
+        for i in range(n - 4):
+            index = index << 1 | (prefix[i] > prefix[i + 1])
+        if prefix:
+            last = prefix[-1]
+            below = last - sum(map(last.__gt__, prefix))  # the images under it not in the prefix
+        blocks[index << 2 | below] += 1
+    counts = [0] * 2 ** (n - 1)
+    for key, size in enumerate(blocks):
+        if size:  # at n = 3 only key 0 is reached
+            for low in lows[key & 3]:
+                counts[key >> 2 << 3 | low] += size
+    return counts
+
+
+def _ncycles(n: int) -> Iterator[list[int]]:
+    """The n-cycles of 0..n-1 (n >= 1), written into one image list in turn."""
+    images = [0] * n
+    for order in itertools.permutations(range(1, n)):
+        point = 0
+        for after in order:
+            images[point] = after
+            point = after
+        images[point] = 0
+        yield images
+
+
+def _involutions(n: int) -> Iterator[list[int]]:
+    """The involutions of 0..n-1, written into one image list in turn: the
+    least point not yet matched stays fixed, then swaps with each greater
+    one not yet matched."""
+    images = list(range(n))
+
+    def match(i: int) -> Iterator[list[int]]:
+        while i < n and images[i] < i:  # matched to a point before it
+            i += 1
+        if i == n:
+            yield images
+            return
+        yield from match(i + 1)
+        for j in range(i + 1, n):
+            if images[j] == j:
+                images[i], images[j] = j, i
+                yield from match(i + 1)
+                images[i], images[j] = i, j
+
+    return match(0)
+
+
+def _by_descent_index(n: int, arrangements: Iterable[list[int]]) -> list[int]:
+    """How many of the image lists of S_n (n >= 1) in ``arrangements`` have
+    each descent index: position i ends at the bit 2^(n-1-i)."""
+    table = [0] * 2 ** (n - 1)
+    for images in arrangements:
+        index = 0
         for i in range(n - 1):
             index = index << 1 | (images[i] > images[i + 1])
-        counts[index] += 1
-        # an n-cycle is one whose cycle through 0 has length n
-        length, j = 1, images[0]
-        while j:
-            j = images[j]
-            length += 1
-        ncycles[index] += length == n
-        # an involution sends each image back: p(p(i)) = i
-        for i, x in enumerate(images):
-            if images[x] != i:
-                break
-        else:
-            involutions[index] += 1
-    return tuple(counts), tuple(ncycles), tuple(involutions)
+        table[index] += 1
+    return table
 
 
 def _validate_descent_set(n: int, deset: Iterable[int]) -> frozenset[int]:

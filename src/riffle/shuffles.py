@@ -43,10 +43,8 @@ from .permutations import (
     multinomial,
     partial_sums,
     standard_permutation,
-    standard_ranks,
     symmetric_group_list,
     weak_compositions,
-    words_with_content,
 )
 
 # --- bias vectors -------------------------------------------------------
@@ -345,9 +343,11 @@ def _content_mass(bias, parts) -> Fraction:
 
 
 def exact_distribution(n: int, bias, *, max_n: int | None = None) -> ExactDistribution:
-    """The exact single-shuffle measure: ``_cut_numerators`` read back as
-    Fractions, wrapped unchecked since that has checked their total and
-    every numerator is a product of positive weights."""
+    """The exact single-shuffle measure: the cut listing of
+    ``_cut_numerators`` read back as Fractions.  That listing deals every
+    interleaving of every cut card by card and has checked the total, and
+    each numerator is a product of positive weights, so the measure is
+    wrapped unchecked."""
     check_size(n, cap=max_n)
     numerators, scale = _cut_numerators(n, bias)
     return ExactDistribution._unchecked(n, {Permutation._unchecked(ranks): Fraction(m, scale)
@@ -361,26 +361,56 @@ def _cut_numerators(n: int, bias) -> tuple[dict[tuple[int, ...], int], int]:
 
     Each interleaving of a cut (b1..ba) carries mass p1^b1 * ... * pa^ba:
     the uniform choice among interleavings cancels the multinomial factor
-    of the cut law.  An interleaving is a pile word: position j receives
-    the next card of pile word[j], so the deck reading is the word's
-    standard permutation.  Only the a' nonzero letters are cut, and their a'^n
-    words are refused by ``check_listing``.  Masses are summed as integer
-    numerators w1^b1 * ... * wa'^ba' over den^n (``_weights``), keyed by the
-    standard ranks, and refused unless they sum to den^n.
+    of the cut law.  An interleaving is a pile word, dealt here position by
+    position in lexicographic order: the card at position j is the next
+    card of pile word[j], so its standard rank is that pile's next unused
+    rank, and a full deal is the word's standard permutation with no word
+    listed or sorted.  The pile of each card dealt so far is kept on a
+    stack, so the walk steps back and on without recursion; the last card
+    is placed without a step, since one is left.  Only the a' nonzero
+    letters are cut, and their a'^n words are refused by ``check_listing``.  Masses are summed as integer numerators
+    w1^b1 * ... * wa'^ba' over den^n (``_weights``), keyed by the ranks,
+    and refused unless they sum to den^n.
     """
     letters = [p for p in validate_bias(bias) if p]
     check_size(n)
     check_listing(n, len(letters), n, f"{len(letters)}^{n} pile words")
     _check_masses(letters, n)
+    if n == 0:
+        return {(): 1}, 1  # an empty deck has one arrangement whatever the letters
     weights, den = _weights(letters)
     numerators: dict[tuple[int, ...], int] = {}
+    ranks = [0] * n  # the deal so far: the standard rank at each position
+    dealt = [0] * n  # and the pile each position was dealt from
     for parts in weak_compositions(n, len(letters)):
         mass = math.prod(map(pow, weights, parts))
         # standardization sees only the order of the letters, so unused
-        # letters are dropped before the words are listed
-        for word in words_with_content(list(filter(None, parts))):
-            ranks = tuple(standard_ranks(word))
-            numerators[ranks] = numerators.get(ranks, 0) + mass
+        # letters are dropped before the words are dealt
+        left = list(filter(None, parts))  # the cards each pile has still to deal
+        unused = list(itertools.accumulate(left[:-1], initial=1))  # each pile's next rank
+        piles = len(left)
+        j = pile = 0  # the position being dealt and the first pile to try there
+        while True:
+            while pile < piles and not left[pile]:
+                pile += 1
+            if pile < piles:
+                ranks[j] = unused[pile]
+                if j < n - 1:
+                    dealt[j] = pile
+                    unused[pile] += 1
+                    left[pile] -= 1
+                    j, pile = j + 1, 0
+                    continue
+                key = tuple(ranks)
+                numerators[key] = numerators.get(key, 0) + mass
+            # position j is done: take back the card before it and try the next pile there
+            j -= 1
+            if j < 0:
+                break
+            pile = dealt[j]
+            unused[pile] -= 1
+            left[pile] += 1
+            pile += 1
     _check_total(sum(numerators.values()), den**n)
     return numerators, den**n
 

@@ -267,6 +267,19 @@ def test_brute_counts_reach_s9_with_no_flag():
     assert elapsed < 15
 
 
+@pytest.mark.parametrize("deset", ["9", "2,4,6,8,9", "1,2,3,4,5,6,7,8,9"])
+def test_brute_counts_of_s9_match_the_determinants(capsys, deset):
+    # the brute table's blocks of six and cyclic orders at the cap, against
+    # the determinant formulas that never list a permutation
+    def counted(method):
+        code, out, err = run_cli(capsys, "count", "--n", "9", "--j", deset, "--method", method)
+        assert (code, err) == (0, "")
+        result = json.loads(out)
+        return result["exact"], result["ncycles"]
+
+    assert counted("brute") == counted("det")
+
+
 def test_brute_counts_list_no_permutation_objects(capsys, monkeypatch):
     def listed(n):
         raise AssertionError(f"S_{n} listed as Permutation objects")

@@ -16,6 +16,7 @@ from riffle.permutations import (
     Permutation,
     descent_set,
     standard_permutation,
+    standard_ranks,
     symmetric_group_list,
     weak_compositions,
     words_with_content,
@@ -433,6 +434,34 @@ def _cut_masses_by_fractions(n, bias):
                 perm = standard_permutation(word)
                 masses[perm] = masses.get(perm, F(0)) + mass
     return masses
+
+
+def _cut_numerators_by_words(n, bias):
+    # the reference: every word of every cut listed whole and standardized
+    letters = [p for p in bias if p]
+    den = math.lcm(*(p.denominator for p in letters))
+    weights = [p.numerator * (den // p.denominator) for p in letters]
+    numerators = {}
+    for parts in weak_compositions(n, len(letters)):
+        mass = math.prod(map(pow, weights, parts))
+        for word in words_with_content(list(filter(None, parts))):
+            ranks = tuple(standard_ranks(word))
+            numerators[ranks] = numerators.get(ranks, 0) + mass
+    return numerators, den**n
+
+
+@given(bias=random_bias, n=st.integers(0, 6))
+@settings(max_examples=40, deadline=None)
+def test_dealt_cut_listing_matches_the_standardized_words(bias, n):
+    got = shuffles._cut_numerators(n, bias)
+    want = _cut_numerators_by_words(n, bias)
+    assert got == want
+    assert list(got[0].items()) == list(want[0].items())  # first-reached order too
+
+
+def test_cut_listing_of_the_empty_deck_is_one_arrangement():
+    for bias in [(F(1),), (F(1, 3), F(0), F(2, 3))]:
+        assert shuffles._cut_numerators(0, bias) == ({(): 1}, 1)
 
 
 @given(bias=random_bias, n=st.integers(0, 6))
