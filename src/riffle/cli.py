@@ -3,20 +3,20 @@
 Subcommands: sample, dist, tv, stats, count, bijection, report, verify.
 Results go to stdout (JSON unless another format is chosen); diagnostics go
 to stderr.  Runs with the same configuration, including --seed, produce
-byte-identical output.
+byte-identical output.  Each handler imports the library modules (and
+``json``) it uses, so a process loads only what its subcommand runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import math
 import os
 import sys
 from fractions import Fraction
 
-from . import counting, genfuncs, necklaces, shuffles
+from . import shuffles
 from .permutations import MAX_CACHED_N, Permutation, Refused, descent_index
 from .shuffles import ShuffleSpec, parse_bias
 
@@ -185,6 +185,8 @@ def cmd_dist(args) -> int:
 
 
 def cmd_tv(args) -> int:
+    import json
+
     bias = parse_bias(args.p)
     spec = ShuffleSpec(args.n, bias, args.k)
     tv = shuffles.tv_to_uniform(args.n, bias, args.k)
@@ -206,6 +208,10 @@ def cmd_tv(args) -> int:
 
 
 def cmd_stats(args) -> int:
+    import json
+
+    from . import genfuncs
+
     if args.n_max is not None:
         _n_max(args)  # still refused below 1 for the scripts that pass it
     bias = parse_bias(args.p)
@@ -238,6 +244,10 @@ def cmd_stats(args) -> int:
 
 
 def cmd_count(args) -> int:
+    import json
+
+    from . import counting
+
     n = args.n
     deset = counting._validate_descent_set(n, _parse_ints("--j", args.j))
     if args.method == "ie":
@@ -258,6 +268,10 @@ def cmd_count(args) -> int:
 
 
 def cmd_bijection(args) -> int:
+    import json
+
+    from . import necklaces
+
     if (args.word is None) == (args.perm is None):
         raise ValueError("give exactly one of --word or --perm")
     if (args.parts is None) != (args.perm is None):
@@ -288,6 +302,8 @@ def cmd_bijection(args) -> int:
 
 
 def cmd_report(args) -> int:
+    import json
+
     if args.k_max < 1:
         raise ValueError("--k-max must be at least 1")
     bias = parse_bias(args.p)
@@ -345,7 +361,9 @@ def cmd_report(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from . import verify  # the suites load only for this subcommand
+    import json
+
+    from . import verify
 
     if args.samples < 1:
         raise ValueError("--samples must be at least 1")

@@ -7,10 +7,10 @@ everything in the polynomial ring (no division ever happens).
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import lru_cache
 from numbers import Rational
-from typing import Iterable
 
 from .permutations import Immutable
 

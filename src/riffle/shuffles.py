@@ -30,8 +30,8 @@ import math
 import operator
 import random
 import sys
+from collections.abc import Callable, Collection, Iterable, Iterator
 from fractions import Fraction
-from typing import Callable, Collection, Iterable, Iterator
 
 from .permutations import (
     MAX_CACHED_N,
@@ -293,7 +293,9 @@ def _kfold_classes(n: int, bias, k: int) -> tuple[list[int], list[int], int]:
     over positions 1..n-1, so classes that agree on {1..j-1} share their
     first j steps: about 2^n * a'^k list cells for a' nonzero letters, which
     is refused over MAX_SWEEP_CELLS before any letter is built, as are
-    masses over MAX_ANSWER_DIGITS.  A class of d >= a'^k descents needs
+    masses over MAX_ANSWER_DIGITS.  The sweep holds one a'^k row per open
+    level, its running sums: each child reads its row lazily from the
+    parent's, once.  A class of d >= a'^k descents needs
     d + 1 letters, so its subtree is filled with 0, and so is its size:
     ``_class_sizes`` walks only the classes that can carry mass.
     """
@@ -307,17 +309,19 @@ def _kfold_classes(n: int, bias, k: int) -> tuple[list[int], list[int], int]:
                  2 ** min(n, bits) * len(letters) ** min(k, bits), MAX_SWEEP_CELLS, "cells")
     _check_masses(letters, n, k)
     weights, den = _weights(letters, k)
+    upper = weights[1:]
     out: list[int] = []
 
-    def visit(words: list[int], j: int, descents: int):
-        # words[v]: numerator of the mass of admissible length-j words ending in v
+    def visit(words: Iterable[int], j: int, descents: int):
+        # words yields, for each letter v, the numerator of the mass of the
+        # admissible length-j words ending in v; it is read once, into prefix
         if j == n:
             out.append(sum(words))
             return
         prefix = list(itertools.accumulate(words))
-        visit(list(map(operator.mul, weights, prefix)), j + 1, descents)
+        visit(map(operator.mul, weights, prefix), j + 1, descents)
         if descents + 1 < len(weights):
-            visit([0, *map(operator.mul, weights[1:], prefix)], j + 1, descents + 1)
+            visit(itertools.chain((0,), map(operator.mul, upper, prefix)), j + 1, descents + 1)
         else:
             out.extend(itertools.repeat(0, 2 ** (n - 1 - j)))
 

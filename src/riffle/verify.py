@@ -358,10 +358,7 @@ def check_fixed_points(config: VerifyConfig) -> CheckResult:
     for n in range(1, config.n_max + 1):
         for bias in BIAS_PANEL:
             pgf = genfuncs.fixed_point_pgf(n, bias)
-            want = genfuncs.fixed_point_pgf_from_distribution(
-                shuffles.exact_distribution(n, bias)
-            )
-            if pgf != want:
+            if pgf != _brute_fixed_point_law(n, bias):
                 return _fail(name, f"fixed-point PGF differs at n={n}, bias={bias}")
             mean = sum(m * c for m, c in enumerate(pgf))
             if mean != genfuncs.expected_fixed_points(shuffles.ShuffleSpec(n, bias, 1)):
@@ -372,6 +369,17 @@ def check_fixed_points(config: VerifyConfig) -> CheckResult:
                 if sum(p**j for p in bias) < F(1, a ** (j - 1)):
                     return _fail(name, f"power-sum inequality fails at {bias}, j={j}")
     return _ok(name, f"fixed-point PGFs exact for n <= {config.n_max}")
+
+
+def _brute_fixed_point_law(n: int, bias) -> tuple[Fraction, ...]:
+    """P(N_1 = 0..n) for one shuffle, read off the cut listing of
+    ``exact_distribution``: its integer numerators summed by the fixed
+    points of each permutation, one Fraction per count."""
+    numerators, scale = shuffles._cut_numerators(n, bias)
+    sums, cards = [0] * (n + 1), range(1, n + 1)
+    for ranks, m in numerators.items():
+        sums[sum(map(operator.eq, ranks, cards))] += m
+    return tuple(Fraction(total, scale) for total in sums)
 
 
 def _descent_subsets(n: int):

@@ -908,14 +908,98 @@ def test_report_past_both_answer_budgets_prints_its_whole_table(capsys):
                                     "k,tv_bound,exact_tv", "1,,", "2,,"]
 
 
+def _loaded_after(probe: str, *argv: str) -> list[str]:
+    """The modules of ``_WATCHED`` loaded once ``probe`` has run, in a fresh
+    ``python -S`` (no site, so only riffle's own imports count)."""
+    src = str(Path(riffle.__file__).resolve().parents[1])
+    script = f"import sys\n{probe}\nprint(sorted({_WATCHED!r} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-S", "-c", script, *argv],
+                         env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True).stdout
+    return ast.literal_eval(out.splitlines()[-1])
+
+
+_LIBRARY = {"riffle.counting", "riffle.genfuncs", "riffle.necklaces", "riffle.qpoly",
+            "riffle.verify"}
+_WATCHED = {"array", "dataclasses", "json", "struct", "typing", *_LIBRARY}
+
+
 def test_importing_the_cli_leaves_dataclasses_and_verify_unloaded():
     # struct and array stay unloaded too: the sampler decodes bytes without them
-    src = str(Path(riffle.__file__).resolve().parents[1])
-    probe = ("import sys, riffle.cli; "
-             "print(sorted({'array', 'dataclasses', 'riffle.verify', 'struct'} & set(sys.modules)))")
-    out = subprocess.run([sys.executable, "-S", "-c", probe], env={**os.environ, "PYTHONPATH": src},
-                         capture_output=True, text=True, check=True).stdout
-    assert out == "[]\n"
+    assert _loaded_after("import riffle.cli") == []
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["sample", "--n", "52", "--p", "1/2,1/2", "--k", "7", "--seed", "1", "--samples", "2"], []),
+    (["dist", "--n", "4", "--p", "1/2,1/4,1/4", "--k", "2"], []),
+    (["dist", "--n", "3", "--p", "1/3,2/3", "--format", "csv"], []),
+    (["tv", "--n", "6", "--p", "1/2,1/4,1/4", "--k", "6"], ["json"]),
+    (["report", "--n", "6", "--p", "2/7,5/7", "--k-max", "3"], ["json"]),
+    (["report", "--n", "5", "--p", "1/3,2/3", "--k-max", "2", "--format", "json"], ["json"]),
+], ids=["sample", "dist-classes", "dist-cuts", "tv", "report", "report-json"])
+def test_each_subcommand_loads_only_what_it_runs(argv, loaded):
+    # a run through main loads no library module its subcommand does not
+    # call, json only where it prints through json, and typing nowhere
+    probe = ("import contextlib, io\nfrom riffle.cli import main\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    assert main(sys.argv[1:]) == 0")
+    assert _loaded_after(probe, *argv) == loaded
+
+
+def test_no_riffle_module_imports_typing():
+    probe = "import riffle, riffle.cli, riffle.verify; from riffle import *"
+    assert _loaded_after(probe) == sorted(_LIBRARY)
+
+
+_CHOICES = "{sample,dist,tv,stats,count,bijection,report,verify}"
+
+
+@pytest.mark.parametrize("argv, code, out, err", [
+    (["--help"], 0,
+     f"usage: riffle [-h] {_CHOICES} ...\n\n"
+     "Biased riffle shuffles: samplers, exact measures, and the combinatorics of the\n"
+     "permutations they produce.\n\n"
+     "positional arguments:\n"
+     f"  {_CHOICES}\n"
+     "    sample              draw permutations from a biased shuffle\n"
+     "    dist                exact distribution of the shuffle on S_n\n"
+     "    tv                  exact distance to uniform, with the upper bound\n"
+     "    stats               exact shuffle statistics and generating functions\n"
+     "    count               permutations and n-cycles by descent set\n"
+     "    bijection           standardize a word / map a permutation to necklaces\n"
+     "    report              table of mixing bounds and exact distances over k\n"
+     "    verify              run the self-verification suites\n\n"
+     "options:\n"
+     "  -h, --help            show this help message and exit\n", ""),
+    (["sample", "--help"], 0,
+     "usage: riffle sample [-h] --n N --p P [--k K] [--samples SAMPLES]\n"
+     "                     [--method {interleave,drop,geometric,inverse}]\n"
+     "                     [--seed SEED] [--format {lines,json,csv}]\n\n"
+     "options:\n"
+     "  -h, --help            show this help message and exit\n"
+     "  --n N\n"
+     "  --p P                 bias vector, e.g. 1/3,2/3 or 0.4,0.6\n"
+     "  --k K                 number of repeated shuffles\n"
+     "  --samples SAMPLES\n"
+     "  --method {interleave,drop,geometric,inverse}\n"
+     "  --seed SEED           64-bit RNG seed\n"
+     "  --format {lines,json,csv}\n"
+     "                        output format\n", ""),
+    (["shuffle"], 2, "",
+     f"usage: riffle [-h] {_CHOICES} ...\n"
+     "riffle: error: argument command: invalid choice: 'shuffle' (choose from 'sample', "
+     "'dist', 'tv', 'stats', 'count', 'bijection', 'report', 'verify')\n"),
+    (["tv", "--n", "3"], 2, "",
+     "usage: riffle tv [-h] --n N --p P [--k K]\n"
+     "riffle tv: error: the following arguments are required: --p\n"),
+], ids=["help", "sample-help", "unknown-subcommand", "missing-p"])
+def test_parser_text_is_pinned(monkeypatch, capsys, argv, code, out, err):
+    # argparse wraps at the terminal width, which it reads from COLUMNS
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == code
+    assert capsys.readouterr() == (out, err)
 
 
 def test_every_benchmark_span_names_a_riffle_function():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_shuffles import random_bias
 
-from riffle import genfuncs
+from riffle import genfuncs, shuffles, verify
 from riffle.genfuncs import (
     CyclePolynomial,
     cycle_pgf_from_distribution,
@@ -192,6 +192,33 @@ def test_fixed_point_pgf_matches_distribution(n, bias):
     assert sum(pgf) == 1
     mean = sum(m * c for m, c in enumerate(pgf))
     assert mean == expected_fixed_points(ShuffleSpec(n, bias, 1))
+
+
+@given(bias=random_bias, n=st.integers(0, 6))
+@settings(max_examples=40, deadline=None)
+def test_brute_fixed_point_law_is_the_distribution_read_by_fixed_points(bias, n):
+    # the fixed-points suite buckets the cut listing's integer numerators;
+    # the reader buckets exact_distribution's Fractions
+    assert verify._brute_fixed_point_law(n, bias) == fixed_point_pgf_from_distribution(
+        exact_distribution(n, bias)
+    )
+
+
+def test_fixed_point_suite_fails_on_a_wrong_brute_law(monkeypatch):
+    # the suite reads its brute law off the cut listing: move every mass of
+    # the fair two-card deck onto the identity, keeping the total
+    listing = shuffles._cut_numerators
+
+    def onto_identity(n, bias):
+        numerators, scale = listing(n, bias)
+        if n == 2 and len(bias) == 2:
+            return {(1, 2): scale}, scale
+        return numerators, scale
+
+    monkeypatch.setattr(shuffles, "_cut_numerators", onto_identity)
+    result = verify.check_fixed_points(verify.VerifyConfig(n_max=3))
+    assert not result.passed
+    assert result.detail == f"fixed-point PGF differs at n=2, bias={FAIR}"
 
 
 @given(bias=random_bias, n=st.integers(0, 6), k=st.integers(0, 2))

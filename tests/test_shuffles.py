@@ -273,6 +273,21 @@ def test_the_class_table_carries_the_sizes_of_the_classes_with_mass(bias, k, mos
     assert sum(map(operator.mul, sizes, numerators)) == scale
 
 
+def test_the_class_sweep_holds_one_row_per_level():
+    # each child reads its 729-letter row lazily from its parent's running
+    # sums: 316 KB traced when every open level also kept its input row
+    bias = (F(1, 2), F(1, 4), F(1, 4))
+    shuffles._kfold_classes(6, bias, 6)  # warm the caches
+    tracemalloc.start()
+    try:
+        numerators, sizes, scale = shuffles._kfold_classes(6, bias, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(numerators) == 32 and sum(map(operator.mul, sizes, numerators)) == scale
+    assert peak < 240_000
+
+
 # --- total variation and bounds -------------------------------------------
 
 def test_tv_examples():
