@@ -14,9 +14,10 @@ import math
 from bisect import bisect_right
 from collections.abc import Callable, Iterable, Iterator
 
-from .necklaces import _mobius_divisors, _primitive_count
+from .necklaces import _primitive_count
 from .permutations import (
     MAX_CACHED_N,
+    _mobius_divisors,
     _partition_numbers,
     check_budget,
     check_size,
@@ -323,12 +324,11 @@ def count_symmetric_matrices(row_sums: Iterable[int]) -> int:
     given row sums, counted by filling the upper triangle row by row.
 
     Filling a row leaves the rows below it with smaller row sums and the
-    same problem, so the count for each tuple of remaining row sums of the
-    unfilled rows is kept in a memo local to the call.  Permuting the rows
-    and columns alike permutes the row sums and keeps the count, and a row
-    of sum 0 holds only zeros, so each tuple is kept as its nonzero sums in
-    decreasing order, one memo entry for every order (and the first row,
-    the largest, leaves the fewest rows to fill).
+    same problem, so ``_symmetric_fill`` keeps the count of each tuple of
+    row sums, across calls.  Permuting the rows and columns alike permutes
+    the row sums and keeps the count, and a row of sum 0 holds only zeros,
+    so a tuple is kept as its nonzero sums in decreasing order, one entry
+    for every order (the first row, the largest, leaves the fewest to fill).
 
     >>> count_symmetric_matrices((1, 1)), count_symmetric_matrices((2, 1, 1))
     (2, 5)
@@ -336,36 +336,34 @@ def count_symmetric_matrices(row_sums: Iterable[int]) -> int:
     sums = tuple(row_sums)
     if any(s < 0 for s in sums):
         raise ValueError(f"negative row sum in {sums}")
-    memo: dict[tuple[int, ...], int] = {}
+    return _symmetric_fill(_canonical(sums))
 
-    def canonical(rest) -> tuple[int, ...]:
-        return tuple(sorted(filter(None, rest), reverse=True))
 
-    def fill(rest: tuple[int, ...]) -> int:
-        # rest: remaining row sums of the unfilled rows; fill the first one
-        if not rest:
-            return 1
-        if rest in memo:
-            return memo[rest]
-        head, tail = rest[0], rest[1:]
-        below = list(tail)
-        total = 0
+def _canonical(rest) -> tuple[int, ...]:
+    return tuple(sorted(filter(None, rest), reverse=True))
 
-        def spread(col: int, left: int):
-            nonlocal total
-            if col == len(tail):
-                total += fill(canonical(below))  # the diagonal entry takes what is left
-                return
-            for value in range(min(left, tail[col]) + 1):
-                below[col] = tail[col] - value
-                spread(col + 1, left - value)
-            below[col] = tail[col]
 
-        spread(0, head)
-        memo[rest] = total
-        return total
+@functools.cache
+def _symmetric_fill(rest: tuple[int, ...]) -> int:
+    """``count_symmetric_matrices`` of canonical row sums: fill the first row."""
+    if not rest:
+        return 1
+    head, tail = rest[0], rest[1:]
+    below = list(tail)
+    total = 0
 
-    return fill(canonical(sums))
+    def spread(col: int, left: int):
+        nonlocal total
+        if col == len(tail):
+            total += _symmetric_fill(_canonical(below))  # the diagonal entry takes what is left
+            return
+        for value in range(min(left, tail[col]) + 1):
+            below[col] = tail[col] - value
+            spread(col + 1, left - value)
+        below[col] = tail[col]
+
+    spread(0, head)
+    return total
 
 
 def involutions_descent_subset(n: int, kset: Iterable[int]) -> int:

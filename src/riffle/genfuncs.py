@@ -1,28 +1,28 @@
 """Cycle, fixed-point, inversion, and descent statistics of biased shuffles.
 
-Everything here is exact: probability generating functions are expanded as
-truncated series with Fraction coefficients, and moments at q = 1 or x = 1
-are formal polynomial derivatives, never finite differences.  Each closed
-form has a companion that reads the same statistic off an exact
-distribution, so the two can be compared coefficient by coefficient.
+Everything here is exact: generating functions are expanded as truncated
+series with integer coefficients, divided once at the end, and moments at
+q = 1 or x = 1 are formal polynomial derivatives, never finite differences.
+Each closed form has a companion that reads the same statistic off an
+exact distribution, so the two can be compared coefficient by coefficient.
 
 The cycle, fixed-point and inversion series depend on the bias only
 through its power sums P_e(p) = sum_i p_i^e.  A k-fold shuffle is a single
 shuffle with the tensored bias, whose power sums are P_e(p)^k, so each
-series kernel takes k and never builds the a^k tensored letters.
+series kernel takes k and never builds the a^k tensored letters.  The
+cycle and inversion series share one integer kernel, ``_exp_integers``.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import sys
 from fractions import Fraction
 
-from .necklaces import _mobius_divisors
 from .permutations import (
     MAX_CACHED_N,
     Immutable,
+    _mobius_divisors,
     _partition_numbers,
     check_budget,
     check_size,
@@ -107,21 +107,24 @@ def cycle_structure_pgf(n: int, bias, k: int = 1) -> CyclePolynomial:
 
     where L_i is the weighted count of primitive necklaces of length i and
     P_d(q) = sum_j q_j^d.  At q = p^m this is the power sum P_{dm}(p), so
-    only n power sums are needed (P_e(p)^k for k shuffles), whatever a.  The
-    truncated exponential's coefficients follow from c_s = (1/s) sum_m
-    m g_m c_{s-m}, and collecting the u^n coefficient by dynamic
-    programming over the n factors gives the PGF of the n-card shuffle.
+    only n power sums are needed (P_e(p)^k for k shuffles), whatever a.
+    With P_e = N_e / D^e (see _power_sums) and lambda = i D^i, the factor is
+    exp(sum_m a_m (t/lambda)^m / m) with integers a_m = lambda^m L_i(p^m) =
+    i^(m-1) sum_{d | i} mu(d) N_{dm}^(i/d), whose t^s coefficients times
+    s! lambda^s are ``_exp_integers`` at width 1.  Collecting their integer
+    products over the n factors, one state per cycle type, and dividing
+    each once by z D^n (z = prod_i s_i! i^s_i) gives the n-card PGF.
 
     The table holds one state per partition of each m <= n and is copied
     once per cycle length, so its work is n * (p(0) + ... + p(n)) cells,
     p the partition numbers.  That is refused over
     ``shuffles.MAX_SWEEP_CELLS`` (n > 33) before any power sum is taken;
     the sum stops once it is over, so a huge n is refused at once.  Each
-    state is also reached by one product of coefficients, whose
-    denominators grow to that of P_n^k, so the cells plus those products,
-    each weighed by the machine digits (``sys.int_info``) of P_n^k's
-    denominator, are refused over the same budget once the power sums are
-    taken and before the table is built.
+    state is also reached by one product of integers, which grow with the
+    denominator of P_n^k, so the cells plus those products, each weighed by
+    the machine digits (``sys.int_info``) of that denominator, are refused
+    over the same budget once the power sums are taken and before the table
+    is built.
 
     >>> half = Fraction(1, 2)
     >>> cycle_structure_pgf(3, (half, half)).coefficient({3: 1})
@@ -136,38 +139,31 @@ def cycle_structure_pgf(n: int, bias, k: int = 1) -> CyclePolynomial:
         check_budget(f"cycle-type table of {n} * (p(0) + ... + p({n})) cells (the terms to "
                      f"p({m}) give {cells})", cells, MAX_SWEEP_CELLS, "cells")
     sums, scale = _power_sums(bias, n, k)
-    top = scale**n
-    bits = (top // math.gcd(sums[n], top)).bit_length()
+    den = scale**n
+    bits = (den // math.gcd(sums[n], den)).bit_length()
     words = -(-bits // sys.int_info.bits_per_digit)
     check_budget(f"cycle-type table of {cells} cells plus {states} coefficient products of "
                  f"{words} machine digits each (P_{n}^{k} has a {bits}-bit denominator), "
                  f"{cells + states * words} cells in all,", cells + states * words,
                  MAX_SWEEP_CELLS, "cells")
-    psum = [Fraction(x, scale**e) for e, x in enumerate(sums)]
-
-    # state: (u-degree, cycle-type counter as sorted tuple) -> coefficient
-    state: dict[tuple[int, CycleTypeKey], Fraction] = {(0, ()): Fraction(1)}
+    # state: (u-degree, cycle-type counter as sorted tuple) -> integer product
+    state: dict[tuple[int, CycleTypeKey], int] = {(0, ()): 1}
     for i in range(1, n + 1):
-        top = n // i
-        # g[m] = L_i(p^m) / m, the t^m coefficient of the log of the factor
-        g = [Fraction(0)] + [
-            sum(mu * psum[d * m] ** (i // d) for d, mu in _mobius_divisors(i)) / (i * m)
-            for m in range(1, top + 1)
-        ]
-        # expo[s] = t^s coefficient of exp(sum_m g[m] t^m)
-        expo = [Fraction(1)]
-        for s in range(1, top + 1):
-            expo.append(sum(m * g[m] * expo[s - m] for m in range(1, s + 1)) / s)
+        mobius = _mobius_divisors(i)  # a[m] = lambda^m L_i(p^m), lambda = i D^i
+        a = [0] + [i ** (m - 1) * sum(mu * sums[d * m] ** (i // d) for d, mu in mobius)
+                   for m in range(1, n // i + 1)]
+        expo = [f for f, in _exp_integers(a, n // i, 1)]  # s! lambda^s [t^s] of the factor
         new_state = dict(state)
         for (deg, key), coeff in state.items():
             for s in range(1, (n - deg) // i + 1):
                 if expo[s]:
                     # lengths come in increasing order, so the key stays sorted
                     slot = (deg + i * s, key + ((i, s),))
-                    new_state[slot] = new_state.get(slot, Fraction(0)) + coeff * expo[s]
+                    new_state[slot] = new_state.get(slot, 0) + coeff * expo[s]
         state = new_state
 
-    terms = {key: c for (deg, key), c in state.items() if deg == n}
+    terms = {key: Fraction(c, den * math.prod(math.factorial(s) * i**s for i, s in key))
+             for (deg, key), c in state.items() if deg == n}
     return CyclePolynomial(n, terms)
 
 
@@ -201,17 +197,32 @@ def fixed_point_pgf(n: int, bias, k: int = 1) -> tuple[Fraction, ...]:
     return _coefficients(n + 1, (dict(key).get(1, 0) for key in terms), terms.values())
 
 
-def fixed_point_pgf_from_distribution(dist: ExactDistribution) -> tuple[Fraction, ...]:
-    masses, cards = dist.masses, range(1, dist.n + 1)
-    keys = (sum(map(operator.eq, perm.images, cards)) for perm in masses)
-    return _coefficients(dist.n + 1, keys, masses.values())
-
-
 def _coefficients(size: int, degrees, masses) -> tuple[Fraction, ...]:
     """The ``size`` coefficients of a polynomial whose masses sit at the
     matching degrees, summed by ``shuffles._bucket_sums``."""
     sums = _bucket_sums(degrees, masses)
     return tuple(sums.get(degree, Fraction(0)) for degree in range(size))
+
+
+def _exp_integers(a, n: int, width: int) -> list[list[int]]:
+    """f_0..f_n, each truncated to q^0..q^(width-1), from the integers a_1..a_n:
+
+        f_s = sum_{m=1..s} a_m (s-1)!/(s-m)! f_{s-m} / (1 - q^m),   f_0 = 1,
+
+    that is s! [t^s] exp(sum_m a_m t^m / (m (1 - q^m))); at width 1 the
+    division does nothing and f_s = s! [t^s] exp(sum_m a_m t^m / m).
+    """
+    f = [[1] + [0] * (width - 1)]
+    for s in range(1, n + 1):
+        acc = [0] * width
+        for m in range(1, s + 1):
+            g = f[s - m].copy()  # becomes f_{s-m} / (1 - q^m)
+            for i in range(m, width):
+                g[i] += g[i - m]
+            c = a[m] * math.perm(s - 1, m - 1)
+            acc = [x + c * y for x, y in zip(acc, g)]
+        f.append(acc)
+    return f
 
 
 def inversion_pgf(n: int, bias, k: int = 1) -> QPolynomial:
@@ -228,11 +239,12 @@ def inversion_pgf(n: int, bias, k: int = 1) -> QPolynomial:
 
         f_s = sum_m N_m (s-1)!/(s-m)! f_{s-m} / (1 - q^m),
 
-    and E_n = f_n (q;q)_n / (D^n n!).  E_n has degree C(n,2), so every
-    series is truncated above q^C(n,2); dividing by 1 - q^m is then a
-    running sum of stride m and multiplying by 1 - q^j a running
-    difference.  That is C(n+1,2) * (C(n,2)+1) list cells, with no
-    polynomial product, refused over ``shuffles.MAX_SWEEP_CELLS`` (n > 53).
+    which is ``_exp_integers`` at a_m = N_m, and E_n = f_n (q;q)_n / (D^n n!).
+    E_n has degree C(n,2), so every series is truncated above q^C(n,2);
+    dividing by 1 - q^m is then a running sum of stride m and multiplying
+    by 1 - q^j a running difference.  That is C(n+1,2) * (C(n,2)+1) list
+    cells, with no polynomial product, refused over
+    ``shuffles.MAX_SWEEP_CELLS`` (n > 53).
 
     >>> half = Fraction(1, 2)
     >>> inversion_pgf(3, (half, half), 2) == QPolynomial([5/16, 5/16, 5/16, 1/16])
@@ -245,18 +257,7 @@ def inversion_pgf(n: int, bias, k: int = 1) -> QPolynomial:
     check_budget(f"inversion series of C({n + 1},2) * (C({n},2)+1) = {cells} cells",
                  cells, MAX_SWEEP_CELLS, "cells")
     sums, scale = _power_sums(bias, n, k)
-    # f[s] = integer coefficients of q^0..q^(top-1) in f_s
-    f = [[1] + [0] * (top - 1)]
-    for s in range(1, n + 1):
-        acc = [0] * top
-        for m in range(1, s + 1):
-            g = f[s - m].copy()  # becomes f_{s-m} / (1 - q^m)
-            for i in range(m, top):
-                g[i] += g[i - m]
-            c = sums[m] * math.perm(s - 1, m - 1)
-            acc = [a + c * x for a, x in zip(acc, g)]
-        f.append(acc)
-    e = f[n]  # times (q;q)_n, in place
+    e = _exp_integers(sums, n, top)[n]  # times (q;q)_n, in place
     for j in range(1, n + 1):
         for i in range(top - 1, j - 1, -1):
             e[i] -= e[i - j]

@@ -22,6 +22,7 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 
 from .permutations import (
     Permutation,
+    _mobius_divisors,
     check_listing,
     multinomial,
     partial_sums,
@@ -184,21 +185,6 @@ def _letter_counts(parts: Iterable[int]) -> tuple[int, ...]:
     if parts and min(parts) < 0:
         raise ValueError(f"negative letter count in {parts}")
     return parts
-
-
-def _mobius_divisors(m: int) -> list[tuple[int, int]]:
-    """(d, mu(d)) for the divisors d of m >= 1 with mu(d) != 0, the
-    squarefree ones, built prime by prime: the terms of every Moebius sum."""
-    terms, p = [(1, 1)], 2
-    while m > 1:
-        if p * p > m:
-            p = m  # what is left is prime
-        if m % p == 0:
-            terms += [(d * p, -mu) for d, mu in terms]
-            while m % p == 0:
-                m //= p
-        p += 1
-    return terms
 
 
 def primitive_count(parts: Iterable[int]) -> int:

@@ -81,6 +81,21 @@ def _partition_numbers() -> Iterator[int]:
         yield p
 
 
+def _mobius_divisors(m: int) -> list[tuple[int, int]]:
+    """(d, mu(d)) for the divisors d of m >= 1 with mu(d) != 0, the
+    squarefree ones, built prime by prime: the terms of every Moebius sum."""
+    terms, p = [(1, 1)], 2
+    while m > 1:
+        if p * p > m:
+            p = m  # what is left is prime
+        if m % p == 0:
+            terms += [(d * p, -mu) for d, mu in terms]
+            while m % p == 0:
+                m //= p
+        p += 1
+    return terms
+
+
 class Immutable:
     """Base of the value types: set once by object.__setattr__, then frozen."""
 

@@ -936,7 +936,13 @@ def test_importing_the_cli_leaves_dataclasses_and_verify_unloaded():
     (["tv", "--n", "6", "--p", "1/2,1/4,1/4", "--k", "6"], ["json"]),
     (["report", "--n", "6", "--p", "2/7,5/7", "--k-max", "3"], ["json"]),
     (["report", "--n", "5", "--p", "1/3,2/3", "--k-max", "2", "--format", "json"], ["json"]),
-], ids=["sample", "dist-classes", "dist-cuts", "tv", "report", "report-json"])
+    (["stats", "--n", "4", "--p", "1/2,1/2", "--stat", "inversions"],
+     ["json", "riffle.genfuncs", "riffle.qpoly"]),
+    (["stats", "--n", "5", "--p", "1/3,2/3", "--k", "2", "--stat", "cycle-pgf"],
+     ["json", "riffle.genfuncs", "riffle.qpoly"]),
+    (["count", "--n", "4", "--j", "2,4"], ["json", "riffle.counting", "riffle.necklaces"]),
+], ids=["sample", "dist-classes", "dist-cuts", "tv", "report", "report-json", "stats-inversions",
+        "stats-cycle-pgf", "count"])
 def test_each_subcommand_loads_only_what_it_runs(argv, loaded):
     # a run through main loads no library module its subcommand does not
     # call, json only where it prints through json, and typing nowhere

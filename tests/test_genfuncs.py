@@ -1,4 +1,5 @@
 import math
+import operator
 from fractions import Fraction as F
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_shuffles import random_bias
 
-from riffle import genfuncs, shuffles, verify
+from riffle import genfuncs, permutations, shuffles, verify
 from riffle.genfuncs import (
     CyclePolynomial,
     cycle_pgf_from_distribution,
@@ -15,7 +16,6 @@ from riffle.genfuncs import (
     expected_fixed_points,
     expected_inversions,
     fixed_point_pgf,
-    fixed_point_pgf_from_distribution,
     inversion_pgf,
     inversion_pgf_from_compositions,
     inversion_pgf_from_distribution,
@@ -31,6 +31,81 @@ from riffle.shuffles import (
 from riffle.verify import BIAS_PANEL
 
 FAIR = (F(1, 2), F(1, 2))
+
+
+def fixed_point_pgf_from_distribution(dist):
+    """P(N_1 = m), m = 0..n, summed off an exact distribution: the brute
+    reference of the fixed-point series."""
+    law = [F(0)] * (dist.n + 1)
+    for perm, mass in dist.masses.items():
+        law[sum(map(operator.eq, perm.images, range(1, dist.n + 1)))] += mass
+    return tuple(law)
+
+
+def _cycle_pgf_by_fractions(n, bias, k=1):
+    """The joint cycle-count PGF by the Fraction recurrence: for each cycle
+    length i, g_m = L_i(p^m) / m and the factor's coefficients
+    c_s = (1/s) sum_m m g_m c_{s-m}, collected over the factors in Fractions."""
+    sums, scale = shuffles._power_sums(bias, n, k)
+    psum = [F(x, scale**e) for e, x in enumerate(sums)]
+    state = {(0, ()): F(1)}
+    for i in range(1, n + 1):
+        top = n // i
+        g = [F(0)] + [
+            sum(mu * psum[d * m] ** (i // d) for d, mu in permutations._mobius_divisors(i))
+            / (i * m)
+            for m in range(1, top + 1)
+        ]
+        expo = [F(1)]
+        for s in range(1, top + 1):
+            expo.append(sum(m * g[m] * expo[s - m] for m in range(1, s + 1)) / s)
+        new_state = dict(state)
+        for (deg, key), coeff in state.items():
+            for s in range(1, (n - deg) // i + 1):
+                slot = (deg + i * s, key + ((i, s),))
+                new_state[slot] = new_state.get(slot, F(0)) + coeff * expo[s]
+        state = new_state
+    return CyclePolynomial(n, {key: c for (deg, key), c in state.items() if deg == n})
+
+
+# --- the exponential kernel --------------------------------------------------
+
+def _symmetric_functions(letters, n):
+    """h_0..h_n and e_0..e_n of the letters, by brute force over the letters:
+    the t^s coefficients of prod 1/(1 - x t) and of prod (1 + x t)."""
+    h, e = [F(1)] + [F(0)] * n, [F(1)] + [F(0)] * n
+    for x in letters:
+        for s in range(1, n + 1):
+            h[s] += x * h[s - 1]
+        for s in range(n, 0, -1):
+            e[s] += x * e[s - 1]
+    return h, e
+
+
+@given(bias=random_bias, n=st.integers(0, 7), k=st.integers(0, 3))
+@settings(max_examples=40, deadline=None)
+def test_exp_kernel_at_width_one_gives_the_symmetric_functions(bias, n, k):
+    # exp(sum P_m t^m / m) = sum h_s t^s and exp(sum (-1)^(m-1) P_m t^m / m)
+    # = sum e_s t^s, with P_m = N_m / D^m the power sums of the letters
+    sums, scale = shuffles._power_sums(bias, n, k)
+    h, e = _symmetric_functions(tensor_power(bias, k), n)
+    signed = [(-1) ** (m - 1) * x for m, x in enumerate(sums)]
+    complete = genfuncs._exp_integers(sums, n, 1)
+    elementary = genfuncs._exp_integers(signed, n, 1)
+    for s in range(n + 1):
+        assert complete[s] == [math.factorial(s) * scale**s * h[s]]
+        assert elementary[s] == [math.factorial(s) * scale**s * e[s]]
+
+
+def test_both_series_routes_run_the_exp_kernel(monkeypatch):
+    def reached(*args):
+        raise LookupError("kernel reached")
+
+    monkeypatch.setattr(genfuncs, "_exp_integers", reached)
+    with pytest.raises(LookupError):
+        inversion_pgf(3, FAIR)
+    with pytest.raises(LookupError):
+        cycle_structure_pgf(3, FAIR)
 
 
 # --- cycle structure -------------------------------------------------------
@@ -100,6 +175,14 @@ def test_cycle_and_fixed_point_pgfs_above_s9_match_the_pile_words(n, bias):
     dist = exact_distribution(n, bias)
     assert cycle_structure_pgf(n, bias) == cycle_pgf_from_distribution(dist)
     assert fixed_point_pgf(n, bias) == fixed_point_pgf_from_distribution(dist)
+
+
+@given(bias=random_bias, n=st.integers(10, 14), k=st.integers(1, 2))
+@settings(max_examples=20, deadline=None)
+def test_integer_cycle_table_matches_the_fraction_recurrence(bias, n, k):
+    # no S_n route runs at these n, and the pile words check two fixed biases
+    # only, so this pins the final division by z D^n on random ones
+    assert cycle_structure_pgf(n, bias, k) == _cycle_pgf_by_fractions(n, bias, k)
 
 
 def test_cycle_pgf_is_refused_past_its_cells_before_any_power_sum(monkeypatch):

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from riffle import counting, necklaces, verify
 from riffle.counting import count_descent_subset, multinomial
 from riffle.necklaces import (
-    _mobius_divisors,
     enumerate_primitive_multisets,
     enumerate_primitive_necklaces,
     is_primitive,
@@ -27,6 +26,7 @@ from riffle.necklaces import (
 )
 from riffle.permutations import (
     Permutation,
+    _mobius_divisors,
     compositions,
     cycle_type,
     cycles,
