@@ -107,6 +107,43 @@ SAMPLE_EDGE_SHA256 = [
       "drop": "3a2afad0160d2d08126de3dbb5fc5874d8912e61c1f28345ed0e410b16d40d97",
       "geometric": "765259de4bfe2cdf8ebd7a4b662ecbe933dac3524c6ee504ed17d04268d68262",
       "inverse": "329cb296266e2b33a57facc1f7f8e9b73029ee5267a449608f5b8e74c81b11ef"}),
+    # alphabets on both sides of the cutoff between sample's two ways of
+    # composing pile words (3, 4, 5 and 6 letters, the last with a zero
+    # letter), and decks of 1100 cards, longer than one label run
+    (["sample", "--n", "52", "--p", "1/2,1/4,1/4", "--k", "7", "--samples", "100", "--seed", "19"],
+     {"interleave": "02139576260199930c04d3ac4f86fb873da844086d456fa1acb5d246780702f0",
+      "drop": "7342b1a28534f227b4e882d027ca77226c8256c9274e68da8645612e7811a364",
+      "geometric": "9544bea29564465d074624d95fa1891fabd9f9d5a520680e184c251dd77222e2",
+      "inverse": "b7a245de5b6fe27b54da35bb5915ff126bdfeacf328d0be8b8afb6d276500bfe"}),
+    (["sample", "--n", "52", "--p", "1/10,1/5,3/10,2/5", "--k", "7", "--samples", "100",
+      "--seed", "20"],
+     {"interleave": "7660af69452eb7f06b371bb9a7238c6c0d048ee697d16cf49701c94926447450",
+      "drop": "1b345a9125408df4b3a168f2b94971b0ec2abe1df437afe86f4f33a5797f0753",
+      "geometric": "1b44d9113d267b57b06a286d4595a5c472b3b2209a8325bbe80b5d763b2f6459",
+      "inverse": "31128012fea96459de63567a2d15613665803859a9342ef33b85b52bd3f680f4"}),
+    (["sample", "--n", "52", "--p", ",".join(["1/5"] * 5), "--k", "7", "--samples", "100",
+      "--seed", "21"],
+     {"interleave": "f4a2339d3d4e3c1ffeb6001244d6efa24c7478a0d6ed3f4e2d8172457185bb6c",
+      "drop": "ee727cf2271e054bbceb092648f80152fb22bc12f234522fd968a8119ac22410",
+      "geometric": "4867776fdd6cdfaf71598c757a6c028e82aad9ee8db5d5f806ad6fe28a2ce2ff",
+      "inverse": "1e05ce3b57c2f56e85174f68c5fda8f7d3f1d2aefa1afe1baa547658611e91bb"}),
+    (["sample", "--n", "52", "--p", "1/4,0,1/4,1/8,1/8,1/4", "--k", "7", "--samples", "100",
+      "--seed", "22"],
+     {"interleave": "1dab3929913e2ea596b5b0a90150cf3b865a564f192781fd3a5e8f19a8ee2c83",
+      "drop": "d0d4c9ce20d99848673ab154c55800d93e6aac7b624e009ec9f9a1504c72ee63",
+      "geometric": "372029ad7550da18048486825b26d1d73a568d88b6e87f18d34e0d3d406e02dd",
+      "inverse": "3835b80a6a01084d2bc40f81afad3299a8e524460dfca509204ee6e283d0f51e"}),
+    (["sample", "--n", "1100", "--p", "0.4,0.6", "--k", "3", "--samples", "2", "--seed", "23"],
+     {"interleave": "7ad7d068d1caec782d6ccee43ad29606bb865bc830df81e5076471e8b7fee1a5",
+      "drop": "b9e5fe86924b4d7c0859af3bd2dd4877897e3bd8489d010f5329c2638314cdd5",
+      "geometric": "6ac7d634630c16d9bd6efdc412746a5b09d0eead3641d1dc1bf59ed037d250b1",
+      "inverse": "7b19f10be90c2f98602973a68b4e27fe9f59b6f1a2364046eefd0cd86c4b0a93"}),
+    (["sample", "--n", "1100", "--p", "1/4,0,1/4,1/8,1/8,1/4", "--k", "2", "--samples", "2",
+      "--seed", "24"],
+     {"interleave": "6824237720eb82d5e6bfc541f277087da5fd006a43ff07895d5e0ac0fea2ed70",
+      "drop": "a5406b5ea28b566d0cca4e803f4ff39b94cd943d21e27b3ecc4fa9f21548bc5d",
+      "geometric": "b256c86eeaa86f157c09c158f3ec180d943ab02953a9173c0293a0ea08f40d38",
+      "inverse": "05f0b5c34a76ba876ea994b04e372c8c910ac64a6a19c45584b6a41387a85082"}),
 ]
 GOLDEN_SHA256 += [
     (argv + ["--method", method], digests[method])
