@@ -14,7 +14,6 @@ import math
 from bisect import bisect_right
 from collections.abc import Callable, Iterable, Iterator
 
-from .necklaces import _primitive_count
 from .permutations import (
     MAX_CACHED_N,
     _mobius_divisors,
@@ -284,6 +283,20 @@ def count_descent_det(n: int, j_positions: Iterable[int]) -> int:
     if any(j < 1 or j > n - 1 for j in js):
         raise ValueError(f"positions must lie in 1..{n - 1}: {js}")
     return _binomial_det(n, js, 1)
+
+
+def _primitive_count(parts: tuple[int, ...], factorial: Callable[[int], int]) -> int:
+    """``necklaces.primitive_count`` of the letter counts ``parts``, taking each
+    factorial from ``factorial``, which a caller summing many counts over
+    one n can make remember its values."""
+    n = sum(parts)
+    if n == 0:
+        raise ValueError("all letter counts are zero")
+    total = sum(mu * (factorial(n // d) // math.prod([factorial(r // d) for r in parts]))
+                for d, mu in _mobius_divisors(math.gcd(*parts)))
+    if total % n:
+        raise ArithmeticError(f"necklace sum {total} for {parts} is not divisible by {n}")
+    return total // n
 
 
 def ncycles_descent_ie(n: int, deset: Iterable[int]) -> int:

@@ -18,11 +18,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 from .permutations import (
     Permutation,
-    _mobius_divisors,
     check_listing,
     multinomial,
     partial_sums,
@@ -196,21 +195,8 @@ def primitive_count(parts: Iterable[int]) -> int:
     >>> primitive_count((2, 2)), primitive_count((1, 1, 1))
     (1, 2)
     """
+    from .counting import _primitive_count  # here: bijection loads necklaces, not counting
     return _primitive_count(_letter_counts(parts), math.factorial)
-
-
-def _primitive_count(parts: tuple[int, ...], factorial: Callable[[int], int]) -> int:
-    """``primitive_count`` of the letter counts ``parts``, taking each
-    factorial from ``factorial``, which a caller summing many counts over
-    one n can make remember its values."""
-    n = sum(parts)
-    if n == 0:
-        raise ValueError("all letter counts are zero")
-    total = sum(mu * (factorial(n // d) // math.prod([factorial(r // d) for r in parts]))
-                for d, mu in _mobius_divisors(math.gcd(*parts)))
-    if total % n:
-        raise ArithmeticError(f"necklace sum {total} for {parts} is not divisible by {n}")
-    return total // n
 
 
 def _lyndon_walk(parts: tuple[int, ...]) -> list[Necklace]:

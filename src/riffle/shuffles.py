@@ -10,9 +10,8 @@ Four equivalent sampling procedures are provided (``interleave``, ``drop``,
 them, so the equivalence is testable and not just asserted.  The samplers
 take the generator's words in exactly the order ``rng.randrange``,
 ``rng.shuffle`` and ``rng.random`` would, so seeded streams are those of
-those methods, and each yields the k shuffles of a draw as unchecked
-inverse orders: ``sample`` composes them and validates one permutation per
-draw.
+those methods, and each yields the k shuffles of a draw as pile words:
+``sample`` checks and composes them and validates one permutation per draw.
 
 Composition convention: the shuffle applied first is the *left* factor, so
 a k-fold shuffle is ``s1 * s2 * ... * sk``.  With this order, convolving an
@@ -159,7 +158,7 @@ class ShuffleSpec(Immutable):
     """Deck size, bias vector, and number of repeated shuffles; immutable,
     equal and hashable by (n, bias, k)."""
 
-    __slots__ = ("n", "bias", "k", "_thresholds")
+    __slots__ = ("n", "bias", "k", "_thresholds", "_piles")
 
     def __init__(self, n: int, bias, k: int = 1):
         check_size(n, k=k)
@@ -167,8 +166,12 @@ class ShuffleSpec(Immutable):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "bias", probs)
         object.__setattr__(self, "k", k)
-        # the integer thresholds ``sample`` draws against, built once per spec
+        # built once per spec: the thresholds ``sample`` draws against, and the piles it checks
+        # words by: bytes and a 0/1 table each up to _PARTITION_LETTERS piles, a set above
+        a = len(probs)
+        masks = tuple(bytes(p) + b"\1" + bytes(255 - p) for p in range(a)) if a <= _PARTITION_LETTERS else ()
         object.__setattr__(self, "_thresholds", (cumulative, denom))
+        object.__setattr__(self, "_piles", (bytes(range(a)) if masks else frozenset(range(a)), masks))
 
     def _key(self) -> tuple:
         return (self.n, self.bias, self.k)
@@ -740,13 +743,6 @@ def substream(seed: int, index: int) -> random.Random:
 
 
 @functools.lru_cache(maxsize=4)
-def _deck(n: int) -> frozenset[int]:
-    """The positions 0..n-1 that ``sample`` checks each factor's entries
-    against; building it per draw cost ~1.1 us of a ~30 us k = 1 draw."""
-    return frozenset(range(n))
-
-
-@functools.lru_cache(maxsize=4)
 def _draw_bounds(n: int) -> tuple[tuple[int, int], ...]:
     """(i, (i + 1).bit_length()) for i = n - 1 down to 0: the largest value
     and the width of each ``rng.randrange(i + 1)`` draw that the shuffle and
@@ -787,29 +783,24 @@ def _byte_table(cumulative, denom: int, rng: random.Random) -> tuple[bytes, byte
     return None
 
 
-def _draw_labels(n: int, cumulative, denom: int, rng: random.Random) -> list[int]:
+def _draw_labels(n: int, cumulative, denom: int, rng: random.Random) -> bytes | list[int]:
     """Pile labels of n independent cards: category of a uniform draw below
     denom, drawn as ``rng.randrange(denom)`` would draw it.
 
     ``getrandbits(b)`` for b <= 32 is one 32-bit word of CPython's Mersenne
     Twister shifted right by 32 - b, and ``getrandbits(32 * m)`` is m
     consecutive words, the first one lowest.  So under ``_byte_table``'s
-    condition each draw is the top byte of a word and each label fits in a
-    byte: the words still missing are drawn at once, and one
-    ``bytes.translate`` deletes the rejected top bytes and maps the rest to
-    their categories, until n labels are drawn.  That takes the same words
-    as one draw at a time, so the labels of several shuffles that draw
-    nothing else can be taken in one call: the ``inverse`` sampler takes
-    a run of about ``_LABEL_RUN`` labels at a time.  Any other generator or
-    bias draws one ``getrandbits`` call at a time.
-
-    That per-call path is ``rng.randrange(denom)``'s loop (draw
-    denom.bit_length() bits, redraw while the value is denom or more)
-    written out in place, as are the draws of ``_shuffle``, ``_single_drop``
-    and ``_single_geometric``: calling a helper for it once per card cost
-    ~9% of the ``sampling`` benchmark's wall time (median of ten paired
-    runs).  The shuffle and drop draws stay one call each, as decoding
-    their bytes in a Python loop measured slower than the calls.
+    condition each draw is the top byte of a word: the words still missing
+    are drawn at once, and one ``bytes.translate`` deletes the rejected top
+    bytes and maps the rest to their categories, until n labels are drawn,
+    which come back as bytes.  That takes the same words as one draw at a
+    time, so the ``inverse`` sampler takes a run of labels in one call.  Any
+    other generator or bias draws a list, one ``getrandbits`` call at a
+    time: ``rng.randrange(denom)``'s loop written out in place, as are the
+    draws of ``_shuffle``, ``_single_drop`` and ``_single_geometric``, since
+    a helper called per card cost ~9% of the ``sampling`` benchmark's wall
+    time.  Decoding the shuffle and drop draws from bytes in a Python loop
+    measured slower than one call per draw.
     """
     getrandbits = rng.getrandbits
     tables = _byte_table(cumulative, denom, rng)
@@ -820,7 +811,7 @@ def _draw_labels(n: int, cumulative, denom: int, rng: random.Random) -> list[int
             need = n - len(labels)
             top = getrandbits(32 * need).to_bytes(4 * need, "little")[3::4]
             labels += top.translate(table, rejected)
-        return list(labels)
+        return labels
     bits = denom.bit_length()
     labels = []
     for _ in range(n):
@@ -831,18 +822,18 @@ def _draw_labels(n: int, cumulative, denom: int, rng: random.Random) -> list[int
     return labels
 
 
-# Labels the ``inverse`` sampler draws in one ``_draw_labels`` call: those of
-# up to _LABEL_RUN // n shuffles, and of one at least.  So ``sample``'s memory
-# is bounded by the run, not by k * n: at n = 52 and k = 3000 its traced
-# peak is 24 kB with runs of 988 labels and 76 kB with runs of 4056.
+# Labels the ``inverse`` sampler draws in one call, and pile words ``sample``
+# composes in one run: those of up to _LABEL_RUN // n shuffles, one at least.
+# So memory is bounded by the run, not by k * n: at n = 52 and k = 3000 the
+# traced peak is 24 kB with runs of 988 labels and 76 kB with runs of 4056.
 _LABEL_RUN = 1024
+_PARTITION_LETTERS = 4  # most piles ``sample`` partitions by; with more, a sort is cheaper
 
 
 # Each single sampler is a generator single(n, k, bias, cumulative, denom,
 # rng) that yields the k shuffles of one draw, first shuffle first, each as
-# its inverse order, unchecked: the list whose entry r is the 0-based
-# position of card r + 1, which is pi^{-1} - 1.  ``sample`` checks and
-# composes these one at a time and validates the product once.
+# its pile word, unchecked: the pile 0..a-1 of the card at each position, as
+# bytes or a list.  Its stable argsort is the shuffle's inverse order.
 
 def _single_interleave(n, k, bias, cumulative, denom, rng) -> Iterator[list[int]]:
     getrandbits = rng.getrandbits
@@ -850,41 +841,47 @@ def _single_interleave(n, k, bias, cumulative, denom, rng) -> Iterator[list[int]
         # sorted labels are the pile word of the drawn cut, pile i once per card
         word = sorted(_draw_labels(n, cumulative, denom, rng))
         _shuffle(word, getrandbits)  # uniform over distinct interleavings
-        yield sorted(range(n), key=word.__getitem__)
+        yield word
 
 
 def _single_drop(n, k, bias, cumulative, denom, rng) -> Iterator[list[int]]:
+    # position last + 1 takes pile i w.p. remaining[i] / (last + 1): the pile
+    # of the r-th smallest label left, r uniform below last + 1.  Popping it
+    # moves at most a run of labels; a longer deck scans the pile sizes.
     getrandbits = rng.getrandbits
     bounds = _draw_bounds(n)
     for _ in range(k):
-        remaining = [0] * len(bias)
-        for label in _draw_labels(n, cumulative, denom, rng):
-            remaining[label] += 1  # multinomial(n; p) pile sizes
-        tops = list(itertools.accumulate(remaining))  # each pile's bottom card, 1-based
-        order = [0] * n
-        for last, bits in bounds:
-            # the card at position last + 1 comes from pile i w.p. remaining[i] / (last + 1)
-            r = getrandbits(bits)
-            while r > last:
+        left = sorted(_draw_labels(n, cumulative, denom, rng))
+        word = [0] * n
+        if n <= _LABEL_RUN:
+            for last, bits in bounds:
                 r = getrandbits(bits)
-            i = 0
-            while r >= remaining[i]:
-                r -= remaining[i]
-                i += 1
-            remaining[i] -= 1
-            tops[i] -= 1
-            order[tops[i]] = last
-        yield order
+                while r > last:
+                    r = getrandbits(bits)
+                word[last] = left.pop(r)
+        else:
+            # multinomial(n; p) pile sizes, read off the sorted labels
+            remaining = [bisect.bisect_right(left, i) - bisect.bisect_left(left, i) for i in range(len(bias))]
+            for last, bits in bounds:
+                r = getrandbits(bits)
+                while r > last:
+                    r = getrandbits(bits)
+                i = 0
+                while r >= remaining[i]:
+                    r -= remaining[i]
+                    i += 1
+                remaining[i] -= 1
+                word[last] = i
+        yield word
 
 
 def _single_geometric(n, k, bias, cumulative, denom, rng) -> Iterator[list[int]]:
     # n points in [0,1]: interval i w.p. p_i, uniform inside; x = (i-1+u)/a.
     # Sorting by x is sorting by (i, u); the map x -> a*x mod 1 leaves u, so
-    # pi reads the (i, u)-rank of each point in u order.  Each point takes
-    # its category and then its u from the stream, so the category draws are
-    # inlined here rather than taken from _draw_labels.  Under _byte_table's
-    # condition a category draw reads its word's top byte (getrandbits(8)
-    # takes the same one word), and one translate maps the n bytes.
+    # the pile word is the categories in u order.  Each point takes its
+    # category and then its u from the stream, so the category draws are
+    # inlined: under _byte_table's condition each reads its word's top byte
+    # (getrandbits(8) takes the same one word), and one translate maps them.
     getrandbits, uniform = rng.getrandbits, rng.random
     tables = _byte_table(cumulative, denom, rng)
     if tables is not None:
@@ -899,30 +896,22 @@ def _single_geometric(n, k, bias, cumulative, denom, rng) -> Iterator[list[int]]
                 r = getrandbits(width)
             draws.append(r)
             us.append(uniform())
-        if tables is not None:
-            cats = bytes(draws).translate(tables[0])
-        else:
-            cats = [bisect.bisect_right(cumulative, r) for r in draws]
-        # one stable sort by u (ties to the point index), then a stable sort of
-        # the u ranks by category: (i, u)-rank r + 1 sits at u rank order[r]
-        by_u = sorted(range(n), key=us.__getitem__)
-        yield sorted(range(n), key=list(map(cats.__getitem__, by_u)).__getitem__)
+        cats = (bytes(draws).translate(tables[0]) if tables is not None
+                else [bisect.bisect_right(cumulative, r) for r in draws])
+        yield list(map(cats.__getitem__, sorted(range(n), key=us.__getitem__)))
 
 
-def _single_inverse(n, k, bias, cumulative, denom, rng) -> Iterator[list[int]]:
-    # stacking the piles in label order sorts the cards stably by label: the
-    # order it sorts them into is the inverse of the shuffle.  The shuffles
-    # draw nothing but labels, so a run of them takes its labels at once.
+def _single_inverse(n, k, bias, cumulative, denom, rng) -> Iterator[bytes | list[int]]:
+    # the labels are the pile words, and a run of shuffles takes them at once
     run = max(1, _LABEL_RUN // max(n, 1))
     for first in range(0, k, run):
         count = min(run, k - first)
         labels = _draw_labels(count * n, cumulative, denom, rng)
         for j in range(count):
-            part = labels[j * n:(j + 1) * n]
-            yield sorted(range(n), key=part.__getitem__)
+            yield labels[j * n:(j + 1) * n]
 
 
-_SINGLE_SAMPLERS: dict[str, Callable[..., Iterator[list[int]]]] = {
+_SINGLE_SAMPLERS: dict[str, Callable[..., Iterator[bytes | list[int]]]] = {
     "interleave": _single_interleave,
     "drop": _single_drop,
     "geometric": _single_geometric,
@@ -935,46 +924,56 @@ def sample(spec: ShuffleSpec, method: str = "inverse", rng: random.Random | None
     """Draw one permutation from the k-fold biased shuffle.
 
     The k single shuffles are sampled independently and composed with the
-    first shuffle as the left factor.  Reproducible for a fixed (seeded)
-    ``rng`` and method.  The samplers take their words from
-    ``rng.getrandbits`` exactly as ``rng.randrange``, ``rng.shuffle`` and
-    ``rng.random`` would, so ``rng`` must be a ``random.Random`` whose
-    ``randrange`` draws from ``getrandbits`` (any that does not override
-    ``random()`` alone).  On CPython's own generator the label draws take
-    their 32-bit words in batches (see ``_draw_labels``); a subclass that
-    overrides ``getrandbits`` gets one call per draw.  Either way the seeded
-    stream and the generator's state afterwards are the same.
+    first shuffle as the left factor, reproducibly for a seeded ``rng``.
+    The samplers take the words of ``rng.getrandbits`` exactly as
+    ``rng.randrange``, ``rng.shuffle`` and ``rng.random`` would, so ``rng``
+    must be a ``random.Random`` whose ``randrange`` draws from
+    ``getrandbits`` (any that does not override ``random()`` alone).
+    CPython's own generator gives the label draws in batches (see
+    ``_draw_labels``), a subclass that overrides ``getrandbits`` one call
+    per draw, with the same stream and end state.
 
-    The method's sampler yields the k factors one at a time, each as its
-    inverse order, and the inverse of the product is composed from them and
-    inverted once at the end, so memory stays O(n) at any k: a factor is
-    dropped once composed, and the ``inverse`` sampler holds one run of
-    labels (``_LABEL_RUN``).  A factor of the wrong length or with an entry
-    outside 0..n-1 is refused as it comes; a factor that repeats an entry
-    leaves a position of the product empty, which is refused with
-    ``Permutation``'s own wording.
+    Each shuffle comes as its pile word, refused unless it is n piles in
+    0..a-1.  Up to ``_PARTITION_LETTERS`` piles, a run of up to ``_LABEL_RUN
+    // n`` words is composed from its last shuffle back, then into the
+    product: x composed with a shuffle's inverse order is the concatenation
+    over the piles of ``itertools.compress(x, word == pile)``, all in C.
+    With more piles each word is sorted instead.  Memory stays O(n + run),
+    and a product that is not a permutation of 1..n is refused.
     """
     if method not in _SINGLE_SAMPLERS:
         raise ValueError(f"unknown method {method!r}; pick one of {SAMPLE_METHODS}")
     if rng is None:
         raise ValueError("a seeded random.Random is required")
-    n = spec.n
+    n, a = spec.n, len(spec.bias)
     cumulative, denom = spec._thresholds
-    # a negative entry would index from the end and could compose to a
-    # valid product, so the range is checked per factor, not once
-    deck = _deck(n)
-    inv = list(range(n))  # (s1 * ... * sj)^{-1} = sj^{-1} * ... * s1^{-1}, 0-based
-    for order in _SINGLE_SAMPLERS[method](n, spec.k, spec.bias, cumulative, denom, rng):
-        if len(order) != n:
-            raise ValueError(f"a {method} shuffle of {n} cards drew {len(order)} of them")
-        if not deck.issuperset(order):
-            raise ValueError(f"a {method} shuffle of {n} cards drew a position "
-                             f"outside 0..{n - 1}")
-        inv = list(map(order.__getitem__, inv))
+    words = _SINGLE_SAMPLERS[method](n, spec.k, spec.bias, cumulative, denom, rng)
+    piles, masks = spec._piles
+    inv = range(n)  # (s1 * ... * sj)^{-1} = sj^{-1} * ... * s1^{-1}, 0-based
+    if not masks:
+        for word in words:
+            if len(word) != n or not piles.issuperset(word):
+                raise ValueError(f"a {method} shuffle drew a word that is not {n} piles in 0..{a - 1}")
+            # a list key sorts ~1 us faster than a bytes key at n = 52
+            order = sorted(range(n), key=(word if type(word) is list else list(word)).__getitem__)
+            inv = order if type(inv) is range else list(map(order.__getitem__, inv))
+    else:
+        run = max(1, _LABEL_RUN // max(n, 1))
+        for block in iter(lambda: list(itertools.islice(words, run)), []):
+            x = range(n)
+            for word in reversed(block):
+                word = bytes(word)  # a letter outside 0..255 raises ValueError here
+                if word.translate(None, piles) or len(word) != n:
+                    raise ValueError(f"a {method} shuffle drew a word that is not {n} piles in 0..{a - 1}")
+                parts = []
+                for mask in masks:
+                    parts += itertools.compress(x, word.translate(mask))
+                x = parts
+            inv = x if type(inv) is range else list(map(x.__getitem__, inv))
     images = [0] * n
     for card, position in enumerate(inv, start=1):
         images[position] = card
-    # every entry is in range, so a slot left empty means another was filled twice
-    if 0 in images:
+    # entries are positions of the deck: a slot left empty means another was filled twice
+    if len(inv) != n or 0 in images:
         raise ValueError(f"not a permutation of 1..{n}: {tuple(images)!r}")
     return Permutation._unchecked(tuple(images))

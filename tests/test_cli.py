@@ -940,9 +940,10 @@ def test_importing_the_cli_leaves_dataclasses_and_verify_unloaded():
      ["json", "riffle.genfuncs", "riffle.qpoly"]),
     (["stats", "--n", "5", "--p", "1/3,2/3", "--k", "2", "--stat", "cycle-pgf"],
      ["json", "riffle.genfuncs", "riffle.qpoly"]),
-    (["count", "--n", "4", "--j", "2,4"], ["json", "riffle.counting", "riffle.necklaces"]),
+    (["count", "--n", "4", "--j", "2,4"], ["json", "riffle.counting"]),
+    (["bijection", "--word", "2,2,1,1,2,3"], ["json", "riffle.necklaces"]),
 ], ids=["sample", "dist-classes", "dist-cuts", "tv", "report", "report-json", "stats-inversions",
-        "stats-cycle-pgf", "count"])
+        "stats-cycle-pgf", "count", "bijection"])
 def test_each_subcommand_loads_only_what_it_runs(argv, loaded):
     # a run through main loads no library module its subcommand does not
     # call, json only where it prints through json, and typing nowhere

@@ -189,7 +189,7 @@ def test_primitive_count_examples():
 def test_primitive_count_raises_when_the_sum_is_not_divisible(monkeypatch):
     # with mu = 1 everywhere the sum over d | 4 for content (4,) is 3, not a
     # multiple of 4; the check is a raise, so it also holds under python -O
-    monkeypatch.setattr("riffle.necklaces._mobius_divisors",
+    monkeypatch.setattr("riffle.counting._mobius_divisors",
                         lambda m: [(d, 1) for d in range(1, m + 1) if m % d == 0])
     with pytest.raises(ArithmeticError):
         primitive_count((4,))

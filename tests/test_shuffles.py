@@ -667,7 +667,10 @@ def test_inlined_category_draws_consume_the_randrange_stream(bias):
     _, cumulative, denom = shuffles._categorical(parse_bias(bias))
     ours, theirs = random.Random(3), random.Random(3)
     labels = shuffles._draw_labels(500, cumulative, denom, ours)
-    assert labels == [bisect.bisect_right(cumulative, theirs.randrange(denom)) for _ in range(500)]
+    # bytes on the batch path, a list on the one-call-per-draw one
+    assert type(labels) is (bytes if denom < 256 else list)
+    assert list(labels) == [bisect.bisect_right(cumulative, theirs.randrange(denom))
+                            for _ in range(500)]
     assert ours.getstate() == theirs.getstate()
 
 
@@ -686,39 +689,86 @@ def test_sample_reads_the_thresholds_built_with_the_spec(monkeypatch, method):
     assert [sample(spec, method, rng) for _ in range(3)] == want
 
 
+def _words_sampler(words):
+    """A stand-in single sampler that yields the given pile words."""
+    return lambda n, k, *rest: iter(words)
+
+
+# the two ways sample composes pile words: partitions up to
+# _PARTITION_LETTERS piles, sorting above
+BOTH_PATHS = [FAIR, parse_bias("1/4,0,1/4,1/8,1/8,1/4")]
+
+
 @pytest.mark.parametrize("method", SAMPLE_METHODS)
 @pytest.mark.parametrize("k", [1, 3])
-@pytest.mark.parametrize("bad", [
-    lambda n: [1] * n,  # not injective
-    lambda n: list(range(1, n)),  # one card short
-    lambda n: [*range(1, n + 1), 1],  # one card extra
-], ids=["repeat", "short", "long"])
-def test_sample_validates_the_composed_draw(monkeypatch, method, k, bad):
-    # the factors are composed unchecked, so the one check of the product
-    # must catch a single shuffle that is not a permutation of 1..n
+@pytest.mark.parametrize("mutation", ["drop", "repeat", "swap"])
+def test_sample_validates_the_composed_draw(monkeypatch, method, k, mutation):
+    # the words are composed by partitions that are not checked themselves,
+    # so the one check of the product must catch a partition that drops or
+    # repeats a card: here pile 1 takes no card, every card, or pile 0's
+    assert len(FAIR) <= shuffles._PARTITION_LETTERS
+    spec = ShuffleSpec(6, FAIR, k)
+    piles, (pile0, _) = spec._piles
+    wrong = {"drop": bytes(256), "repeat": b"\1" * 256, "swap": pile0}[mutation]
+    object.__setattr__(spec, "_piles", (piles, (pile0, wrong)))  # this spec's tables alone
+    monkeypatch.setitem(shuffles._SINGLE_SAMPLERS, method, _words_sampler([[0, 1] * 3] * k))
+    with pytest.raises(ValueError, match="not a permutation of 1..6"):
+        sample(spec, method, random.Random(1))
+
+
+BAD_WORDS = {
+    "short": lambda n, a: [0] * (n - 1),
+    "long": lambda n, a: [0] * (n + 1),
+    "pile-a": lambda n, a: [a] + [0] * (n - 1),  # a pile past the last
+    "negative": lambda n, a: [-1] + [0] * (n - 1),  # would index from the end
+}
+
+
+@pytest.mark.parametrize("method", SAMPLE_METHODS)
+@pytest.mark.parametrize("bias", BOTH_PATHS, ids=["partition", "sort"])
+@pytest.mark.parametrize("bad, form", [(bad, form) for bad in BAD_WORDS for form in (list, bytes)
+                                       if (bad, form) != ("negative", bytes)])
+def test_sample_refuses_a_factor_entry_outside_the_deck(monkeypatch, method, bias, bad, form):
+    # each pile word is checked before it is composed, here after a good one
+    n, a = 5, len(bias)
     monkeypatch.setitem(shuffles._SINGLE_SAMPLERS, method,
-                        lambda n, k, *rest: (bad(n) for _ in range(k)))
+                        _words_sampler([form([0] * n), form(BAD_WORDS[bad](n, a))]))
     with pytest.raises(ValueError):
-        sample(ShuffleSpec(5, FAIR, k), method, random.Random(1))
+        sample(ShuffleSpec(n, bias, 2), method, random.Random(1))
+
+
+@given(data=st.data(), n=st.integers(0, 70), a=st.integers(1, 8), k=st.integers(0, 5),
+       per_run=st.integers(1, 3))
+@settings(max_examples=150, deadline=None)
+def test_both_composition_paths_equal_the_argsort_product(data, n, a, k, per_run):
+    # random pile words over some of the a piles, as lists or bytes, composed
+    # by partitions and by sorting, in runs of per_run words, against the
+    # product, first word on the left, of the factors read off their argsorts
+    drawn = data.draw(st.lists(st.integers(0, a - 1), min_size=1, unique=True))
+    words = [data.draw(st.lists(st.sampled_from(drawn), min_size=n, max_size=n))
+             for _ in range(k)]
+    want = Permutation.identity(n)
+    for word in words:
+        order = sorted(range(n), key=word.__getitem__)  # the inverse order, 0-based
+        want = want * Permutation([x + 1 for x in order]).inverse()
+    forms = [data.draw(st.sampled_from([list, bytes])) for _ in words]
+    for cutoff in (0, 8):  # every alphabet sorted, then every one partitioned
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(shuffles, "_PARTITION_LETTERS", cutoff)
+            mp.setattr(shuffles, "_LABEL_RUN", per_run * max(n, 1))
+            mp.setitem(shuffles._SINGLE_SAMPLERS, "inverse",
+                       _words_sampler([form(word) for form, word in zip(forms, words)]))
+            spec = ShuffleSpec(n, (F(1, a),) * a, k)
+            assert bool(spec._piles[1]) == (a <= cutoff)
+            assert sample(spec, "inverse", random.Random(0)) == want
 
 
 @pytest.mark.parametrize("method", SAMPLE_METHODS)
-@pytest.mark.parametrize("bad", [
-    lambda n: [-1, *range(n - 1)],  # indexes from the end: composes to a valid product
-    lambda n: [*range(1, n), n],  # one position past the deck
-], ids=["negative", "past-the-end"])
-def test_sample_refuses_a_factor_entry_outside_the_deck(monkeypatch, method, bad):
-    monkeypatch.setitem(shuffles._SINGLE_SAMPLERS, method,
-                        lambda n, k, *rest: (bad(n) for _ in range(k)))
-    with pytest.raises(ValueError, match="outside 0..4"):
-        sample(ShuffleSpec(5, FAIR, 1), method, random.Random(1))
-
-
-@pytest.mark.parametrize("method", SAMPLE_METHODS)
-def test_sample_memory_does_not_grow_with_k(method):
-    # the factors are drawn and composed one at a time: 52 * 3000 labels at
-    # once would take several MB, one factor a few KB
-    spec = ShuffleSpec(52, parse_bias("0.4,0.6"), 3000)
+@pytest.mark.parametrize("bias", ["0.4,0.6", "1/4,0,1/4,1/8,1/8,1/4"], ids=["partition", "sort"])
+def test_sample_memory_does_not_grow_with_k(method, bias):
+    # the factors are drawn and composed a run at a time: 52 * 3000 labels
+    # at once would take several MB, one run a few KB
+    spec = ShuffleSpec(52, parse_bias(bias), 3000)
     sample(ShuffleSpec(52, spec.bias, 1), method, random.Random(0))  # warm the caches
     tracemalloc.start()
     try:
@@ -826,9 +876,9 @@ def test_inverse_draws_are_k_calls_of_its_single_sampler(bias, k):
     ours, theirs = random.Random(k), random.Random(k)
     for _ in range(5):
         product = Permutation.identity(13)
-        for order in shuffles._SINGLE_SAMPLERS["inverse"](13, k, bias, cumulative, denom, theirs):
-            # order is pi^{-1} - 1, the inverse order of the factor pi
-            product = product * Permutation([x + 1 for x in order]).inverse()
+        for word in shuffles._SINGLE_SAMPLERS["inverse"](13, k, bias, cumulative, denom, theirs):
+            # the factor of a pile word is its standard permutation
+            product = product * standard_permutation(word)
         assert sample(ShuffleSpec(13, bias, k), "inverse", ours) == product
     assert ours.getstate() == theirs.getstate()
 
@@ -886,7 +936,8 @@ def test_label_draws_take_words_in_batches_on_cpythons_generator(monkeypatch):
     labels = shuffles._draw_labels(500, cumulative, denom, ours)
     monkeypatch.undo()
     theirs = random.Random(5)
-    assert labels == [bisect.bisect_right(cumulative, theirs.randrange(denom)) for _ in range(500)]
+    assert list(labels) == [bisect.bisect_right(cumulative, theirs.randrange(denom))
+                            for _ in range(500)]
     assert ours.getstate() == theirs.getstate()
     # 500 words at first, then only the rejected ones again
     assert widths[0] == 32 * 500 and len(widths) < 20
