@@ -158,7 +158,7 @@ class ShuffleSpec(Immutable):
     """Deck size, bias vector, and number of repeated shuffles; immutable,
     equal and hashable by (n, bias, k)."""
 
-    __slots__ = ("n", "bias", "k", "_thresholds", "_piles")
+    __slots__ = ("n", "bias", "k", "_thresholds")
 
     def __init__(self, n: int, bias, k: int = 1):
         check_size(n, k=k)
@@ -166,12 +166,8 @@ class ShuffleSpec(Immutable):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "bias", probs)
         object.__setattr__(self, "k", k)
-        # built once per spec: the thresholds ``sample`` draws against, and the piles it checks
-        # words by: bytes and a 0/1 table each up to _PARTITION_LETTERS piles, a set above
-        a = len(probs)
-        masks = tuple(bytes(p) + b"\1" + bytes(255 - p) for p in range(a)) if a <= _PARTITION_LETTERS else ()
+        # the integer thresholds ``sample`` draws against, built once per spec
         object.__setattr__(self, "_thresholds", (cumulative, denom))
-        object.__setattr__(self, "_piles", (bytes(range(a)) if masks else frozenset(range(a)), masks))
 
     def _key(self) -> tuple:
         return (self.n, self.bias, self.k)
@@ -828,6 +824,8 @@ def _draw_labels(n: int, cumulative, denom: int, rng: random.Random) -> bytes | 
 # traced peak is 24 kB with runs of 988 labels and 76 kB with runs of 4056.
 _LABEL_RUN = 1024
 _PARTITION_LETTERS = 4  # most piles ``sample`` partitions by; with more, a sort is cheaper
+# pile p's ``bytes.translate`` table: 1 for letter p, 0 for every other byte
+_PILE_MASKS = tuple(bytes(p) + b"\1" + bytes(255 - p) for p in range(_PARTITION_LETTERS))
 
 
 # Each single sampler is a generator single(n, k, bias, cumulative, denom,
@@ -845,33 +843,24 @@ def _single_interleave(n, k, bias, cumulative, denom, rng) -> Iterator[list[int]
 
 
 def _single_drop(n, k, bias, cumulative, denom, rng) -> Iterator[list[int]]:
-    # position last + 1 takes pile i w.p. remaining[i] / (last + 1): the pile
-    # of the r-th smallest label left, r uniform below last + 1.  Popping it
-    # moves at most a run of labels; a longer deck scans the pile sizes.
     getrandbits = rng.getrandbits
     bounds = _draw_bounds(n)
+    piles = range(len(bias))
     for _ in range(k):
-        left = sorted(_draw_labels(n, cumulative, denom, rng))
+        labels = _draw_labels(n, cumulative, denom, rng)
+        remaining = [labels.count(i) for i in piles]  # multinomial(n; p) pile sizes
         word = [0] * n
-        if n <= _LABEL_RUN:
-            for last, bits in bounds:
+        for last, bits in bounds:
+            # the card at position last + 1 comes from pile i w.p. remaining[i] / (last + 1)
+            r = getrandbits(bits)
+            while r > last:
                 r = getrandbits(bits)
-                while r > last:
-                    r = getrandbits(bits)
-                word[last] = left.pop(r)
-        else:
-            # multinomial(n; p) pile sizes, read off the sorted labels
-            remaining = [bisect.bisect_right(left, i) - bisect.bisect_left(left, i) for i in range(len(bias))]
-            for last, bits in bounds:
-                r = getrandbits(bits)
-                while r > last:
-                    r = getrandbits(bits)
-                i = 0
-                while r >= remaining[i]:
-                    r -= remaining[i]
-                    i += 1
-                remaining[i] -= 1
-                word[last] = i
+            i = 0
+            while r >= (size := remaining[i]):
+                r -= size
+                i += 1
+            remaining[i] = size - 1
+            word[last] = i
         yield word
 
 
@@ -920,6 +909,10 @@ _SINGLE_SAMPLERS: dict[str, Callable[..., Iterator[bytes | list[int]]]] = {
 SAMPLE_METHODS = tuple(_SINGLE_SAMPLERS)
 
 
+def _bad_word(method: str, n: int, a: int) -> ValueError:
+    return ValueError(f"a {method} shuffle drew a word that is not {n} piles in 0..{a - 1}")
+
+
 def sample(spec: ShuffleSpec, method: str = "inverse", rng: random.Random | None = None) -> Permutation:
     """Draw one permutation from the k-fold biased shuffle.
 
@@ -948,26 +941,33 @@ def sample(spec: ShuffleSpec, method: str = "inverse", rng: random.Random | None
     n, a = spec.n, len(spec.bias)
     cumulative, denom = spec._thresholds
     words = _SINGLE_SAMPLERS[method](n, spec.k, spec.bias, cumulative, denom, rng)
-    piles, masks = spec._piles
+    masks = _PILE_MASKS[:a]
     inv = range(n)  # (s1 * ... * sj)^{-1} = sj^{-1} * ... * s1^{-1}, 0-based
-    if not masks:
+    if len(masks) < a:
         for word in words:
-            if len(word) != n or not piles.issuperset(word):
-                raise ValueError(f"a {method} shuffle drew a word that is not {n} piles in 0..{a - 1}")
-            # a list key sorts ~1 us faster than a bytes key at n = 52
-            order = sorted(range(n), key=(word if type(word) is list else list(word)).__getitem__)
+            if len(word) != n:
+                raise _bad_word(method, n, a)
+            key = word if type(word) is list else list(word)  # a list key sorts ~1 us faster at n = 52
+            order = sorted(range(n), key=key.__getitem__)
+            # the order puts a least letter first and a greatest last
+            if n and not 0 <= key[order[0]] <= key[order[-1]] < a:
+                raise _bad_word(method, n, a)
             inv = order if type(inv) is range else list(map(order.__getitem__, inv))
     else:
         run = max(1, _LABEL_RUN // max(n, 1))
         for block in iter(lambda: list(itertools.islice(words, run)), []):
             x = range(n)
             for word in reversed(block):
-                word = bytes(word)  # a letter outside 0..255 raises ValueError here
-                if word.translate(None, piles) or len(word) != n:
-                    raise ValueError(f"a {method} shuffle drew a word that is not {n} piles in 0..{a - 1}")
+                try:
+                    word = bytes(word)
+                except ValueError:  # a letter outside 0..255
+                    raise _bad_word(method, n, a) from None
                 parts = []
                 for mask in masks:
                     parts += itertools.compress(x, word.translate(mask))
+                # a letter outside 0..a-1 leaves its card out of every pile
+                if len(word) != n or len(parts) != n:
+                    raise _bad_word(method, n, a)
                 x = parts
             inv = x if type(inv) is range else list(map(x.__getitem__, inv))
     images = [0] * n

@@ -699,21 +699,27 @@ def _words_sampler(words):
 BOTH_PATHS = [FAIR, parse_bias("1/4,0,1/4,1/8,1/8,1/4")]
 
 
+def _pile_masks(a):
+    """``bytes.translate`` tables that pick each of piles 0..a-1 from a word."""
+    return tuple(bytes(p) + b"\1" + bytes(255 - p) for p in range(a))
+
+
 @pytest.mark.parametrize("method", SAMPLE_METHODS)
 @pytest.mark.parametrize("k", [1, 3])
-@pytest.mark.parametrize("mutation", ["drop", "repeat", "swap"])
-def test_sample_validates_the_composed_draw(monkeypatch, method, k, mutation):
-    # the words are composed by partitions that are not checked themselves,
-    # so the one check of the product must catch a partition that drops or
-    # repeats a card: here pile 1 takes no card, every card, or pile 0's
+@pytest.mark.parametrize("mutation, refusal", [
+    ("drop", "not 6 piles in 0..1"), ("repeat", "not 6 piles in 0..1"), ("swap", "not a permutation of 1..6")],
+    ids=["drop", "repeat", "swap"])
+def test_sample_validates_the_composed_draw(monkeypatch, method, k, mutation, refusal):
+    # the partitions themselves are not checked: one that drops or repeats
+    # cards changes the count each word is checked by, and one that does both
+    # at once (pile 1 takes pile 0's cards) is caught by the product's check
     assert len(FAIR) <= shuffles._PARTITION_LETTERS
-    spec = ShuffleSpec(6, FAIR, k)
-    piles, (pile0, _) = spec._piles
+    pile0, _ = _pile_masks(2)
     wrong = {"drop": bytes(256), "repeat": b"\1" * 256, "swap": pile0}[mutation]
-    object.__setattr__(spec, "_piles", (piles, (pile0, wrong)))  # this spec's tables alone
+    monkeypatch.setattr(shuffles, "_PILE_MASKS", (pile0, wrong))
     monkeypatch.setitem(shuffles._SINGLE_SAMPLERS, method, _words_sampler([[0, 1] * 3] * k))
-    with pytest.raises(ValueError, match="not a permutation of 1..6"):
-        sample(spec, method, random.Random(1))
+    with pytest.raises(ValueError, match=refusal):
+        sample(ShuffleSpec(6, FAIR, k), method, random.Random(1))
 
 
 BAD_WORDS = {
@@ -729,11 +735,11 @@ BAD_WORDS = {
 @pytest.mark.parametrize("bad, form", [(bad, form) for bad in BAD_WORDS for form in (list, bytes)
                                        if (bad, form) != ("negative", bytes)])
 def test_sample_refuses_a_factor_entry_outside_the_deck(monkeypatch, method, bias, bad, form):
-    # each pile word is checked before it is composed, here after a good one
+    # each pile word is checked as it is composed, here after a good one
     n, a = 5, len(bias)
     monkeypatch.setitem(shuffles._SINGLE_SAMPLERS, method,
                         _words_sampler([form([0] * n), form(BAD_WORDS[bad](n, a))]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"a {method} shuffle drew a word that is not 5 piles in 0..{a - 1}$"):
         sample(ShuffleSpec(n, bias, 2), method, random.Random(1))
 
 
@@ -754,12 +760,11 @@ def test_both_composition_paths_equal_the_argsort_product(data, n, a, k, per_run
     forms = [data.draw(st.sampled_from([list, bytes])) for _ in words]
     for cutoff in (0, 8):  # every alphabet sorted, then every one partitioned
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(shuffles, "_PARTITION_LETTERS", cutoff)
+            mp.setattr(shuffles, "_PILE_MASKS", _pile_masks(cutoff))
             mp.setattr(shuffles, "_LABEL_RUN", per_run * max(n, 1))
             mp.setitem(shuffles._SINGLE_SAMPLERS, "inverse",
                        _words_sampler([form(word) for form, word in zip(forms, words)]))
             spec = ShuffleSpec(n, (F(1, a),) * a, k)
-            assert bool(spec._piles[1]) == (a <= cutoff)
             assert sample(spec, "inverse", random.Random(0)) == want
 
 
