@@ -3,8 +3,11 @@
 Subcommands: sample, dist, tv, stats, count, bijection, report, verify.
 Results go to stdout (JSON unless another format is chosen); diagnostics go
 to stderr.  Runs with the same configuration, including --seed, produce
-byte-identical output.  Each handler imports the library modules (and
-``json``) it uses, so a process loads only what its subcommand runs.
+byte-identical output.  A process pays only for the subcommand it runs: the
+parser declares that subcommand's flags alone, each handler imports the
+library modules it uses (so ``count`` and ``bijection`` load neither
+``fractions`` nor ``shuffles``), and JSON is written by ``_json_text``, so no
+run loads the ``json`` package.
 """
 
 from __future__ import annotations
@@ -14,14 +17,12 @@ import itertools
 import math
 import os
 import sys
-from fractions import Fraction
 
-from . import shuffles
 from .permutations import MAX_CACHED_N, Permutation, Refused, descent_index
-from .shuffles import ShuffleSpec, parse_bias
 
 
-def frac_str(value: Fraction) -> str:
+def frac_str(value) -> str:
+    """A Fraction as the text p/q."""
     return f"{value.numerator}/{value.denominator}"
 
 
@@ -34,89 +35,90 @@ def _parse_ints(flag: str, text: str) -> tuple[int, ...]:
         raise ValueError(f"cannot parse {flag} {text!r}: {exc}") from None
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _json_text(value) -> str:
+    """The text ``json.dumps(value)`` gives, for the dicts with text keys,
+    lists, tuples, strings, ints, floats, bools and None the subcommands
+    print, without loading the ``json`` package: strings are quoted by the C
+    function ``json.dumps`` itself calls."""
+    from _json import encode_basestring_ascii as quote
+
+    def text(value) -> str:
+        if isinstance(value, str):
+            return quote(value)
+        if value is None:
+            return "null"
+        if value is True:
+            return "true"
+        if value is False:
+            return "false"
+        if isinstance(value, int):
+            return int.__repr__(value)
+        if isinstance(value, float):
+            digits = float.__repr__(value)
+            return {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}.get(digits, digits)
+        if isinstance(value, dict):
+            return "{" + ", ".join([quote(key) + ": " + text(item)
+                                    for key, item in value.items()]) + "}"
+        if isinstance(value, (list, tuple)):
+            return "[" + ", ".join(map(text, value)) + "]"
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+    return text(value)
+
+
+# subcommand -> (help line, function declaring its flags and handler), in
+# the order of the help listing
+_SUBCOMMANDS: dict[str, tuple] = {}
+
+
+def _subcommand(name: str, line: str):
+    def register(declare):
+        _SUBCOMMANDS[name] = (line, declare)
+        return declare
+
+    return register
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser: every subcommand is listed with its help line, but only
+    ``command``'s flags are declared (none when it is None)."""
     parser = argparse.ArgumentParser(
         prog="riffle",
         description="Biased riffle shuffles: samplers, exact measures, and the "
         "combinatorics of the permutations they produce.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    for name, (line, declare) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=line)
+        if name == command:
+            declare(p)
+    return parser
 
-    p = sub.add_parser("sample", help="draw permutations from a biased shuffle")
+
+@_subcommand("sample", "draw permutations from a biased shuffle")
+def _sample_flags(p) -> None:
+    from .shuffles import SAMPLE_METHODS
+
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", required=True, help="bias vector, e.g. 1/3,2/3 or 0.4,0.6")
     p.add_argument("--k", type=int, default=1, help="number of repeated shuffles")
     p.add_argument("--samples", type=int, default=1)
-    p.add_argument("--method", choices=shuffles.SAMPLE_METHODS, default="inverse")
+    p.add_argument("--method", choices=SAMPLE_METHODS, default="inverse")
     p.add_argument("--seed", type=int, default=None, help="64-bit RNG seed")
     p.add_argument(
         "--format", choices=("lines", "json", "csv"), default="lines", help="output format"
     )
     p.set_defaults(handler=cmd_sample)
 
-    p = sub.add_parser("dist", help="exact distribution of the shuffle on S_n")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--p", required=True)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--format", choices=("json", "csv"), default="json", help="output format")
-    p.set_defaults(handler=cmd_dist)
-
-    p = sub.add_parser("tv", help="exact distance to uniform, with the upper bound")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--p", required=True)
-    p.add_argument("--k", type=int, default=1)
-    p.set_defaults(handler=cmd_tv)
-
-    p = sub.add_parser("stats", help="exact shuffle statistics and generating functions")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--p", required=True)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument(
-        "--stat",
-        choices=("fixed-points", "inversions", "descents", "cycle-pgf", "inv-pgf"),
-        required=True,
-    )
-    p.add_argument("--n-max", type=int, default=None,
-                   help="accepted and checked to be at least 1, but changes no answer: "
-                   "each stat is limited by its own work")
-    p.set_defaults(handler=cmd_stats)
-
-    p = sub.add_parser("count", help="permutations and n-cycles by descent set")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--j", required=True, help="descent set containing n, e.g. 1,3")
-    p.add_argument("--method", choices=("ie", "det", "brute"), default="ie")
-    p.set_defaults(handler=cmd_count)
-
-    p = sub.add_parser("bijection", help="standardize a word / map a permutation to necklaces")
-    p.add_argument("--word", help="comma-separated letters, e.g. 2,2,1,1")
-    p.add_argument("--perm", help="one-line permutation, e.g. 3,1,2")
-    p.add_argument("--parts", help="letter content for --perm, e.g. 1,2")
-    p.set_defaults(handler=cmd_bijection)
-
-    p = sub.add_parser("report", help="table of mixing bounds and exact distances over k")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--p", required=True)
-    p.add_argument("--k-max", type=int, default=10)
-    p.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
-    p.set_defaults(handler=cmd_report)
-
-    p = sub.add_parser("verify", help="run the self-verification suites")
-    p.add_argument("--only", default=None, help="run suites whose name contains this string")
-    p.add_argument("--samples", type=int, default=20000)
-    p.add_argument("--seed", type=int, default=None, help="64-bit RNG seed")
-    p.add_argument("--n-max", type=int, default=None,
-                   help="largest deck size the suites check (at most 8)")
-    p.set_defaults(handler=cmd_verify)
-
-    return parser
-
 
 def cmd_sample(args) -> int:
+    from . import shuffles
+
     if args.seed is None:
         raise ValueError("sampling requires --seed")
     if args.samples < 1:
         raise ValueError("--samples must be at least 1")
-    spec = ShuffleSpec(args.n, parse_bias(args.p), args.k)
+    spec = shuffles.ShuffleSpec(args.n, shuffles.parse_bias(args.p), args.k)
     rng = shuffles.substream(args.seed, 0)
     labels = list(map(str, range(args.n + 1)))
     # the JSON line is the text json.dumps gives a list of ints
@@ -162,8 +164,21 @@ def _print_masses(n: int, fmt: str, texts: list[str], rows) -> None:
     write(close)
 
 
+@_subcommand("dist", "exact distribution of the shuffle on S_n")
+def _dist_flags(p) -> None:
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--p", required=True)
+    p.add_argument("--k", type=int, default=1)
+    p.add_argument("--format", choices=("json", "csv"), default="json", help="output format")
+    p.set_defaults(handler=cmd_dist)
+
+
 def cmd_dist(args) -> int:
-    n, bias, k = args.n, parse_bias(args.p), args.k
+    from fractions import Fraction
+
+    from . import shuffles
+
+    n, bias, k = args.n, shuffles.parse_bias(args.p), args.k
     # One shuffle can be listed as its a'^n pile words over the a' nonzero
     # letters or as S_n read off the descent classes (which stops at
     # MAX_CACHED_N): take the shorter list.  A negative n goes to the class
@@ -184,15 +199,23 @@ def cmd_dist(args) -> int:
     return 0
 
 
-def cmd_tv(args) -> int:
-    import json
+@_subcommand("tv", "exact distance to uniform, with the upper bound")
+def _tv_flags(p) -> None:
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--p", required=True)
+    p.add_argument("--k", type=int, default=1)
+    p.set_defaults(handler=cmd_tv)
 
-    bias = parse_bias(args.p)
-    spec = ShuffleSpec(args.n, bias, args.k)
+
+def cmd_tv(args) -> int:
+    from . import shuffles
+
+    bias = shuffles.parse_bias(args.p)
+    spec = shuffles.ShuffleSpec(args.n, bias, args.k)
     tv = shuffles.tv_to_uniform(args.n, bias, args.k)
     bound = shuffles.suf_bound(spec)
     print(
-        json.dumps(
+        _json_text(
             {
                 "n": args.n,
                 "bias": [frac_str(p) for p in bias],
@@ -207,10 +230,25 @@ def cmd_tv(args) -> int:
     return 0
 
 
-def cmd_stats(args) -> int:
-    import json
+@_subcommand("stats", "exact shuffle statistics and generating functions")
+def _stats_flags(p) -> None:
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--p", required=True)
+    p.add_argument("--k", type=int, default=1)
+    p.add_argument(
+        "--stat",
+        choices=("fixed-points", "inversions", "descents", "cycle-pgf", "inv-pgf"),
+        required=True,
+    )
+    p.add_argument("--n-max", type=int, default=None,
+                   help="accepted and checked to be at least 1, but changes no answer: "
+                   "each stat is limited by its own work")
+    p.set_defaults(handler=cmd_stats)
 
+
+def cmd_stats(args) -> int:
     from . import genfuncs
+    from .shuffles import ShuffleSpec, parse_bias
 
     if args.n_max is not None:
         _n_max(args)  # still refused below 1 for the scripts that pass it
@@ -239,13 +277,19 @@ def cmd_stats(args) -> int:
     else:  # inv-pgf
         pgf = genfuncs.inversion_pgf(args.n, bias, args.k)
         out["coeffs"] = [frac_str(c) for c in pgf.coeffs]
-    print(json.dumps(out))
+    print(_json_text(out))
     return 0
 
 
-def cmd_count(args) -> int:
-    import json
+@_subcommand("count", "permutations and n-cycles by descent set")
+def _count_flags(p) -> None:
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--j", required=True, help="descent set containing n, e.g. 1,3")
+    p.add_argument("--method", choices=("ie", "det", "brute"), default="ie")
+    p.set_defaults(handler=cmd_count)
 
+
+def cmd_count(args) -> int:
     from . import counting
 
     n = args.n
@@ -260,16 +304,22 @@ def cmd_count(args) -> int:
         index = descent_index(deset, n)
         exact, ncyc, _ = (table[index] for table in counting._descent_table(n))
     print(
-        json.dumps(
+        _json_text(
             {"J": sorted(deset), "n": n, "exact": exact, "ncycles": ncyc, "method": args.method}
         )
     )
     return 0
 
 
-def cmd_bijection(args) -> int:
-    import json
+@_subcommand("bijection", "standardize a word / map a permutation to necklaces")
+def _bijection_flags(p) -> None:
+    p.add_argument("--word", help="comma-separated letters, e.g. 2,2,1,1")
+    p.add_argument("--perm", help="one-line permutation, e.g. 3,1,2")
+    p.add_argument("--parts", help="letter content for --perm, e.g. 1,2")
+    p.set_defaults(handler=cmd_bijection)
 
+
+def cmd_bijection(args) -> int:
     from . import necklaces
 
     if (args.word is None) == (args.perm is None):
@@ -286,7 +336,7 @@ def cmd_bijection(args) -> int:
         word = necklaces.word_from_permutation(st, _parse_ints("--parts", args.parts))
     multiset = necklaces.necklace_decomposition(word)
     print(
-        json.dumps(
+        _json_text(
             {
                 "word": list(word),
                 "letters": necklaces.letters(word),
@@ -301,12 +351,21 @@ def cmd_bijection(args) -> int:
     return 0
 
 
+@_subcommand("report", "table of mixing bounds and exact distances over k")
+def _report_flags(p) -> None:
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--p", required=True)
+    p.add_argument("--k-max", type=int, default=10)
+    p.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
+    p.set_defaults(handler=cmd_report)
+
+
 def cmd_report(args) -> int:
-    import json
+    from . import shuffles
 
     if args.k_max < 1:
         raise ValueError("--k-max must be at least 1")
-    bias = parse_bias(args.p)
+    bias = shuffles.parse_bias(args.p)
     n = args.n
     lalley = None
     if len(bias) == 2 and 0 < bias[0] < 1 and n >= 2:
@@ -321,8 +380,9 @@ def cmd_report(args) -> int:
         rows.append([k])
         # the answers' digits and the sweep grow with k, so each column ends
         # at the first row its route refuses, with one stderr note
-        for name, route in (("tv_bound", lambda: shuffles.suf_bound(ShuffleSpec(n, bias, k))),
-                            ("exact_tv", lambda: shuffles.tv_to_uniform(n, bias, k))):
+        for name, route in (
+                ("tv_bound", lambda: shuffles.suf_bound(shuffles.ShuffleSpec(n, bias, k))),
+                ("exact_tv", lambda: shuffles.tv_to_uniform(n, bias, k))):
             try:
                 rows[-1].append(None if name in ended else route())
             except Refused as refused:
@@ -331,7 +391,7 @@ def cmd_report(args) -> int:
                 print(f"note: {name} omitted from k={k} on: {refused}", file=sys.stderr)
     if args.format == "json":
         print(
-            json.dumps(
+            _json_text(
                 {
                     "n": n,
                     "bias": [frac_str(p) for p in bias],
@@ -360,10 +420,18 @@ def cmd_report(args) -> int:
     return 0
 
 
-def cmd_verify(args) -> int:
-    import json
+@_subcommand("verify", "run the self-verification suites")
+def _verify_flags(p) -> None:
+    p.add_argument("--only", default=None, help="run suites whose name contains this string")
+    p.add_argument("--samples", type=int, default=20000)
+    p.add_argument("--seed", type=int, default=None, help="64-bit RNG seed")
+    p.add_argument("--n-max", type=int, default=None,
+                   help="largest deck size the suites check (at most 8)")
+    p.set_defaults(handler=cmd_verify)
 
-    from . import verify
+
+def cmd_verify(args) -> int:
+    from . import shuffles, verify
 
     if args.samples < 1:
         raise ValueError("--samples must be at least 1")
@@ -382,7 +450,7 @@ def cmd_verify(args) -> int:
             f"no suite matches {args.only!r}; available: {', '.join(verify.suite_names())}"
         )
     for result in results:
-        print(json.dumps(result.to_json_obj()))
+        print(_json_text(result.to_json_obj()))
     failed = [r for r in results if not r.passed]
     print(
         f"{len(results) - len(failed)}/{len(results)} suites passed",
@@ -392,8 +460,10 @@ def cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # argparse takes the first argument that is not an option as the
+    # subcommand (no top-level option takes a value): declare its flags alone
+    args = build_parser(next((a for a in argv if a in _SUBCOMMANDS), None)).parse_args(argv)
     try:
         code = args.handler(args)
         sys.stdout.flush()  # a closed pipe raises here, not at exit

@@ -19,10 +19,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import riffle
 from riffle import counting, genfuncs, permutations, shuffles
-from riffle.cli import build_parser, main
+from riffle.cli import _json_text, build_parser, main
 from riffle.genfuncs import expected_inversions
 from riffle.shuffles import ShuffleSpec, exact_kfold_distribution
 from riffle.verify import BIAS_PANEL
@@ -376,6 +378,25 @@ def test_tv_json(capsys):
     obj = json.loads(out)
     assert obj["exact_tv"] == "1/3"
     assert obj["tv_bound"] == "3/2"
+
+
+_JSON_TEXTS = st.text(st.characters() | st.sampled_from('"\\\x00\x1f\x7f\u2028\U0001f0a1'))
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans()
+    | st.integers() | st.integers(-10**4000, 10**4000)
+    | st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0])
+    | _JSON_TEXTS,
+    lambda items: st.lists(items) | st.lists(items).map(tuple)
+    | st.dictionaries(_JSON_TEXTS, items),
+    max_leaves=20)
+
+
+@given(_JSON_VALUES)
+@settings(max_examples=200, deadline=None)
+def test_the_json_writer_gives_the_text_of_json_dumps(value):
+    # ints of thousands of digits, nan, +-inf, -0.0, control characters,
+    # quotes, backslashes and non-BMP text, in lists, tuples and dicts
+    assert _json_text(value) == json.dumps(value)
 
 
 def test_stats_moments(capsys):
@@ -772,14 +793,24 @@ def test_negative_deck_size_is_named(capsys, k):
         (2, "", "error: negative deck size\n")
 
 
+def _subparsers(parser) -> dict:
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
 def test_every_flag_is_read_by_its_handler():
-    parser = build_parser()
-    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    for name, sub in commands.choices.items():
+    # a parser declares the flags of the subcommand it is built for, and
+    # none when it is built for none
+    names = list(_subparsers(build_parser()))
+    assert names == ["sample", "dist", "tv", "stats", "count", "bijection", "report", "verify"]
+    for sub in _subparsers(build_parser()).values():
+        assert [a.dest for a in sub._actions] == ["help"]
+    for name in names:
+        sub = _subparsers(build_parser(name))[name]
         source = inspect.getsource(sub.get_default("handler"))
-        for action in sub._actions:
-            if not action.option_strings or action.dest == "help":
-                continue
+        flags = [action for action in sub._actions if action.dest != "help"]
+        assert flags, f"{name} declares no flag"
+        for action in flags:
             read = re.search(rf"\bargs\.{action.dest}\b", source) or (
                 action.dest == "n_max" and "_n_max(args)" in source)
             assert read, f"{name} declares {action.option_strings[0]} but never reads it"
@@ -920,33 +951,40 @@ def _loaded_after(probe: str, *argv: str) -> list[str]:
 
 
 _LIBRARY = {"riffle.counting", "riffle.genfuncs", "riffle.necklaces", "riffle.qpoly",
-            "riffle.verify"}
-_WATCHED = {"array", "dataclasses", "json", "struct", "typing", *_LIBRARY}
+            "riffle.shuffles", "riffle.verify"}
+_WATCHED = {"array", "dataclasses", "decimal", "fractions", "json", "struct", "typing",
+            *_LIBRARY}
+# what every subcommand that reads a bias loads: shuffles and its Fractions
+_EXACT = ["decimal", "fractions", "riffle.shuffles"]
 
 
 def test_importing_the_cli_leaves_dataclasses_and_verify_unloaded():
-    # struct and array stay unloaded too: the sampler decodes bytes without them
+    # struct and array stay unloaded too: the sampler decodes bytes without
+    # them; and the handlers, not the module, import fractions and shuffles
     assert _loaded_after("import riffle.cli") == []
 
 
 @pytest.mark.parametrize("argv, loaded", [
-    (["sample", "--n", "52", "--p", "1/2,1/2", "--k", "7", "--seed", "1", "--samples", "2"], []),
-    (["dist", "--n", "4", "--p", "1/2,1/4,1/4", "--k", "2"], []),
-    (["dist", "--n", "3", "--p", "1/3,2/3", "--format", "csv"], []),
-    (["tv", "--n", "6", "--p", "1/2,1/4,1/4", "--k", "6"], ["json"]),
-    (["report", "--n", "6", "--p", "2/7,5/7", "--k-max", "3"], ["json"]),
-    (["report", "--n", "5", "--p", "1/3,2/3", "--k-max", "2", "--format", "json"], ["json"]),
+    (["sample", "--n", "52", "--p", "1/2,1/2", "--k", "7", "--seed", "1", "--samples", "2"],
+     _EXACT),
+    (["dist", "--n", "4", "--p", "1/2,1/4,1/4", "--k", "2"], _EXACT),
+    (["dist", "--n", "3", "--p", "1/3,2/3", "--format", "csv"], _EXACT),
+    (["tv", "--n", "6", "--p", "1/2,1/4,1/4", "--k", "6"], _EXACT),
+    (["report", "--n", "6", "--p", "2/7,5/7", "--k-max", "3"], _EXACT),
+    (["report", "--n", "5", "--p", "1/3,2/3", "--k-max", "2", "--format", "json"], _EXACT),
     (["stats", "--n", "4", "--p", "1/2,1/2", "--stat", "inversions"],
-     ["json", "riffle.genfuncs", "riffle.qpoly"]),
+     sorted(_EXACT + ["riffle.genfuncs", "riffle.qpoly"])),
     (["stats", "--n", "5", "--p", "1/3,2/3", "--k", "2", "--stat", "cycle-pgf"],
-     ["json", "riffle.genfuncs", "riffle.qpoly"]),
-    (["count", "--n", "4", "--j", "2,4"], ["json", "riffle.counting"]),
-    (["bijection", "--word", "2,2,1,1,2,3"], ["json", "riffle.necklaces"]),
+     sorted(_EXACT + ["riffle.genfuncs", "riffle.qpoly"])),
+    (["count", "--n", "4", "--j", "2,4"], ["riffle.counting"]),
+    (["bijection", "--word", "2,2,1,1,2,3"], ["riffle.necklaces"]),
+    (["verify", "--only", "necklace", "--n-max", "3"], sorted({*_EXACT, *_LIBRARY})),
 ], ids=["sample", "dist-classes", "dist-cuts", "tv", "report", "report-json", "stats-inversions",
-        "stats-cycle-pgf", "count", "bijection"])
+        "stats-cycle-pgf", "count", "bijection", "verify"])
 def test_each_subcommand_loads_only_what_it_runs(argv, loaded):
     # a run through main loads no library module its subcommand does not
-    # call, json only where it prints through json, and typing nowhere
+    # call, json nowhere (the CLI writes its own JSON text), and typing
+    # nowhere; count and bijection need no Fraction
     probe = ("import contextlib, io\nfrom riffle.cli import main\n"
              "with contextlib.redirect_stdout(io.StringIO()):\n"
              "    assert main(sys.argv[1:]) == 0")
@@ -955,7 +993,7 @@ def test_each_subcommand_loads_only_what_it_runs(argv, loaded):
 
 def test_no_riffle_module_imports_typing():
     probe = "import riffle, riffle.cli, riffle.verify; from riffle import *"
-    assert _loaded_after(probe) == sorted(_LIBRARY)
+    assert _loaded_after(probe) == sorted({"decimal", "fractions", *_LIBRARY})
 
 
 _CHOICES = "{sample,dist,tv,stats,count,bijection,report,verify}"
@@ -999,13 +1037,105 @@ _CHOICES = "{sample,dist,tv,stats,count,bijection,report,verify}"
     (["tv", "--n", "3"], 2, "",
      "usage: riffle tv [-h] --n N --p P [--k K]\n"
      "riffle tv: error: the following arguments are required: --p\n"),
-], ids=["help", "sample-help", "unknown-subcommand", "missing-p"])
+    (["dist", "--help"], 0,
+     "usage: riffle dist [-h] --n N --p P [--k K] [--format {json,csv}]\n\n"
+     "options:\n"
+     "  -h, --help           show this help message and exit\n"
+     "  --n N\n"
+     "  --p P\n"
+     "  --k K\n"
+     "  --format {json,csv}  output format\n", ""),
+    (["tv", "--help"], 0,
+     "usage: riffle tv [-h] --n N --p P [--k K]\n\n"
+     "options:\n"
+     "  -h, --help  show this help message and exit\n"
+     "  --n N\n"
+     "  --p P\n"
+     "  --k K\n", ""),
+    (["stats", "--help"], 0,
+     "usage: riffle stats [-h] --n N --p P [--k K] --stat\n"
+     "                    {fixed-points,inversions,descents,cycle-pgf,inv-pgf}\n"
+     "                    [--n-max N_MAX]\n\n"
+     "options:\n"
+     "  -h, --help            show this help message and exit\n"
+     "  --n N\n"
+     "  --p P\n"
+     "  --k K\n"
+     "  --stat {fixed-points,inversions,descents,cycle-pgf,inv-pgf}\n"
+     "  --n-max N_MAX         accepted and checked to be at least 1, but changes no\n"
+     "                        answer: each stat is limited by its own work\n", ""),
+    (["count", "--help"], 0,
+     "usage: riffle count [-h] --n N --j J [--method {ie,det,brute}]\n\n"
+     "options:\n"
+     "  -h, --help            show this help message and exit\n"
+     "  --n N\n"
+     "  --j J                 descent set containing n, e.g. 1,3\n"
+     "  --method {ie,det,brute}\n", ""),
+    (["bijection", "--help"], 0,
+     "usage: riffle bijection [-h] [--word WORD] [--perm PERM] [--parts PARTS]\n\n"
+     "options:\n"
+     "  -h, --help     show this help message and exit\n"
+     "  --word WORD    comma-separated letters, e.g. 2,2,1,1\n"
+     "  --perm PERM    one-line permutation, e.g. 3,1,2\n"
+     "  --parts PARTS  letter content for --perm, e.g. 1,2\n", ""),
+    (["report", "--help"], 0,
+     "usage: riffle report [-h] --n N --p P [--k-max K_MAX] [--format {csv,json}]\n\n"
+     "options:\n"
+     "  -h, --help           show this help message and exit\n"
+     "  --n N\n"
+     "  --p P\n"
+     "  --k-max K_MAX\n"
+     "  --format {csv,json}  output format\n", ""),
+    (["verify", "--help"], 0,
+     "usage: riffle verify [-h] [--only ONLY] [--samples SAMPLES] [--seed SEED]\n"
+     "                     [--n-max N_MAX]\n\n"
+     "options:\n"
+     "  -h, --help         show this help message and exit\n"
+     "  --only ONLY        run suites whose name contains this string\n"
+     "  --samples SAMPLES\n"
+     "  --seed SEED        64-bit RNG seed\n"
+     "  --n-max N_MAX      largest deck size the suites check (at most 8)\n", ""),
+    ([], 2, "",
+     f"usage: riffle [-h] {_CHOICES} ...\n"
+     "riffle: error: the following arguments are required: command\n"),
+    # the subcommand's flags are known, so only the unknown one is named
+    (["tv", "--n", "3", "--p", "1/2,1/2", "--bogus"], 2, "",
+     f"usage: riffle [-h] {_CHOICES} ...\n"
+     "riffle: error: unrecognized arguments: --bogus\n"),
+    (["--bogus", "tv", "--n", "3", "--p", "1/2,1/2"], 2, "",
+     f"usage: riffle [-h] {_CHOICES} ...\n"
+     "riffle: error: unrecognized arguments: --bogus\n"),
+    (["tv", "--n=3", "--p=1/2,1/2"], 0,
+     '{"n": 3, "bias": ["1/2", "1/2"], "k": 1, "exact_tv": "1/3", '
+     '"exact_tv_float": 0.3333333333333333, "tv_bound": "3/2", "tv_bound_float": 1.5}\n', ""),
+    (["count", "--n", "4", "--j", "2,4", "--meth", "det"], 0,
+     '{"J": [2, 4], "n": 4, "exact": 5, "ncycles": 1, "method": "det"}\n', ""),
+    (["tv", "--n", "x", "--p", "1/2,1/2"], 2, "",
+     "usage: riffle tv [-h] --n N --p P [--k K]\n"
+     "riffle tv: error: argument --n: invalid int value: 'x'\n"),
+    (["count", "--n", "4", "--j", "2,4", "--method", "bogus"], 2, "",
+     "usage: riffle count [-h] --n N --j J [--method {ie,det,brute}]\n"
+     "riffle count: error: argument --method: invalid choice: 'bogus' "
+     "(choose from 'ie', 'det', 'brute')\n"),
+    (["stats", "--n", "4", "--p", "1/2,1/2", "--stat", "bogus"], 2, "",
+     "usage: riffle stats [-h] --n N --p P [--k K] --stat\n"
+     "                    {fixed-points,inversions,descents,cycle-pgf,inv-pgf}\n"
+     "                    [--n-max N_MAX]\n"
+     "riffle stats: error: argument --stat: invalid choice: 'bogus' (choose from "
+     "'fixed-points', 'inversions', 'descents', 'cycle-pgf', 'inv-pgf')\n"),
+], ids=["help", "sample-help", "unknown-subcommand", "missing-p", "dist-help", "tv-help",
+        "stats-help", "count-help", "bijection-help", "report-help", "verify-help",
+        "no-arguments", "unknown-flag", "unknown-flag-first", "flag-equals", "abbreviated-flag",
+        "bad-int", "bad-method", "bad-stat"])
 def test_parser_text_is_pinned(monkeypatch, capsys, argv, code, out, err):
-    # argparse wraps at the terminal width, which it reads from COLUMNS
+    # argparse wraps at the terminal width, which it reads from COLUMNS; a
+    # run the parser accepts returns its code instead of exiting
     monkeypatch.setenv("COLUMNS", "80")
-    with pytest.raises(SystemExit) as exit_:
-        main(argv)
-    assert exit_.value.code == code
+    try:
+        returned = main(argv)
+    except SystemExit as exit_:
+        returned = exit_.code
+    assert returned == code
     assert capsys.readouterr() == (out, err)
 
 
