@@ -193,7 +193,7 @@ def cmd_dist(args) -> int:
     else:
         # one mass text per class; S_n is walked only to place each permutation
         numerators, scale, rows = shuffles._kfold_walk(
-            n, bias, k, labels=[str(card) for card in range(1, n + 1)])
+            n, bias, k, labels=map(str, range(1, n + 1)))
         texts = [frac_str(Fraction(m, scale)) for m in numerators]
     _print_masses(n, args.format, texts, rows)
     return 0

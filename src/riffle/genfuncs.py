@@ -15,6 +15,7 @@ cycle and inversion series share one integer kernel, ``_exp_integers``.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from fractions import Fraction
@@ -37,6 +38,7 @@ from .shuffles import (
     ExactDistribution,
     ShuffleSpec,
     _bucket_sums,
+    _check_total,
     _content_mass,
     _power_sums,
     validate_bias,
@@ -62,7 +64,7 @@ class CyclePolynomial(Immutable):
         for key in clean:
             if sum(length * count for length, count in key) != n:
                 raise ValueError(f"cycle type {key} does not weigh n={n}")
-        if sum(clean.values()) != 1:
+        if _bucket_sums(itertools.repeat(None), clean.values()).get(None) != 1:
             raise ValueError("coefficients do not sum to 1")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "terms", clean)
@@ -244,7 +246,8 @@ def inversion_pgf(n: int, bias, k: int = 1) -> QPolynomial:
     dividing by 1 - q^m is then a running sum of stride m and multiplying
     by 1 - q^j a running difference.  That is C(n+1,2) * (C(n,2)+1) list
     cells, with no polynomial product, refused over
-    ``shuffles.MAX_SWEEP_CELLS`` (n > 53).
+    ``shuffles.MAX_SWEEP_CELLS`` (n > 53).  Before the one division, a
+    negative coefficient or a total other than D^n n! is refused.
 
     >>> half = Fraction(1, 2)
     >>> inversion_pgf(3, (half, half), 2) == QPolynomial([5/16, 5/16, 5/16, 1/16])
@@ -262,6 +265,9 @@ def inversion_pgf(n: int, bias, k: int = 1) -> QPolynomial:
         for i in range(top - 1, j - 1, -1):
             e[i] -= e[i - j]
     den = scale**n * math.factorial(n)
+    if (least := min(e)) < 0:
+        raise ValueError(f"negative coefficient of q^{e.index(least)}")
+    _check_total(sum(e), den)
     return QPolynomial(Fraction(x, den) for x in e)
 
 

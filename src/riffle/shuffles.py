@@ -266,8 +266,8 @@ class ExactDistribution(Immutable):
 # 2-vCPU Xeon) and admit the largest sweep of `verify --n-max 8` (n = 8,
 # a' = 3, k = 8).  The letters are tensored as integers, so the budget also
 # bounds n = 1: its 2^20 letters take ~0.15 s and 31 MB max RSS.  It bounds the
-# class-size walk of ``tv_to_uniform``, the series of ``genfuncs.inversion_pgf``
-# and the cycle-type table of ``genfuncs.cycle_structure_pgf``.
+# series of ``genfuncs.inversion_pgf`` and the cycle-type table of
+# ``genfuncs.cycle_structure_pgf`` too.
 MAX_SWEEP_CELLS = 2**21
 
 
@@ -288,15 +288,21 @@ def _kfold_classes(n: int, bias, k: int) -> tuple[list[int], list[int], int]:
     tensored bias with strict rises forced at D (the fundamental
     quasisymmetric function F_D at that bias).  The sweep runs on integer
     numerators over the tensored letters, zero letters dropped since no
-    counted word uses them.  Classes are the leaves of a depth-first trie
-    over positions 1..n-1, so classes that agree on {1..j-1} share their
+    counted word uses them.  Classes are the leaves of one depth-first trie
+    walk over positions 1..n-1, so classes that agree on {1..j-1} share their
     first j steps: about 2^n * a'^k list cells for a' nonzero letters, which
     is refused over MAX_SWEEP_CELLS before any letter is built, as are
     masses over MAX_ANSWER_DIGITS.  The sweep holds one a'^k row per open
     level, its running sums: each child reads its row lazily from the
-    parent's, once.  A class of d >= a'^k descents needs
-    d + 1 letters, so its subtree is filled with 0, and so is its size:
-    ``_class_sizes`` walks only the classes that can carry mass.
+    parent's, once.  Beside it rides the size row: ranks[r] counts the
+    arrangements of the first j entries whose last entry has rank r among
+    them, and the next entry goes above it (prefix sums) or below it (suffix
+    sums), so a leaf's row sums to |D|.  A class of d >= a'^k descents needs
+    d + 1 letters, so its subtree is filled with 0, in both lists: only the
+    classes that can carry mass are walked.
+
+    >>> _kfold_classes(3, (Fraction(1, 2), Fraction(1, 2)), 1)
+    ([4, 1, 1, 0], [1, 2, 2, 0], 8)
     """
     letters = [p for p in validate_bias(bias) if p]
     check_size(n, k=k)
@@ -309,23 +315,29 @@ def _kfold_classes(n: int, bias, k: int) -> tuple[list[int], list[int], int]:
     _check_masses(letters, n, k)
     weights, den = _weights(letters, k)
     upper = weights[1:]
-    out: list[int] = []
+    numerators: list[int] = []
+    sizes: list[int] = []
 
-    def visit(words: Iterable[int], j: int, descents: int):
+    def visit(words: Iterable[int], ranks: list[int], descents: int):
         # words yields, for each letter v, the numerator of the mass of the
         # admissible length-j words ending in v; it is read once, into prefix
+        j = len(ranks)
         if j == n:
-            out.append(sum(words))
+            numerators.append(sum(words))
+            sizes.append(sum(ranks))
             return
         prefix = list(itertools.accumulate(words))
-        visit(map(operator.mul, weights, prefix), j + 1, descents)
+        visit(map(operator.mul, weights, prefix), [0, *itertools.accumulate(ranks)], descents)
         if descents + 1 < len(weights):
-            visit(itertools.chain((0,), map(operator.mul, upper, prefix)), j + 1, descents + 1)
+            visit(itertools.chain((0,), map(operator.mul, upper, prefix)),
+                  [*itertools.accumulate(ranks[::-1])][::-1] + [0], descents + 1)
         else:
-            out.extend(itertools.repeat(0, 2 ** (n - 1 - j)))
+            zeros = 2 ** (n - 1 - j)
+            numerators.extend(itertools.repeat(0, zeros))
+            sizes.extend(itertools.repeat(0, zeros))
 
-    visit(weights, 1, 0)
-    return _checked_classes(out, _class_sizes(n, min(n - 1, len(weights) - 1)), den**n)
+    visit(weights, [1], 0)
+    return _checked_classes(numerators, sizes, den**n)
 
 
 def _checked_classes(numerators: list[int], sizes: list[int], scale: int) -> tuple:
@@ -535,7 +547,8 @@ def _kfold_walk(
 
     pi is yielded as (labels[pi(1)-1], ..., labels[pi(n)-1]); the labels
     default to the cards 1..n, which yields pi's images.  S_n is walked as
-    plain tuples, so n is capped at MAX_CACHED_N first, and its class
+    plain tuples, so n is capped at MAX_CACHED_N first, before the n labels
+    are read (an iterator of them may stand for a huge n), and its class
     indices are read once, by the walk.
     """
     check_size(n, cap=MAX_CACHED_N)
@@ -560,27 +573,6 @@ def exact_kfold_distribution(n: int, bias, k: int) -> ExactDistribution:
     return ExactDistribution(
         n, {Permutation._unchecked(images): class_mass[index] for images, index in walk}
     )
-
-
-def _class_sizes(n: int, most: int) -> list[int]:
-    """|D| for each inverse-descent class D of S_n at its index in
-    ``_kfold_classes``, or 0 past ``most`` descents below n.  |D| counts the
-    permutations with descent set D, built on the sweep's trie: f[r] counts
-    the arrangements so far whose last entry has rank r among them, and the
-    next entry goes above it (prefix sums) or below it (suffix sums)."""
-    out: list[int] = []
-
-    def visit(f: list[int], descents: int):
-        if descents > most:
-            out.extend(itertools.repeat(0, 2 ** (n - len(f))))
-        elif len(f) >= n:  # n = 0 has one class, as n = 1 does
-            out.append(sum(f))
-        else:
-            visit([0, *itertools.accumulate(f)], descents)
-            visit([*itertools.accumulate(f[::-1])][::-1] + [0], descents + 1)
-
-    visit([1], 0)
-    return out
 
 
 def tv_to_uniform(n: int, bias, k: int = 1) -> Fraction:

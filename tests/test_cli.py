@@ -173,7 +173,7 @@ BAD_CLASS_TABLES = pytest.mark.parametrize("table, message", [
 
 def _bad_classes(monkeypatch, table):
     monkeypatch.setattr(shuffles, "_kfold_classes", lambda n, bias, k: shuffles._checked_classes(
-        table, shuffles._class_sizes(3, 2), 4))
+        table, [1, 2, 2, 1], 4))
 
 
 @BAD_CLASS_TABLES
@@ -301,6 +301,19 @@ def test_cycle_pgf_needs_no_flag_above_s9(capsys):
         for key, c in sorted(pgf.terms.items())]
 
 
+@pytest.mark.parametrize("factor, message", [
+    (2, "masses sum to 2, not 1"),
+    (-1, "negative coefficient of q^0"),
+], ids=["sum", "negative"])
+def test_stats_refuses_a_bad_inversion_law(capsys, monkeypatch, factor, message):
+    # the integer series of E q^Inv on 3 cards, scaled before it is divided
+    exp_integers = genfuncs._exp_integers
+    monkeypatch.setattr(genfuncs, "_exp_integers", lambda a, n, width: [
+        [factor * x for x in f] for f in exp_integers(a, n, width)])
+    assert run_cli(capsys, "stats", "--n", "3", "--p", "1/2,1/2", "--stat", "inv-pgf") == \
+        (2, "", f"error: {message}\n")
+
+
 def test_cycle_pgf_of_33_cards_prints_within_five_seconds():
     # 33 * (p(0) + ... + p(33)) = 1,780,779 cells, the largest n within the budget
     elapsed, done = _timed_cli("stats", "--n", "33", "--p", "1/2,1/2", "--stat", "cycle-pgf")
@@ -317,6 +330,7 @@ def test_cycle_pgf_of_33_cards_prints_within_five_seconds():
     (["dist", "--n", "999", "--p", "1/2,1/2"],
      "999 cards * 2^999 pile words is above the budget of 3265920 listed cards"),
     (["dist", "--n", "100000000", "--p", "1"], "100000000 cards * 1^100000000 pile words"),
+    (["dist", "--n", "99999999999", "--p", "2/3,1/3", "--k", "9"], "n=99999999999 above cap 9"),
     (["stats", "--n", "34", "--p", "1/2,1/2", "--stat", "cycle-pgf"],
      "34 * (p(0) + ... + p(34)) cells (the terms to p(34) give 2253282) is above the "
      "budget of 2097152 cells"),
@@ -331,7 +345,8 @@ def test_cycle_pgf_of_33_cards_prints_within_five_seconds():
      "digits each (P_33^140 has a 12970-bit denominator), 25146758 cells in all, is above "
      "the budget of 2097152 cells"),
 ], ids=["inv-pgf-54", "inv-pgf-n-max-150", "dist-999", "dist-one-letter-1e8",
-        "cycle-pgf-34", "cycle-pgf-n-max-200", "cycle-pgf-1e6", "cycle-pgf-digits"])
+        "dist-classes-1e11", "cycle-pgf-34", "cycle-pgf-n-max-200", "cycle-pgf-1e6",
+        "cycle-pgf-digits"])
 def test_work_over_budget_is_refused_with_its_estimate(argv, estimate):
     elapsed, done = _timed_cli(*argv)
     assert (done.returncode, done.stdout) == (2, "")

@@ -224,10 +224,14 @@ def test_cycle_pgf_refuses_negative_k():
 
 
 def test_cycle_polynomial_validates():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="does not weigh n=2"):
         CyclePolynomial(2, {((1, 1),): F(1)})  # weighs 1, not 2
-    with pytest.raises(ValueError):
-        CyclePolynomial(2, {((1, 2),): F(1, 2)})  # not normalized
+    with pytest.raises(ValueError, match="negative coefficient"):
+        CyclePolynomial(2, {((1, 2),): F(3, 2), ((2, 1),): F(-1, 2)})
+    for terms in ({((1, 2),): F(1, 2)}, {((1, 2),): F(1, 3), ((2, 1),): F(1, 2)},
+                  {((1, 2),): F(2, 3), ((2, 1),): F(1, 2)}):  # sums 1/2, 5/6, 7/6
+        with pytest.raises(ValueError, match="^coefficients do not sum to 1$"):
+            CyclePolynomial(2, terms)
 
 
 def test_expected_count_reads_coefficients():

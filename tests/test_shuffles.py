@@ -268,7 +268,8 @@ def test_the_kfold_walk_reads_the_class_indices_once(monkeypatch):
 def test_the_class_table_carries_the_sizes_of_the_classes_with_mass(bias, k, most):
     # a class of d descents needs d + 1 of the a'^k nonzero letters
     numerators, sizes, scale = shuffles._kfold_classes(5, bias, k)
-    assert sizes == shuffles._class_sizes(5, most)
+    assert sizes == [count_descent_exact(5, _class_deset(5, index)) if index.bit_count() <= most
+                     else 0 for index in range(16)]
     assert not any(m for m, size in zip(numerators, sizes) if not size)
     assert sum(map(operator.mul, sizes, numerators)) == scale
 
@@ -322,14 +323,20 @@ def _class_deset(n, index):
     return [i for i in range(1, n) if index >> (n - 1 - i) & 1] + [n]
 
 
+def _sizes_over_equal_letters(n, letters):
+    # the sizes of the class table of one shuffle with `letters` equal letters
+    return shuffles._kfold_classes(n, (F(1, letters),) * letters, 1)[1]
+
+
 @pytest.mark.parametrize("n", range(1, 13))
 def test_class_sizes_are_the_descent_set_counts(n):
-    sizes = shuffles._class_sizes(n, n - 1)
+    sizes = _sizes_over_equal_letters(n, n)
     assert len(sizes) == 2 ** (n - 1) and sum(sizes) == math.factorial(n)
     assert sizes == [count_descent_exact(n, _class_deset(n, index)) for index in range(len(sizes))]
-    # a walk cut at `most` descents keeps every class index, with 0 past the cut
+    # a sweep over `most` + 1 letters cuts the walk at `most` descents: it
+    # keeps every class index, with 0 past the cut
     for most in range(n - 1):
-        assert shuffles._class_sizes(n, most) == [
+        assert _sizes_over_equal_letters(n, most + 1) == [
             size if index.bit_count() <= most else 0 for index, size in enumerate(sizes)]
 
 
