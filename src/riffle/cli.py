@@ -431,7 +431,7 @@ def _verify_flags(p) -> None:
 
 
 def cmd_verify(args) -> int:
-    from . import shuffles, verify
+    from . import verify
 
     if args.samples < 1:
         raise ValueError("--samples must be at least 1")
@@ -442,7 +442,9 @@ def cmd_verify(args) -> int:
             raise ValueError("--n-max must be at most 8 for verify")
         config.n_max = config.count_n_max = n_max
     if args.seed is not None:
-        shuffles.substream(args.seed, 0)  # refuses a seed out of range before any suite runs
+        from .shuffles import substream
+
+        substream(args.seed, 0)  # refuses a seed out of range before any suite runs
         config.seed = args.seed
     results = verify.run(only=args.only, config=config)
     if not results:

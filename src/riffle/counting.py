@@ -25,41 +25,6 @@ from .permutations import (
 )
 
 
-def _comb0(m: int, k: int) -> int:
-    """Binomial coefficient that is 0 outside 0 <= k <= m."""
-    if k < 0 or k > m:
-        return 0
-    return math.comb(m, k)
-
-
-def int_det(matrix: list[list[int]]) -> int:
-    """Exact determinant of an integer matrix by fraction-free elimination.
-
-    Bareiss' algorithm: every intermediate quantity stays an integer, so
-    there is no rational blowup on the big binomial entries.
-    """
-    m = [row[:] for row in matrix]
-    size = len(m)
-    if any(len(row) != size for row in m):
-        raise ValueError("matrix is not square")
-    sign = 1
-    prev = 1
-    for k in range(size - 1):
-        if m[k][k] == 0:
-            for swap in range(k + 1, size):
-                if m[swap][k] != 0:
-                    m[k], m[swap] = m[swap], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[size - 1][size - 1] if size else 1
-
-
 @functools.cache
 def _descent_table(n: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     """Brute force over all of S_n: how many permutations, n-cycles and
@@ -245,13 +210,26 @@ def _descent_inclusion_exclusion(
 
 
 def _binomial_det(n: int, positions: list[int], d: int) -> int:
-    """det C((n - j_l)/d, (j_{m+1} - j_l)/d) over j_0 = 0 < positions < j_{k+1} = n."""
+    """det C((n - j_l)/d, (j_{m+1} - j_l)/d) over j_0 = 0 < positions < j_{k+1} = n.
+
+    Entries below the subdiagonal are C(., negative) = 0 and those on it
+    C(., 0) = 1, so the matrix is upper Hessenberg with a unit subdiagonal.
+    Expanding its leading m x m minor D_m along the last column gives
+
+        D_m = sum_{l < m} (-1)^(m-1-l) C((n - j_l)/d, (j_m - j_l)/d) D_l,   D_0 = 1,
+
+    O(k^2) products of integers and no division.  The positions must
+    increase strictly, so every binomial taken here is within its row.
+    """
     pts = [0] + positions + [n]
-    size = len(positions) + 1
-    return int_det([
-        [_comb0((n - pts[l]) // d, (pts[m + 1] - pts[l]) // d) for m in range(size)]
-        for l in range(size)
-    ])
+    minors = [1]
+    for m in range(1, len(pts)):
+        total = 0
+        for l, minor in enumerate(minors):
+            term = math.comb((n - pts[l]) // d, (pts[m] - pts[l]) // d) * minor
+            total += -term if (m - 1 - l) % 2 else term
+        minors.append(total)
+    return minors[-1]
 
 
 def count_descent_exact(n: int, deset: Iterable[int]) -> int:
@@ -275,13 +253,17 @@ def count_descent_exact(n: int, deset: Iterable[int]) -> int:
 def count_descent_det(n: int, j_positions: Iterable[int]) -> int:
     """Same count in Stanley's indexing: ``j_positions`` lies in {1..n-1}.
 
-    Builds the (k+1) x (k+1) matrix with entries C(n - j_l, j_{m+1} - j_l)
-    for j_0 = 0 and j_{k+1} = n, and takes its exact determinant.
+    The count is the determinant of the (k+1) x (k+1) matrix with entries
+    C(n - j_l, j_{m+1} - j_l) for j_0 = 0 and j_{k+1} = n, evaluated by the
+    unit-Hessenberg recurrence of ``_binomial_det``.  A repeated position
+    repeats a row, so the determinant is 0.
     """
     check_size(n)
     js = sorted(j_positions)
     if any(j < 1 or j > n - 1 for j in js):
         raise ValueError(f"positions must lie in 1..{n - 1}: {js}")
+    if len(set(js)) < len(js):
+        return 0
     return _binomial_det(n, js, 1)
 
 

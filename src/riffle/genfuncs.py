@@ -32,7 +32,6 @@ from .permutations import (
     inversions,
     weak_compositions,
 )
-from .qpoly import QPolynomial, q_multinomial
 from .shuffles import (
     MAX_SWEEP_CELLS,
     ExactDistribution,
@@ -249,10 +248,13 @@ def inversion_pgf(n: int, bias, k: int = 1) -> QPolynomial:
     ``shuffles.MAX_SWEEP_CELLS`` (n > 53).  Before the one division, a
     negative coefficient or a total other than D^n n! is refused.
 
+    >>> from riffle.qpoly import QPolynomial
     >>> half = Fraction(1, 2)
     >>> inversion_pgf(3, (half, half), 2) == QPolynomial([5/16, 5/16, 5/16, 1/16])
     True
     """
+    from .qpoly import QPolynomial
+
     bias = validate_bias(bias)
     check_size(n, k=k)
     top = math.comb(n, 2) + 1
@@ -278,6 +280,8 @@ def inversion_pgf_from_compositions(n: int, bias, *, max_n: int = MAX_CACHED_N) 
     contributes p^b times the inversion generating function of the
     permutations it can produce, which is the q-multinomial.
     """
+    from .qpoly import QPolynomial, q_multinomial
+
     bias = validate_bias(bias)
     check_size(n, cap=max_n)
     total = QPolynomial.zero()
@@ -290,6 +294,8 @@ def inversion_pgf_from_compositions(n: int, bias, *, max_n: int = MAX_CACHED_N) 
 
 
 def inversion_pgf_from_distribution(dist: ExactDistribution) -> QPolynomial:
+    from .qpoly import QPolynomial
+
     masses = dist.masses
     keys = map(inversions, masses)
     return QPolynomial(_coefficients(math.comb(dist.n, 2) + 1, keys, masses.values()))

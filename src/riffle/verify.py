@@ -11,14 +11,12 @@ that need an independent test-only oracle (scipy, numpy).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
-import random
 from collections import Counter
-from fractions import Fraction
 
-from . import counting, genfuncs, necklaces, shuffles
 from .permutations import (
     Permutation,
     compositions,
@@ -32,16 +30,30 @@ from .permutations import (
     weak_compositions,
 )
 
-F = Fraction
+# Each suite imports the modules it calls, so a run loads only what its
+# selected suites check: ``--only gessel`` loads no ``fractions``.
 
-# Fixed bias panel: five vectors spanning alphabet sizes 1..3.
-BIAS_PANEL: tuple[tuple[Fraction, ...], ...] = (
-    (F(1),),
-    (F(1, 2), F(1, 2)),
-    (F(1, 3), F(2, 3)),
-    (F(1, 2), F(1, 4), F(1, 4)),
-    (F(1, 6), F(1, 3), F(1, 2)),
-)
+
+@functools.cache
+def _bias_panel() -> tuple[tuple[Fraction, ...], ...]:
+    """Fixed bias panel: five vectors spanning alphabet sizes 1..3."""
+    from fractions import Fraction as F
+
+    return (
+        (F(1),),
+        (F(1, 2), F(1, 2)),
+        (F(1, 3), F(2, 3)),
+        (F(1, 2), F(1, 4), F(1, 4)),
+        (F(1, 6), F(1, 3), F(1, 2)),
+    )
+
+
+def __getattr__(name: str):
+    """``BIAS_PANEL`` is built on first access (PEP 562); any other name is
+    missing."""
+    if name != "BIAS_PANEL":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return _bias_panel()
 
 
 class CheckResult:
@@ -109,6 +121,10 @@ def _ok(name: str, detail: str = "") -> CheckResult:
 @_suite("shuffle-table")
 def check_shuffle_table(config: VerifyConfig) -> CheckResult:
     """The six symbolic three-card masses, at three rational bias points."""
+    from fractions import Fraction as F
+
+    from . import shuffles
+
     name = "shuffle-table"
     for p1 in (F(1, 2), F(1, 3), F(1, 5)):
         p2 = 1 - p1
@@ -130,21 +146,29 @@ def check_shuffle_table(config: VerifyConfig) -> CheckResult:
 @_suite("description-equivalence")
 def check_description_equivalence(config: VerifyConfig) -> CheckResult:
     """Cut/interleave, sequential drops, and pile-sorting give one measure."""
+    from . import shuffles
+
     name = "description-equivalence"
+    panel = _bias_panel()
     for n in range(0, config.n_max + 1):
-        for bias in BIAS_PANEL:
+        for bias in panel:
             d1 = shuffles.exact_distribution(n, bias)
             d2 = shuffles.exact_distribution_drops(n, bias)
             d4 = shuffles.exact_distribution_pile_words(n, bias)
             dd = shuffles.exact_kfold_distribution(n, bias, 1)
             if not (d1 == d2 == d4 == dd):
                 return _fail(name, f"routes disagree at n={n}, bias={bias}")
-    return _ok(name, f"4 exact routes agree for n <= {config.n_max}, panel of {len(BIAS_PANEL)}")
+    return _ok(name, f"4 exact routes agree for n <= {config.n_max}, panel of {len(panel)}")
 
 
 @_suite("geometric-fit")
 def check_geometric_fit(config: VerifyConfig) -> CheckResult:
     """Goodness of fit of the point-dropping sampler against the exact law."""
+    import random
+    from fractions import Fraction as F
+
+    from . import shuffles
+
     name = "geometric-fit"
     n, bias = 4, (F(1, 3), F(2, 3))
     dist = shuffles.exact_distribution(n, bias)
@@ -178,6 +202,10 @@ def _chi2_quantile(prob: float, dof: int) -> float:
 @_suite("convolution")
 def check_convolution(config: VerifyConfig) -> CheckResult:
     """Composing shuffles equals one shuffle with tensored bias."""
+    from fractions import Fraction as F
+
+    from . import shuffles
+
     name = "convolution"
     pairs = [
         ((F(1, 2), F(1, 2)), (F(1, 2), F(1, 2))),
@@ -199,6 +227,10 @@ def check_convolution(config: VerifyConfig) -> CheckResult:
 def check_mixing_bound(config: VerifyConfig) -> CheckResult:
     """Exact distance to uniform never exceeds the pair-collision bound, and
     the descent-class sum gives the same distance as the sum over S_n."""
+    from fractions import Fraction as F
+
+    from . import shuffles
+
     name = "mixing-bound"
     fair = (F(1, 2), F(1, 2))
     if shuffles.tv_distance(
@@ -207,7 +239,7 @@ def check_mixing_bound(config: VerifyConfig) -> CheckResult:
         return _fail(name, "3-card fair shuffle is not at distance 1/3 from uniform")
     for n in range(2, config.n_max + 1):
         uniform = shuffles.uniform_distribution(n)
-        for bias in BIAS_PANEL:
+        for bias in _bias_panel():
             if len(bias) == 1:
                 continue
             for k in range(0, 9):
@@ -227,6 +259,10 @@ def check_mixing_bound(config: VerifyConfig) -> CheckResult:
 @_suite("lalley")
 def check_lalley(config: VerifyConfig) -> CheckResult:
     """The lower-bound exponent and step count behave as advertised."""
+    from fractions import Fraction as F
+
+    from . import shuffles
+
     name = "lalley"
     theta = shuffles.lalley_theta(F(1, 2))
     if abs(theta - 3.0) > 1e-10:
@@ -247,6 +283,8 @@ def check_lalley(config: VerifyConfig) -> CheckResult:
 @_suite("standardize-example")
 def check_standardize_example(config: VerifyConfig) -> CheckResult:
     """The 12-letter worked example: standardization and its necklaces."""
+    from . import necklaces
+
     name = "standardize-example"
     word = (2, 2, 1, 1, 2, 3, 3, 3, 2, 3, 2, 2)
     st = necklaces.standardize(word)
@@ -274,6 +312,8 @@ def check_gessel_bijection(config: VerifyConfig) -> CheckResult:
     there fails (a repeat is not injective, an outsider not onto), and so
     does a key left over (not onto).
     """
+    from . import counting, necklaces
+
     name = "gessel-bijection"
     for n in range(1, config.n_max + 1):
         perms = symmetric_group_list(n)
@@ -315,12 +355,16 @@ def check_gessel_bijection(config: VerifyConfig) -> CheckResult:
 
 def _target_keys(parts: tuple[int, ...]) -> set[tuple[tuple[int, ...], ...]]:
     """Sorted-tuple keys of the primitive necklace multisets of content ``parts``."""
+    from . import necklaces
+
     return set(necklaces._primitive_keys(parts))
 
 
 @_suite("necklace-counts")
 def check_necklace_counts(config: VerifyConfig) -> CheckResult:
     """Moebius counting of primitive necklaces against enumeration."""
+    from . import necklaces
+
     name = "necklace-counts"
     for a in (1, 2, 3):
         for total in range(1, config.count_n_max + 1):
@@ -335,9 +379,13 @@ def check_necklace_counts(config: VerifyConfig) -> CheckResult:
 @_suite("cycle-pgf")
 def check_cycle_pgf(config: VerifyConfig) -> CheckResult:
     """Product-formula cycle PGF against the brute-force joint PGF."""
+    from fractions import Fraction as F
+
+    from . import genfuncs, shuffles
+
     name = "cycle-pgf"
     for n in range(1, config.n_max + 1):
-        for bias in BIAS_PANEL:
+        for bias in _bias_panel():
             got = genfuncs.cycle_structure_pgf(n, bias)
             want = genfuncs.cycle_pgf_from_distribution(shuffles.exact_distribution(n, bias))
             if got != want:
@@ -354,9 +402,13 @@ def check_cycle_pgf(config: VerifyConfig) -> CheckResult:
 @_suite("fixed-points")
 def check_fixed_points(config: VerifyConfig) -> CheckResult:
     """Fixed-point PGF, its mean, and the unbiased-minimum inequality."""
+    from fractions import Fraction as F
+
+    from . import genfuncs, shuffles
+
     name = "fixed-points"
     for n in range(1, config.n_max + 1):
-        for bias in BIAS_PANEL:
+        for bias in _bias_panel():
             pgf = genfuncs.fixed_point_pgf(n, bias)
             if pgf != _brute_fixed_point_law(n, bias):
                 return _fail(name, f"fixed-point PGF differs at n={n}, bias={bias}")
@@ -375,6 +427,10 @@ def _brute_fixed_point_law(n: int, bias) -> tuple[Fraction, ...]:
     """P(N_1 = 0..n) for one shuffle, read off the cut listing of
     ``exact_distribution``: its integer numerators summed by the fixed
     points of each permutation, one Fraction per count."""
+    from fractions import Fraction
+
+    from . import shuffles
+
     numerators, scale = shuffles._cut_numerators(n, bias)
     sums, cards = [0] * (n + 1), range(1, n + 1)
     for ranks, m in numerators.items():
@@ -393,6 +449,8 @@ def _descent_subsets(n: int):
 @_suite("descent-counts")
 def check_descent_counts(config: VerifyConfig) -> CheckResult:
     """Inclusion-exclusion and determinant descent counts against brute force."""
+    from . import counting
+
     name = "descent-counts"
     for n in range(1, config.count_n_max + 1):
         buckets = counting._descent_table(n)[0]
@@ -412,6 +470,8 @@ def check_descent_counts(config: VerifyConfig) -> CheckResult:
 @_suite("ncycle-counts")
 def check_ncycle_counts(config: VerifyConfig) -> CheckResult:
     """Both n-cycle descent formulas against brute force."""
+    from . import counting
+
     name = "ncycle-counts"
     for n in range(1, config.count_n_max + 1):
         buckets = counting._descent_table(n)[1]
@@ -431,6 +491,8 @@ def check_ncycle_counts(config: VerifyConfig) -> CheckResult:
 @_suite("involution-counts")
 def check_involution_counts(config: VerifyConfig) -> CheckResult:
     """Symmetric-matrix enumeration against brute-force involution counts."""
+    from . import counting
+
     name = "involution-counts"
     for n in range(1, config.count_n_max + 1):
         involutions = [
@@ -447,10 +509,14 @@ def check_involution_counts(config: VerifyConfig) -> CheckResult:
 @_suite("inversion-stats")
 def check_inversion_stats(config: VerifyConfig) -> CheckResult:
     """Both inversion-PGF routes, the brute PGF, and the moment formulas."""
+    from fractions import Fraction as F
+
+    from . import genfuncs, shuffles
+
     name = "inversion-stats"
     fair = (F(1, 2), F(1, 2))
     for n in range(1, config.n_max + 1):
-        for bias in BIAS_PANEL:
+        for bias in _bias_panel():
             series = genfuncs.inversion_pgf(n, bias)
             comp = genfuncs.inversion_pgf_from_compositions(n, bias)
             brute = genfuncs.inversion_pgf_from_distribution(
@@ -480,6 +546,10 @@ def check_inversion_stats(config: VerifyConfig) -> CheckResult:
 @_suite("monte-carlo")
 def check_monte_carlo(config: VerifyConfig) -> CheckResult:
     """Sampled means of the three statistics against the closed forms."""
+    from fractions import Fraction as F
+
+    from . import genfuncs, shuffles
+
     name = "monte-carlo"
     n = 52
     bias = (F(2, 5), F(3, 5))
@@ -506,6 +576,8 @@ def sample_statistics(
 ) -> dict[str, tuple[float, float]]:
     """Empirical (mean, standard error) of fixed points, inversions, and
     descents, drawing the k-fold shuffle as a single tensored shuffle."""
+    from . import shuffles
+
     spec = shuffles.ShuffleSpec(n, shuffles.tensor_power(bias, k), 1)
     sums = {"fixed_points": 0.0, "inversions": 0.0, "descents": 0.0}
     sumsq = dict(sums)

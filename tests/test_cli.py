@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import riffle
-from riffle import counting, genfuncs, permutations, shuffles
+from riffle import counting, genfuncs, permutations, shuffles, verify
 from riffle.cli import _json_text, build_parser, main
 from riffle.genfuncs import expected_inversions
 from riffle.shuffles import ShuffleSpec, exact_kfold_distribution
@@ -235,6 +235,17 @@ def _timed_cli(*argv) -> tuple[float, subprocess.CompletedProcess]:
     done = subprocess.run([sys.executable, "-m", "riffle.cli", *argv], timeout=60,
                           env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
     return time.perf_counter() - start, done
+
+
+def test_count_det_of_four_hundred_positions_prints_within_two_seconds():
+    # J = {1..400}: Bareiss elimination of the 400 x 400 binomial matrix ran
+    # past 20 s; the unit-Hessenberg recurrence takes O(k^2) products
+    j = ",".join(map(str, range(1, 401)))
+    elapsed, done = _timed_cli("count", "--n", "400", "--j", j, "--method", "det")
+    assert elapsed < 2
+    assert (done.returncode, done.stderr) == (0, "")
+    assert json.loads(done.stdout) == {"J": list(range(1, 401)), "n": 400, "exact": 1,
+                                       "ncycles": 0, "method": "det"}
 
 
 def test_tv_of_sixteen_cards_prints_within_two_seconds():
@@ -973,6 +984,26 @@ _WATCHED = {"array", "dataclasses", "decimal", "fractions", "json", "struct", "t
 _EXACT = ["decimal", "fractions", "riffle.shuffles"]
 
 
+# what each verify suite loads besides riffle.verify
+_SUITE_LOADS = {
+    **dict.fromkeys(["shuffle-table", "description-equivalence", "geometric-fit", "convolution",
+                     "mixing-bound", "lalley"], _EXACT),
+    "standardize-example": ["riffle.necklaces"],
+    "gessel-bijection": ["riffle.counting", "riffle.necklaces"],
+    "necklace-counts": ["riffle.counting", "riffle.necklaces"],
+    "cycle-pgf": _EXACT + ["riffle.genfuncs"],
+    "fixed-points": _EXACT + ["riffle.genfuncs"],
+    **dict.fromkeys(["descent-counts", "ncycle-counts", "involution-counts"],
+                    ["riffle.counting"]),
+    "inversion-stats": _EXACT + ["riffle.genfuncs", "riffle.qpoly"],
+    "monte-carlo": _EXACT + ["riffle.genfuncs"],
+}
+
+
+def test_every_verify_suite_has_a_loading_row():
+    assert list(_SUITE_LOADS) == verify.suite_names()
+
+
 def test_importing_the_cli_leaves_dataclasses_and_verify_unloaded():
     # struct and array stay unloaded too: the sampler decodes bytes without
     # them; and the handlers, not the module, import fractions and shuffles
@@ -988,18 +1019,24 @@ def test_importing_the_cli_leaves_dataclasses_and_verify_unloaded():
     (["report", "--n", "6", "--p", "2/7,5/7", "--k-max", "3"], _EXACT),
     (["report", "--n", "5", "--p", "1/3,2/3", "--k-max", "2", "--format", "json"], _EXACT),
     (["stats", "--n", "4", "--p", "1/2,1/2", "--stat", "inversions"],
-     sorted(_EXACT + ["riffle.genfuncs", "riffle.qpoly"])),
+     sorted(_EXACT + ["riffle.genfuncs"])),
     (["stats", "--n", "5", "--p", "1/3,2/3", "--k", "2", "--stat", "cycle-pgf"],
+     sorted(_EXACT + ["riffle.genfuncs"])),
+    (["stats", "--n", "4", "--p", "1/2,1/2", "--stat", "inv-pgf"],
      sorted(_EXACT + ["riffle.genfuncs", "riffle.qpoly"])),
     (["count", "--n", "4", "--j", "2,4"], ["riffle.counting"]),
     (["bijection", "--word", "2,2,1,1,2,3"], ["riffle.necklaces"]),
-    (["verify", "--only", "necklace", "--n-max", "3"], sorted({*_EXACT, *_LIBRARY})),
+    # each suite alone, at caps that keep the sixteen runs near a second
+    *[(["verify", "--only", suite, "--n-max", "3", "--samples", "300"],
+       sorted(["riffle.verify", *loaded])) for suite, loaded in _SUITE_LOADS.items()],
 ], ids=["sample", "dist-classes", "dist-cuts", "tv", "report", "report-json", "stats-inversions",
-        "stats-cycle-pgf", "count", "bijection", "verify"])
+        "stats-cycle-pgf", "inv-pgf", "count", "bijection",
+        *[f"verify-{suite}" for suite in _SUITE_LOADS]])
 def test_each_subcommand_loads_only_what_it_runs(argv, loaded):
     # a run through main loads no library module its subcommand does not
     # call, json nowhere (the CLI writes its own JSON text), and typing
-    # nowhere; count and bijection need no Fraction
+    # nowhere; count, bijection and the necklace and descent suites need no
+    # Fraction.  The probe asserts exit 0, so each suite row also passes
     probe = ("import contextlib, io\nfrom riffle.cli import main\n"
              "with contextlib.redirect_stdout(io.StringIO()):\n"
              "    assert main(sys.argv[1:]) == 0")

@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 
 from riffle.counting import (
     MAX_IE_TERMS,
+    _binomial_det,
     _descent_inclusion_exclusion,
     _descent_table,
     count_descent_det,
     count_descent_exact,
     count_descent_subset,
     count_symmetric_matrices,
-    int_det,
     involutions_descent_subset,
     multinomial,
     ncycles_descent_det,
@@ -48,6 +48,31 @@ def descent_buckets(n):
 
 # --- determinant helper ---------------------------------------------------
 
+def int_det(matrix: list[list[int]]) -> int:
+    """Exact determinant of an integer matrix by fraction-free elimination
+    (Bareiss): the general reference for ``_binomial_det``'s recurrence."""
+    m = [row[:] for row in matrix]
+    size = len(m)
+    if any(len(row) != size for row in m):
+        raise ValueError("matrix is not square")
+    sign = 1
+    prev = 1
+    for k in range(size - 1):
+        if m[k][k] == 0:
+            for swap in range(k + 1, size):
+                if m[swap][k] != 0:
+                    m[k], m[swap] = m[swap], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[size - 1][size - 1] if size else 1
+
+
 def _det_by_expansion(m):
     if not m:
         return 1
@@ -76,6 +101,30 @@ def test_int_det_singular_and_empty():
     assert int_det([[1, 2], [2, 4]]) == 0
     assert int_det([]) == 1
     assert int_det([[0, 1], [1, 0]]) == -1  # pivot swap path
+
+
+def _binomial_matrix(n, positions, d):
+    pts = [0, *positions, n]
+    return [[math.comb((n - pts[l]) // d, (pts[m + 1] - pts[l]) // d)
+             if pts[m + 1] >= pts[l] else 0 for m in range(len(pts) - 1)]
+            for l in range(len(pts) - 1)]
+
+
+@given(st.integers(0, 40).flatmap(
+    lambda n: st.tuples(st.just(n), st.sets(st.integers(1, n - 1))
+                        if n > 1 else st.just(frozenset()))))
+@settings(max_examples=300, deadline=None)
+def test_binomial_det_recurrence_equals_bareiss(case):
+    # for each d | n the positions are J's multiples of d, as in ncycles_descent_det
+    n, js = case
+    for d in [d for d in range(1, n + 1) if n % d == 0] or [1]:
+        jd = sorted(j for j in js if j % d == 0)
+        assert _binomial_det(n, jd, d) == int_det(_binomial_matrix(n, jd, d))
+
+
+def test_count_descent_det_of_a_repeated_position_is_zero():
+    # a repeated position repeats a matrix row
+    assert count_descent_det(5, [2, 2]) == 0 == int_det(_binomial_matrix(5, [2, 2], 1))
 
 
 # --- plain counts ----------------------------------------------------------
