@@ -3,7 +3,9 @@
 Descent sets follow the package convention of always containing n.  The
 Stanley-style entry points (``count_descent_det``) instead take a subset of
 {1..n-1} and append n internally; both are exposed so each formula can be
-exercised in its native indexing.
+exercised in its native indexing.  The brute force, ``_descent_table``,
+reads the permutations' counts off the inverse-descent walk of S_n that
+the exact shuffle measures and the Gessel-bijection check also read.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from collections.abc import Callable, Iterable, Iterator
 
 from .permutations import (
     MAX_CACHED_N,
+    _inverse_descent_indices,
     _mobius_divisors,
     _partition_numbers,
     check_budget,
@@ -31,10 +34,13 @@ def _descent_table(n: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int,
     involutions have each descent set, as three tuples of 2^(n-1) entries
     indexed by ``permutations.descent_index``.
 
-    S_n is walked in lexicographic blocks of six (``_counts_by_blocks``).
-    The n-cycles are listed directly as the (n-1)! cyclic orders
-    0 -> c1 -> ... -> c_{n-1} -> 0, and the involutions as the matchings of
-    0..n-1, so neither filters S_n.  Each listing holds one image list.
+    The permutations are counted as a histogram of
+    ``permutations._inverse_descent_indices``, the lexicographic walk of S_n
+    by Des(pi^{-1}): inversion is a bijection of S_n, so as many permutations
+    have each descent set as have it for their inverse.  The n-cycles are
+    listed directly as the (n-1)! cyclic orders 0 -> c1 -> ... -> c_{n-1} -> 0,
+    and the involutions as the matchings of 0..n-1, so neither filters S_n.
+    Each listing holds one image list.
 
     >>> _descent_table(3)
     ((1, 2, 2, 1), (0, 1, 1, 0), (1, 1, 1, 1))
@@ -42,43 +48,11 @@ def _descent_table(n: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int,
     check_size(n, cap=MAX_CACHED_N)
     if n == 0:
         return (1,), (0,), (1,)  # the empty arrangement: one class, no cycle, an involution
-    # S_1 and S_2 hold one permutation of each descent set, and no block
-    counts = _counts_by_blocks(n) if n >= 3 else [1] * 2 ** (n - 1)
+    counts = [0] * 2 ** (n - 1)
+    for index in _inverse_descent_indices(n):
+        counts[index] += 1
     return (tuple(counts), tuple(_by_descent_index(n, _ncycles(n))),
             tuple(_by_descent_index(n, _involutions(n))))
-
-
-def _counts_by_blocks(n: int) -> list[int]:
-    """How many permutations of S_n (n >= 3) have each descent index.
-
-    In lexicographic order S_n comes in blocks of six that share their
-    first n-3 images, and ``itertools.permutations(range(n), n - 3)`` lists
-    those prefixes.  A block's last three images a < b < c come in the
-    order abc, acb, bac, bca, cab, cba, so the block's six descent indices
-    follow from the prefix's descent index (its n-4 comparisons) and from
-    how many of a, b, c lie below the prefix's last image.  Blocks are
-    counted by those two and spread over their six indices at the end.
-    """
-    # lows[below]: the low three bits of the indices of abc, acb, bac, bca,
-    # cab, cba after an image above `below` of a < b < c; the top one of the
-    # three says whether that image exceeds the first of a, b, c
-    lows = [(da << 2, da << 2 | 1, db << 2 | 2, db << 2 | 1, dc << 2 | 2, dc << 2 | 3)
-            for da, db, dc in ((0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 1, 1))]
-    blocks = [0] * 2 ** (n - 2)  # at prefix index << 2 | below
-    for prefix in itertools.permutations(range(n), n - 3):
-        index = below = 0  # at n = 3 the prefix is empty: nothing precedes a, b, c
-        for i in range(n - 4):
-            index = index << 1 | (prefix[i] > prefix[i + 1])
-        if prefix:
-            last = prefix[-1]
-            below = last - sum(map(last.__gt__, prefix))  # the images under it not in the prefix
-        blocks[index << 2 | below] += 1
-    counts = [0] * 2 ** (n - 1)
-    for key, size in enumerate(blocks):
-        if size:  # at n = 3 only key 0 is reached
-            for low in lows[key & 3]:
-                counts[key >> 2 << 3 | low] += size
-    return counts
 
 
 def _ncycles(n: int) -> Iterator[list[int]]:

@@ -330,6 +330,36 @@ def descent_index(deset: Iterable[int], n: int) -> int:
     return sum(1 << (n - 1 - i) for i in deset if i < n)
 
 
+def _inverse_descent_indices(n: int) -> Iterator[int]:
+    """The ``descent_index`` of Des(pi^{-1}) of each pi in S_n, in
+    lexicographic order: i in Des(pi^{-1}), i.e. i+1 sits left of i in pi,
+    sets the bit 2^(n-1-i).  Those of S_n are mapped lazily from a list of
+    those of S_(n-1), so (n-1)! of them are held, not n!.
+
+    Built up from S_1 by the leading card: in pi = (a, rest), card a sits
+    leftmost, so a-1 is a descent of pi^{-1} and a is not; every other pair
+    of cards i, i+1 keeps its order in rest, whose standardization runs
+    through S_{m-1} in lexicographic order as rest does.  So the indices of
+    S_m are those of S_{m-1} mapped through one table per leading card a,
+    which drops the bit of the standardized pair (a-1, a) and puts the
+    bits 1 and 0 of the pairs (a-1, a) and (a, a+1) in its place.
+
+    >>> list(_inverse_descent_indices(3))
+    [0, 1, 2, 2, 1, 3]
+    """
+    indices = [0]
+    for m in range(2, n + 1):
+        tables = []
+        for a in range(1, m + 1):
+            shift = m - a  # place of the bit of the pair (a-1, a) in S_m
+            low = (1 << max(shift - 1, 0)) - 1  # bits of the pairs (i, i+1), i > a
+            tables.append([x >> shift << (shift + 1) | (a > 1) << shift | x & low
+                           for x in range(2 ** (m - 2))].__getitem__)
+        merged = itertools.chain.from_iterable(map(map, tables, itertools.repeat(indices)))
+        indices = merged if m == n else list(merged)
+    return iter(indices)
+
+
 def descent_composition(deset: Iterable[int], n: int) -> tuple[int, ...]:
     """Gap sequence of a descent set containing n.
 

@@ -36,6 +36,7 @@ from .permutations import (
     MAX_CACHED_N,
     Immutable,
     Permutation,
+    _inverse_descent_indices,
     check_budget,
     check_listing,
     check_size,
@@ -511,33 +512,6 @@ def mass_by_inverse_descents(n: int, bias) -> dict[frozenset[int], Fraction]:
     }
 
 
-def _inverse_descent_indices(n: int) -> Iterator[int]:
-    """The class index of ``_kfold_classes`` of each pi in S_n, in
-    lexicographic order: i in Des(pi^{-1}), i.e. i+1 sits left of i in pi,
-    sets the bit 2^(n-1-i).  Those of S_n are mapped lazily from a list of
-    those of S_(n-1), so (n-1)! of them are held, not n!.
-
-    Built up from S_1 by the leading card: in pi = (a, rest), card a sits
-    leftmost, so a-1 is a descent of pi^{-1} and a is not; every other pair
-    of cards i, i+1 keeps its order in rest, whose standardization runs
-    through S_{m-1} in lexicographic order as rest does.  So the indices of
-    S_m are those of S_{m-1} mapped through one table per leading card a,
-    which drops the bit of the standardized pair (a-1, a) and puts the
-    bits 1 and 0 of the pairs (a-1, a) and (a, a+1) in its place.
-    """
-    indices = [0]
-    for m in range(2, n + 1):
-        tables = []
-        for a in range(1, m + 1):
-            shift = m - a  # place of the bit of the pair (a-1, a) in S_m
-            low = (1 << max(shift - 1, 0)) - 1  # bits of the pairs (i, i+1), i > a
-            tables.append([x >> shift << (shift + 1) | (a > 1) << shift | x & low
-                           for x in range(2 ** (m - 2))].__getitem__)
-        merged = itertools.chain.from_iterable(map(map, tables, itertools.repeat(indices)))
-        indices = merged if m == n else list(merged)
-    return iter(indices)
-
-
 def _kfold_walk(
     n: int, bias, k: int, *, labels=None
 ) -> tuple[list[int], int, Iterator[tuple[tuple, int]]]:
@@ -549,7 +523,8 @@ def _kfold_walk(
     default to the cards 1..n, which yields pi's images.  S_n is walked as
     plain tuples, so n is capped at MAX_CACHED_N first, before the n labels
     are read (an iterator of them may stand for a huge n), and its class
-    indices are read once, by the walk.
+    indices, those of ``permutations._inverse_descent_indices``, are read
+    once, by the walk.
     """
     check_size(n, cap=MAX_CACHED_N)
     numerators, _, scale = _kfold_classes(n, bias, k)
@@ -820,12 +795,14 @@ _PARTITION_LETTERS = 4  # most piles ``sample`` partitions by; with more, a sort
 _PILE_MASKS = tuple(bytes(p) + b"\1" + bytes(255 - p) for p in range(_PARTITION_LETTERS))
 
 
-# Each single sampler is a generator single(n, k, bias, cumulative, denom,
-# rng) that yields the k shuffles of one draw, first shuffle first, each as
-# its pile word, unchecked: the pile 0..a-1 of the card at each position, as
-# bytes or a list.  Its stable argsort is the shuffle's inverse order.
+# Each single sampler is a generator single(n, k, cumulative, denom, rng)
+# that reads the a-letter bias as its thresholds (``_categorical``'s
+# cumulative numerators over denom) and yields the k shuffles of one draw,
+# first shuffle first, each as its pile word, unchecked: the pile 0..a-1 of
+# the card at each position, as bytes or a list.  Its stable argsort is the
+# shuffle's inverse order.
 
-def _single_interleave(n, k, bias, cumulative, denom, rng) -> Iterator[list[int]]:
+def _single_interleave(n, k, cumulative, denom, rng) -> Iterator[list[int]]:
     getrandbits = rng.getrandbits
     for _ in range(k):
         # sorted labels are the pile word of the drawn cut, pile i once per card
@@ -834,10 +811,10 @@ def _single_interleave(n, k, bias, cumulative, denom, rng) -> Iterator[list[int]
         yield word
 
 
-def _single_drop(n, k, bias, cumulative, denom, rng) -> Iterator[list[int]]:
+def _single_drop(n, k, cumulative, denom, rng) -> Iterator[list[int]]:
     getrandbits = rng.getrandbits
     bounds = _draw_bounds(n)
-    piles = range(len(bias))
+    piles = range(len(cumulative))
     for _ in range(k):
         labels = _draw_labels(n, cumulative, denom, rng)
         remaining = [labels.count(i) for i in piles]  # multinomial(n; p) pile sizes
@@ -856,7 +833,7 @@ def _single_drop(n, k, bias, cumulative, denom, rng) -> Iterator[list[int]]:
         yield word
 
 
-def _single_geometric(n, k, bias, cumulative, denom, rng) -> Iterator[list[int]]:
+def _single_geometric(n, k, cumulative, denom, rng) -> Iterator[list[int]]:
     # n points in [0,1]: interval i w.p. p_i, uniform inside; x = (i-1+u)/a.
     # Sorting by x is sorting by (i, u); the map x -> a*x mod 1 leaves u, so
     # the pile word is the categories in u order.  Each point takes its
@@ -882,7 +859,7 @@ def _single_geometric(n, k, bias, cumulative, denom, rng) -> Iterator[list[int]]
         yield list(map(cats.__getitem__, sorted(range(n), key=us.__getitem__)))
 
 
-def _single_inverse(n, k, bias, cumulative, denom, rng) -> Iterator[bytes | list[int]]:
+def _single_inverse(n, k, cumulative, denom, rng) -> Iterator[bytes | list[int]]:
     # the labels are the pile words, and a run of shuffles takes them at once
     run = max(1, _LABEL_RUN // max(n, 1))
     for first in range(0, k, run):
@@ -932,7 +909,7 @@ def sample(spec: ShuffleSpec, method: str = "inverse", rng: random.Random | None
         raise ValueError("a seeded random.Random is required")
     n, a = spec.n, len(spec.bias)
     cumulative, denom = spec._thresholds
-    words = _SINGLE_SAMPLERS[method](n, spec.k, spec.bias, cumulative, denom, rng)
+    words = _SINGLE_SAMPLERS[method](n, spec.k, cumulative, denom, rng)
     masks = _PILE_MASKS[:a]
     inv = range(n)  # (s1 * ... * sj)^{-1} = sj^{-1} * ... * s1^{-1}, 0-based
     if len(masks) < a:

@@ -19,6 +19,7 @@ from collections import Counter
 
 from .permutations import (
     Permutation,
+    _inverse_descent_indices,
     compositions,
     count_inversions,
     cycle_type,
@@ -304,7 +305,9 @@ def check_gessel_bijection(config: VerifyConfig) -> CheckResult:
     """Exhaustive bijectivity and cycle preservation for small decks.
 
     For each composition of n, the permutations whose inverse descent set
-    lies in its partial sums are counted against ``count_descent_subset``.
+    lies in its partial sums are counted against ``count_descent_subset``;
+    those sets are read off ``permutations._inverse_descent_indices``, which
+    walks S_n in the lexicographic order of ``symmetric_group_list``.
     Each one's word, its images read through the composition's block table,
     gives its necklaces as one sorted tuple.  That image must keep the
     permutation's cycle type, be primitive, and check its key off the target
@@ -317,9 +320,9 @@ def check_gessel_bijection(config: VerifyConfig) -> CheckResult:
     name = "gessel-bijection"
     for n in range(1, config.n_max + 1):
         perms = symmetric_group_list(n)
-        # inverse descent sets as descent_index bitmasks, and the sorted cycle
-        # lengths, one list per cycle type
-        masks = [descent_index(descent_set(p.inverse()), n) for p in perms]
+        # inverse descent sets as descent_index bitmasks, in the lexicographic
+        # order of perms, and the sorted cycle lengths, one list per cycle type
+        masks = list(_inverse_descent_indices(n))
         shared: dict = {}
         cycle_lengths = [
             shared.setdefault(key, [length for length, count in key for _ in range(count)])

@@ -282,8 +282,8 @@ def test_brute_counts_reach_s9_with_no_flag():
 
 @pytest.mark.parametrize("deset", ["9", "2,4,6,8,9", "1,2,3,4,5,6,7,8,9"])
 def test_brute_counts_of_s9_match_the_determinants(capsys, deset):
-    # the brute table's blocks of six and cyclic orders at the cap, against
-    # the determinant formulas that never list a permutation
+    # the brute table's inverse-descent walk and cyclic orders at the cap,
+    # against the determinant formulas that never list a permutation
     def counted(method):
         code, out, err = run_cli(capsys, "count", "--n", "9", "--j", deset, "--method", method)
         assert (code, err) == (0, "")

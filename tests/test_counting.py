@@ -326,8 +326,9 @@ def test_the_brute_table_of_the_empty_deck_has_one_class():
 
 
 def test_the_brute_table_holds_no_list_of_prefixes():
-    # the walk keeps O(n) state next to its 2^(n-1)-entry tables: ~9 kB
-    # traced at n = 8, where a list of the n!/2 prefixes of S_8 takes ~2 MB
+    # the walk holds the (n-1)! class indices of S_(n-1) next to the
+    # 2^(n-1)-entry tables: ~52 kB traced at n = 8, where a list of the n!/2
+    # prefixes of S_8 takes ~2 MB
     _descent_table.__wrapped__(8)  # warm the imports
     tracemalloc.start()
     try:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from riffle import counting, genfuncs, permutations, shuffles
+from riffle import counting, genfuncs, permutations, shuffles, verify
 from riffle.permutations import (
     MAX_CACHED_N,
     Permutation,
@@ -159,6 +159,38 @@ def test_descent_composition_roundtrip():
     assert partial_sums((2, 6, 4)) == (2, 8, 12)
     with pytest.raises(ValueError):
         descent_composition({2, 3}, 5)
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_inverse_descent_indices_match_descent_sets(n):
+    want = [sum(2 ** (n - 1 - i) for i in descent_set(p.inverse()) if i < n)
+            for p in symmetric_group_list(n)]
+    assert list(permutations._inverse_descent_indices(n)) == want
+
+
+def _walk_with_one_class_moved(n):
+    # S_3's identity, alone in the class {3}, moves into the class {2, 3}:
+    # still n! indices, and every class but those two keeps its size
+    indices = list(permutations._inverse_descent_indices(n))
+    if n == 3:
+        indices[0] = 1
+    return iter(indices)
+
+
+def test_the_suites_that_read_the_walk_fail_on_a_wrong_one(monkeypatch):
+    # the brute descent table and the Gessel domain both read the walk
+    config = verify.VerifyConfig(n_max=3, count_n_max=3)
+    assert len(list(_walk_with_one_class_moved(3))) == 6
+    counting._descent_table.cache_clear()
+    try:
+        monkeypatch.setattr(counting, "_inverse_descent_indices", _walk_with_one_class_moved)
+        monkeypatch.setattr(verify, "_inverse_descent_indices", _walk_with_one_class_moved)
+        results = [verify.check_descent_counts(config), verify.check_gessel_bijection(config)]
+    finally:
+        counting._descent_table.cache_clear()
+    assert [(result.passed, result.detail) for result in results] == [
+        (False, "n=3, J=[3]: ie=1, det=1, brute=0"),
+        (False, "domain size off at n=3, parts=(1, 2)")]
 
 
 def test_weak_compositions_count():

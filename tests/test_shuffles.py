@@ -214,13 +214,6 @@ def test_json_roundtrip():
     assert {"perm": [1, 2, 3], "p": "5/9"} in obj["masses"]
 
 
-@pytest.mark.parametrize("n", range(8))
-def test_inverse_descent_indices_match_descent_sets(n):
-    want = [sum(2 ** (n - 1 - i) for i in descent_set(p.inverse()) if i < n)
-            for p in symmetric_group_list(n)]
-    assert list(shuffles._inverse_descent_indices(n)) == want
-
-
 # --- convolution ---------------------------------------------------------
 
 def test_convolve_with_point_mass_is_identity():
@@ -888,7 +881,7 @@ def test_inverse_draws_are_k_calls_of_its_single_sampler(bias, k):
     ours, theirs = random.Random(k), random.Random(k)
     for _ in range(5):
         product = Permutation.identity(13)
-        for word in shuffles._SINGLE_SAMPLERS["inverse"](13, k, bias, cumulative, denom, theirs):
+        for word in shuffles._SINGLE_SAMPLERS["inverse"](13, k, cumulative, denom, theirs):
             # the factor of a pile word is its standard permutation
             product = product * standard_permutation(word)
         assert sample(ShuffleSpec(13, bias, k), "inverse", ours) == product
