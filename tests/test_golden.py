@@ -42,6 +42,9 @@ GOLDEN_SHA256 = [
     # rows 9 and 10 are over the sweep budget: their exact column stays empty
     (["report", "--n", "8", "--p", "1/3,1/3,1/3"],
      "ff84cbc864b3ed6858b3a6e03d9ea1526c9f1d8d585711fd16667df022af798c"),
+    # every suite's name, verdict and detail line, in registry order
+    (["verify", "--n-max", "3", "--samples", "2000", "--seed", "1"],
+     "29a34c75a115ca951f6ae0b265e8037f5fba50780d24220291e6bccd8968eb11"),
 ]
 
 METHODS = ("interleave", "drop", "geometric", "inverse")
