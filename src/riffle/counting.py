@@ -106,7 +106,7 @@ def _validate_descent_set(n: int, deset: Iterable[int]) -> frozenset[int]:
     js = frozenset(deset)
     if n not in js:
         raise ValueError(f"descent set must contain n={n}: {sorted(js)}")
-    if not js <= set(range(1, n + 1)):
+    if not all(isinstance(j, int) and 1 <= j <= n for j in js):
         raise ValueError(f"descent set not within 1..{n}: {sorted(js)}")
     return js
 
@@ -219,9 +219,7 @@ def count_descent_exact(n: int, deset: Iterable[int]) -> int:
     >>> count_descent_exact(4, {2, 4}), count_descent_exact(4, {1, 2, 3, 4})
     (5, 1)
     """
-    factorial = functools.cache(math.factorial)  # n! and each gap's, once per sum
-    return _descent_inclusion_exclusion(
-        n, deset, lambda gaps: factorial(n) // math.prod(map(factorial, gaps)))
+    return _descent_inclusion_exclusion(n, deset, count_descent_subset)
 
 
 def count_descent_det(n: int, j_positions: Iterable[int]) -> int:
@@ -241,14 +239,13 @@ def count_descent_det(n: int, j_positions: Iterable[int]) -> int:
     return _binomial_det(n, js, 1)
 
 
-def _primitive_count(parts: tuple[int, ...], factorial: Callable[[int], int]) -> int:
-    """``necklaces.primitive_count`` of the letter counts ``parts``, taking each
-    factorial from ``factorial``, which a caller summing many counts over
-    one n can make remember its values."""
+def _primitive_count(parts: tuple[int, ...]) -> int:
+    """``necklaces.primitive_count`` of the letter counts ``parts``: each
+    term's (n/d)!/prod (r_i/d)! is the multinomial of the parts over d."""
     n = sum(parts)
     if n == 0:
         raise ValueError("all letter counts are zero")
-    total = sum(mu * (factorial(n // d) // math.prod([factorial(r // d) for r in parts]))
+    total = sum(mu * multinomial([r // d for r in parts])
                 for d, mu in _mobius_divisors(math.gcd(*parts)))
     if total % n:
         raise ArithmeticError(f"necklace sum {total} for {parts} is not divisible by {n}")
@@ -263,9 +260,7 @@ def ncycles_descent_ie(n: int, deset: Iterable[int]) -> int:
     >>> ncycles_descent_ie(3, {1, 3}), ncycles_descent_ie(4, {1, 3, 4})
     (1, 1)
     """
-    factorial = functools.cache(math.factorial)  # as in count_descent_exact
-    return _descent_inclusion_exclusion(
-        n, deset, lambda gaps: _primitive_count(gaps, factorial))
+    return _descent_inclusion_exclusion(n, deset, _primitive_count)
 
 
 def ncycles_descent_det(n: int, deset: Iterable[int]) -> int:

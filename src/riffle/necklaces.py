@@ -16,7 +16,6 @@ is what makes the shuffle-measure cycle counting work.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 
@@ -196,7 +195,7 @@ def primitive_count(parts: Iterable[int]) -> int:
     (1, 2)
     """
     from .counting import _primitive_count  # here: bijection loads necklaces, not counting
-    return _primitive_count(_letter_counts(parts), math.factorial)
+    return _primitive_count(_letter_counts(parts))
 
 
 def _lyndon_walk(parts: tuple[int, ...]) -> list[Necklace]:

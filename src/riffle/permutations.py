@@ -321,7 +321,7 @@ def multinomial(parts: Iterable[int]) -> int:
     """n!/(b1!...ba!) for parts b summing to n, as the product of the
     binomials C(b1+...+bi, bi), so no factorial of n is formed."""
     parts = tuple(parts)
-    return math.prod(map(math.comb, partial_sums(parts), parts))
+    return math.prod(map(math.comb, itertools.accumulate(parts), parts))
 
 
 def descent_index(deset: Iterable[int], n: int) -> int:

@@ -10,6 +10,7 @@ import math
 import os
 import pkgutil
 import re
+import resource
 import subprocess
 import sys
 import time
@@ -229,12 +230,36 @@ def test_report_past_s9_fills_the_exact_column(capsys):
     assert [row["exact_tv"] for row in json.loads(out)["rows"]] == FAIR_TV_10
 
 
-def _timed_cli(*argv) -> tuple[float, subprocess.CompletedProcess]:
+def _timed_cli(*argv, **options) -> tuple[float, subprocess.CompletedProcess]:
     src = str(Path(riffle.__file__).resolve().parents[1])
     start = time.perf_counter()
     done = subprocess.run([sys.executable, "-m", "riffle.cli", *argv], timeout=60,
-                          env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+                          **options)
     return time.perf_counter() - start, done
+
+
+def _two_gigabytes_of_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+HUGE = "99999999999"
+
+
+@pytest.mark.parametrize("method, code, out, err", [
+    ("ie", 0, f'{{"J": [{HUGE}], "n": {HUGE}, "exact": 1, "ncycles": 0, "method": "ie"}}\n', ""),
+    ("det", 0, f'{{"J": [{HUGE}], "n": {HUGE}, "exact": 1, "ncycles": 0, "method": "det"}}\n',
+     ""),
+    ("brute", 2, "", f"error: n={HUGE} above cap 9\n"),
+])
+def test_count_of_a_huge_deck_answers_within_a_second(method, code, out, err):
+    # J = {n}: checking J once built the set 1..n, a MemoryError under this
+    # limit, and the ie term formed n!; the identity is the one permutation
+    # and no n-cycle
+    elapsed, done = _timed_cli("count", "--n", HUGE, "--j", HUGE, "--method", method,
+                               preexec_fn=_two_gigabytes_of_address_space)
+    assert elapsed < 1
+    assert (done.returncode, done.stdout, done.stderr) == (code, out, err)
 
 
 def test_count_det_of_four_hundred_positions_prints_within_two_seconds():
@@ -789,6 +814,42 @@ def test_verify_unknown_suite(capsys):
     code, _, err = run_cli(capsys, "verify", "--only", "nonesuch")
     assert code == 2
     assert "no suite" in err
+
+
+def test_a_suite_that_raises_fails_with_the_exception(capsys, monkeypatch):
+    def no_theta(p1):
+        raise ZeroDivisionError("float division by zero")
+
+    monkeypatch.setattr(shuffles, "lalley_theta", no_theta)
+    want = ("lalley", False, "raised ZeroDivisionError: float division by zero")
+    results = [verify.check_lalley(verify.VerifyConfig()), *verify.run(only="lalley")]
+    assert [(r.name, r.passed, r.detail) for r in results] == [want, want]
+    code, out, err = run_cli(capsys, "verify", "--only", "lalley")
+    assert (code, err) == (1, "0/1 suites passed\n")
+    assert json.loads(out) == dict(zip(("name", "passed", "detail"), want))
+
+
+def test_only_the_registry_builds_a_check_result():
+    # each suite names itself once, in @_suite: the registry wraps the
+    # check's (passed, detail) into the CheckResult, so no suite keeps a name
+    src = Path(verify.__file__).parent
+    tree = ast.parse((src / "verify.py").read_text())
+    register = next(node for node in tree.body
+                    if isinstance(node, ast.FunctionDef) and node.name == "_suite")
+    built = [(path.name, node.lineno) for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and "CheckResult" in (
+                 getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+    assert built
+    assert all(name == "verify.py" and register.lineno <= line <= register.end_lineno
+               for name, line in built)
+    suites = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+              and any(isinstance(d, ast.Call) and getattr(d.func, "id", None) == "_suite"
+                      for d in node.decorator_list)]
+    assert len(suites) == len(verify.suite_names())
+    assert [(suite.name, node.lineno) for suite in suites for node in ast.walk(suite)
+            if isinstance(node, ast.Name) and node.id == "name"
+            and isinstance(node.ctx, ast.Store)] == []
 
 
 @pytest.mark.parametrize("argv", [

@@ -143,6 +143,15 @@ def test_count_descent_exact_examples():
         count_descent_exact(3, {1})  # must contain n
 
 
+@pytest.mark.parametrize("route", [count_descent_exact, ncycles_descent_ie, ncycles_descent_det,
+                                   involutions_descent_subset])
+def test_a_descent_set_holds_only_integer_positions(route):
+    # J is checked point by point, not against a set of 1..n, so a position
+    # between two integers is refused by name, not read as a gap
+    with pytest.raises(ValueError, match=r"descent set not within 1\.\.4: \[1\.5, 4\]"):
+        route(4, {1.5, 4})
+
+
 def test_count_descent_det_examples():
     assert count_descent_det(5, []) == 1
     assert count_descent_det(3, [1]) == 2
